@@ -14,7 +14,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -293,6 +295,134 @@ TEST(Metrics, ExpositionParsesCleanAndCountersAreMonotone) {
   EXPECT_GE(series_value(second, "dsteiner_modelled_solve_seconds_count"), 1.0);
   EXPECT_GE(series_value(second, "dsteiner_model_abs_error_seconds_count"),
             1.0);
+}
+
+/// A hand-filled snapshot for the golden exposition test: every counter
+/// distinct and non-zero, a few populated histograms (one of them a scaled
+/// comm_bytes_* series), and every SLO class.
+service_snapshot golden_snapshot() {
+  std::uint64_t next = 1000;
+  const auto v = [&next] { return next += 7; };
+  service_snapshot snap;
+  service_stats& s = snap.stats;
+  for (std::uint64_t* field :
+       {&s.queries, &s.cold_solves, &s.warm_solves, &s.edge_warm_solves,
+        &s.warm_fallbacks, &s.cache_hits, &s.stale_hits, &s.coalesced,
+        &s.epoch_advances, &s.cancelled, &s.deadline_rejected,
+        &s.deadline_expired, &s.stale_refreshes, &s.stale_refreshes_deduped,
+        &s.leader_abandoned, &s.slow_queries, &s.sampled_traces,
+        &s.slo_violations, &s.model_admissions, &s.bucketed_solves,
+        &s.growth_buckets_processed, &s.growth_tiles, &s.growth_bucket_pruned,
+        &s.growth_last_delta, &s.growth_last_tile_threshold,
+        &s.distributed_solves, &s.net_bytes_sent, &s.net_bytes_modelled,
+        &s.net_frames_sent, &s.net_supersteps, &s.net_vote_rounds,
+        &s.net_ghost_labels, &s.cluster_telemetry_samples,
+        &s.cluster_supersteps, &s.cluster_straggler_supersteps,
+        &s.fragment_assisted, &s.fragment_hits, &s.preseeded_vertices,
+        &s.oracle_pruned_visitors, &s.oracle_builds, &s.bound_sharpened,
+        &s.cache.hits, &s.cache.misses, &s.cache.insertions,
+        &s.cache.evictions, &s.cache.retired, &s.exec.submitted,
+        &s.exec.rejected, &s.exec.executed, &s.exec.tasks_failed,
+        &s.exec.expired, &s.exec.displaced, &s.exec.promoted,
+        &s.exec.peak_queue_depth, &s.exec.queue_depth, &s.fragments.published,
+        &s.fragments.refreshed, &s.fragments.hits, &s.fragments.misses,
+        &s.fragments.evictions, &s.fragments.retired,
+        &s.fragments.bytes_in_use, &snap.cost_model.samples}) {
+    *field = v();
+  }
+  s.cache.entries = v();
+  s.fragments.fragments = v();
+  for (std::size_t p = 0; p < k_priority_classes; ++p) {
+    s.admitted_by_priority[p] = v();
+    s.shed_by_priority[p] = v();
+  }
+  s.exec.total_queue_wait_seconds = 12.625;
+  s.exec.max_queue_wait_seconds = 0.75;
+  s.exec.total_exec_seconds = 3.0517578125e-5;
+
+  snap.cost_model.enabled = true;
+  snap.cost_model.ready = true;
+  snap.cost_model.abs_error_ema_seconds = 0.0123456789;
+
+  snap.slo.enabled = true;
+  snap.slo.error_budget = 0.001;
+  snap.slo.short_window_seconds = 60.0;
+  snap.slo.long_window_seconds = 3600.0;
+  for (std::size_t p = 0; p < k_priority_classes; ++p) {
+    obs::slo_class_snapshot c;
+    c.objective_seconds = 0.05 * static_cast<double>(p + 1);
+    c.good_total = v();
+    c.bad_total = v();
+    c.short_good = v();
+    c.short_bad = v();
+    c.long_good = v();
+    c.long_bad = v();
+    c.burn_rate_short = 0.5 + static_cast<double>(p);
+    c.burn_rate_long = 1.0 / 3.0 + static_cast<double>(p);
+    snap.slo.classes.push_back(c);
+  }
+
+  const auto fill = [&v](latency_histogram::snapshot_data& h,
+                         std::initializer_list<std::size_t> buckets,
+                         double total_seconds) {
+    for (const std::size_t b : buckets) {
+      h.buckets[b] = v();
+      h.count += h.buckets[b];
+    }
+    h.total_seconds = total_seconds;
+  };
+  fill(snap.queue_wait, {0, 3, 9}, 0.0421875);
+  fill(snap.cold_solve, {12, 14, 15}, 7.25);
+  fill(snap.total, {1, 12, 31}, 91.5);
+  fill(snap.comm_bytes_measured, {4, 10}, 0.003125);
+  return snap;
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(DSTEINER_TEST_GOLDEN_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Byte-for-byte comparison against tests/golden/<name>; on mismatch reports
+/// the first differing line and leaves the actual text next to gtest's temp
+/// directory for diffing.
+void expect_golden(const std::string& actual, const std::string& name) {
+  const std::string expected = read_golden(name);
+  ASSERT_FALSE(expected.empty()) << "missing golden file " << name;
+  if (actual == expected) return;
+  const std::string actual_path = ::testing::TempDir() + name + ".actual";
+  std::ofstream(actual_path) << actual;
+  std::istringstream a(actual);
+  std::istringstream e(expected);
+  std::string la;
+  std::string le;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(a, la));
+    const bool more_e = static_cast<bool>(std::getline(e, le));
+    if (!more_a && !more_e) break;
+    if (more_a != more_e || la != le) {
+      ADD_FAILURE() << name << " differs at line " << line << "\n  expected: "
+                    << (more_e ? le : "<eof>")
+                    << "\n  actual:   " << (more_a ? la : "<eof>")
+                    << "\n  full output: " << actual_path;
+      return;
+    }
+  }
+  ADD_FAILURE() << name << " differs (trailing bytes); full output: "
+                << actual_path;
+}
+
+TEST(Metrics, GoldenExpositionIsByteStable) {
+  const service_snapshot snap = golden_snapshot();
+  const std::string metrics = render_metrics_text(snap);
+  const std::string slo = render_slo_text(snap);
+  const auto report = obs::validate_prometheus(metrics);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_TRUE(obs::validate_prometheus(slo).ok());
+  expect_golden(metrics, "service_metrics.prom");
+  expect_golden(slo, "service_slo.prom");
 }
 
 // ---- tracing ----------------------------------------------------------------

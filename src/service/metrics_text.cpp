@@ -448,7 +448,8 @@ std::string render_metrics_text(const service_snapshot& snap,
   append_counter(out, prefix, "executor_executed_total", "Tasks executed",
                  s.exec.executed);
   append_counter(out, prefix, "executor_rejected_total",
-                 "try_submit load-shed refusals", s.exec.rejected);
+                 "Tasks refused at admission with the queue full",
+                 s.exec.rejected);
   append_counter(out, prefix, "executor_expired_total",
                  "Queued tasks dropped past their deadline", s.exec.expired);
   append_counter(out, prefix, "executor_displaced_total",

@@ -48,6 +48,7 @@
 #include "core/steiner_solver.hpp"
 #include "graph/generators.hpp"
 #include "io/dataset.hpp"
+#include "obs/prom_text.hpp"
 #include "obs/prom_validate.hpp"
 #include "runtime/net/dist_solver.hpp"
 #include "runtime/net/tcp_backend.hpp"
@@ -198,49 +199,37 @@ graph::csr_graph load_graph(const launcher_options& opts) {
   return graph::csr_graph(list);
 }
 
-void append_counter(std::string& out, const char* name, const char* help,
-                    int rank, std::uint64_t value) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += name;
-  out += " counter\n";
-  out += name;
-  out += "{rank=\"" + std::to_string(rank) + "\"} " + std::to_string(value) +
-         "\n";
-}
-
 /// Per-rank traffic counters in Prometheus text exposition, self-validated —
 /// the same `dsteiner_net_*` families the query service exports, scoped to
 /// this launcher process.
 int print_metrics(const runtime::net::net_solve_report& report) {
   std::string out;
-  append_counter(out, "dsteiner_net_bytes_sent_total",
-                 "Wire bytes sent by this rank (headers included).",
-                 report.rank, report.stats.bytes_sent);
-  append_counter(out, "dsteiner_net_bytes_received_total",
-                 "Wire bytes received by this rank.", report.rank,
-                 report.stats.bytes_received);
-  append_counter(out, "dsteiner_net_frames_sent_total",
-                 "Frames sent by this rank.", report.rank,
-                 report.stats.frames_sent);
-  append_counter(out, "dsteiner_net_frames_received_total",
-                 "Frames received by this rank.", report.rank,
-                 report.stats.frames_received);
-  append_counter(out, "dsteiner_net_supersteps_total",
-                 "BSP supersteps this rank participated in.", report.rank,
-                 report.supersteps);
-  append_counter(out, "dsteiner_net_vote_rounds_total",
-                 "Termination vote rounds (confirms included).", report.rank,
-                 report.vote_rounds);
-  append_counter(out, "dsteiner_net_ghost_labels_sent_total",
-                 "Boundary labels pushed to neighbouring ranks.", report.rank,
-                 report.ghost_labels_sent);
-  append_counter(out, "dsteiner_net_bytes_modelled_total",
-                 "Perf-model predicted payload bytes for the same traffic.",
-                 report.rank, report.bytes_modelled);
+  obs::prom_writer w(out, "dsteiner");
+  const std::string rank = std::to_string(report.rank);
+  const auto counter = [&](std::string_view name, std::string_view help,
+                           std::uint64_t value) {
+    w.family(name, obs::prom_type::counter, help)
+        .sample(value, {{"rank", rank}});
+  };
+  counter("net_bytes_sent_total",
+          "Wire bytes sent by this rank (headers included).",
+          report.stats.bytes_sent);
+  counter("net_bytes_received_total", "Wire bytes received by this rank.",
+          report.stats.bytes_received);
+  counter("net_frames_sent_total", "Frames sent by this rank.",
+          report.stats.frames_sent);
+  counter("net_frames_received_total", "Frames received by this rank.",
+          report.stats.frames_received);
+  counter("net_supersteps_total", "BSP supersteps this rank participated in.",
+          report.supersteps);
+  counter("net_vote_rounds_total",
+          "Termination vote rounds (confirms included).", report.vote_rounds);
+  counter("net_ghost_labels_sent_total",
+          "Boundary labels pushed to neighbouring ranks.",
+          report.ghost_labels_sent);
+  counter("net_bytes_modelled_total",
+          "Perf-model predicted payload bytes for the same traffic.",
+          report.bytes_modelled);
   if (report.rank == 0 && !report.cluster.samples.empty()) {
     // Rank 0 carries the merged telemetry plane; expose the same
     // dsteiner_cluster_* families the query service's /metrics serves.
@@ -250,15 +239,14 @@ int print_metrics(const runtime::net::net_solve_report& report) {
     for (const runtime::net::straggler_row& row : rows) {
       if (row.compute_skew >= 2.0) ++straggling;
     }
-    append_counter(out, "dsteiner_cluster_telemetry_samples_total",
-                   "Per-rank, per-superstep telemetry frames merged on rank 0.",
-                   report.rank, report.cluster.samples.size());
-    append_counter(out, "dsteiner_cluster_supersteps_total",
-                   "Superstep groups attributed by the straggler report.",
-                   report.rank, rows.size());
-    append_counter(out, "dsteiner_cluster_straggler_supersteps_total",
-                   "Attributed supersteps whose compute skew reached 2x.",
-                   report.rank, straggling);
+    counter("cluster_telemetry_samples_total",
+            "Per-rank, per-superstep telemetry frames merged on rank 0.",
+            report.cluster.samples.size());
+    counter("cluster_supersteps_total",
+            "Superstep groups attributed by the straggler report.",
+            rows.size());
+    counter("cluster_straggler_supersteps_total",
+            "Attributed supersteps whose compute skew reached 2x.", straggling);
   }
   const obs::prom_report check = obs::validate_prometheus(out);
   std::fputs(out.c_str(), stdout);

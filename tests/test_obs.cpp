@@ -25,6 +25,7 @@
 #include "graph/generators.hpp"
 #include "obs/cost_model.hpp"
 #include "obs/debug_server.hpp"
+#include "obs/prom_text.hpp"
 #include "obs/prom_validate.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -256,6 +257,44 @@ TEST(PromValidate, AcceptsContiguousMultiSampleFamilies) {
       "# TYPE app_b_total counter\n"
       "app_b_total 2\n");
   EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// ---- exposition writer ------------------------------------------------------
+
+TEST(PromText, WritesOneHeaderPerFamilyAndScaledHistograms) {
+  latency_histogram::snapshot_data hist;
+  hist.buckets[0] = 2;
+  hist.buckets[2] = 3;
+  hist.total_seconds = 1.5e-5;
+  std::string out;
+  obs::prom_writer w(out, "app");
+  w.counter("requests_total", "Requests", std::uint64_t{7});
+  w.family("depth", obs::prom_type::gauge, "Depth")
+      .sample(0.25, {{"queue", "a"}})
+      .sample(std::uint64_t{3}, {{"queue", "b"}, {"zone", "z1"}});
+  w.histogram("bytes", "Bytes", hist, 1e6);
+
+  EXPECT_EQ(out.substr(0, out.find("app_bytes_bucket")),
+            "# HELP app_requests_total Requests\n"
+            "# TYPE app_requests_total counter\n"
+            "app_requests_total 7\n"
+            "# HELP app_depth Depth\n"
+            "# TYPE app_depth gauge\n"
+            "app_depth{queue=\"a\"} 0.25\n"
+            "app_depth{queue=\"b\",zone=\"z1\"} 3\n"
+            "# HELP app_bytes Bytes\n"
+            "# TYPE app_bytes histogram\n");
+  EXPECT_NE(out.find("app_bytes_bucket{le=\"2\"} 2\n"
+                     "app_bytes_bucket{le=\"4\"} 2\n"
+                     "app_bytes_bucket{le=\"8\"} 5\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("app_bytes_bucket{le=\"+Inf\"} 5\n"
+                     "app_bytes_sum 15\n"
+                     "app_bytes_count 5\n"),
+            std::string::npos);
+  const auto report = obs::validate_prometheus(out);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.families, 3u);
 }
 
 // ---- service exposition -----------------------------------------------------

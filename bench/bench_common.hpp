@@ -6,7 +6,6 @@
 // Reported times: "sim" columns are simulated parallel seconds from the cost
 // model in runtime/perf_model.hpp (critical-path work across the simulated
 // ranks); "wall" columns are single-core wall clock of the whole simulation.
-// See EXPERIMENTS.md for the calibration discussion.
 #pragma once
 
 #include <cstdio>

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     // distributed solve.
     q.seeds = bench::default_seeds(ds.graph, 8 + 4 * i);
     util::timer wall;
-    const auto result = svc.solve(q);
+    const auto result = svc.solve(service::request{q});
     const double wall_seconds = wall.seconds();
     telemetry_on_wall += wall_seconds;
     if (result.kind != service::solve_kind::cold) {
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
       service::query q;
       q.seeds = bench::default_seeds(ds.graph, 8 + 4 * i);
       util::timer wall;
-      (void)off_svc.solve(q);
+      (void)off_svc.solve(service::request{q});
       telemetry_off_wall += wall.seconds();
     }
     std::printf("telemetry overhead: on=%s off=%s (%+.1f%%)\n",

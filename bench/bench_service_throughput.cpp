@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -286,12 +285,14 @@ int run_overlap_mode(const graph::csr_graph& g, core::solver_config solver) {
     service::steiner_service svc(graph::csr_graph(g), config);
 
     const auto queries = build_queries(32);
-    std::vector<std::future<service::query_result>> futures;
-    futures.reserve(queries.size());
-    for (const auto& q : queries) futures.push_back(svc.submit(q));
+    std::vector<service::query_handle> handles;
+    handles.reserve(queries.size());
+    for (const auto& q : queries) {
+      handles.push_back(svc.submit(service::request{q}));
+    }
     run_result r;
-    for (auto& f : futures) {
-      const auto qr = f.get();
+    for (auto& h : handles) {
+      const auto qr = h.get();
       const auto* voronoi =
           qr.result.phases.find(runtime::phase_names::voronoi);
       const std::uint64_t visitors =
@@ -537,10 +538,12 @@ int main(int argc, char** argv) {
       service::steiner_service svc(graph::csr_graph(g), config);
 
       util::timer wall;
-      std::vector<std::future<service::query_result>> futures;
-      futures.reserve(w.queries.size());
-      for (const auto& q : w.queries) futures.push_back(svc.submit(q));
-      for (auto& f : futures) (void)f.get();
+      std::vector<service::query_handle> handles;
+      handles.reserve(w.queries.size());
+      for (const auto& q : w.queries) {
+        handles.push_back(svc.submit(service::request{q}));
+      }
+      for (auto& h : handles) (void)h.get();
       const double seconds = wall.seconds();
 
       const auto stats = svc.stats();
@@ -592,7 +595,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      auto cold = svc.solve(q);
+      auto cold = svc.solve(service::request{q});
       if (cold.kind != service::solve_kind::cold) continue;  // donor overlap
       cold_s.push_back(cold.solve_seconds);
       if (const auto* m =
@@ -601,7 +604,7 @@ int main(int argc, char** argv) {
         cold_messages += m->messages_total();
       }
 
-      auto hit = svc.solve(q);
+      auto hit = svc.solve(service::request{q});
       if (hit.kind == service::solve_kind::cache_hit) {
         hit_s.push_back(hit.total_seconds);
       }
@@ -609,7 +612,7 @@ int main(int argc, char** argv) {
       service::query edited = q;
       edited.seeds.push_back((q.seeds.front() + 271 * (i + 1)) %
                              g.num_vertices());
-      auto warm = svc.solve(edited);
+      auto warm = svc.solve(service::request{edited});
       if (warm.kind == service::solve_kind::warm_start) {
         warm_s.push_back(warm.solve_seconds);
         if (const auto* m =

@@ -9,8 +9,7 @@
 // alpha-beta (latency + bandwidth) term. Strong-scaling shape — who is the
 // bottleneck phase, how speedup degrades with rank count, load imbalance from
 // skewed degrees — is captured exactly; absolute seconds come from the
-// calibration constant `unit_seconds` and are documented as simulated in
-// EXPERIMENTS.md.
+// calibration constant `unit_seconds` and are simulated, not measured.
 #pragma once
 
 #include <cstdint>

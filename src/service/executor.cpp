@@ -24,7 +24,6 @@ executor::~executor() {
     stopping_ = true;
   }
   not_empty_.notify_all();
-  not_full_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
@@ -34,11 +33,10 @@ std::size_t executor::total_queued_locked() const noexcept {
   return total;
 }
 
-std::size_t executor::purge_expired_locked(dropped_list& dropped) {
+void executor::purge_expired_locked(dropped_list& dropped) {
   const auto now = std::chrono::steady_clock::now();
-  std::size_t purged = 0;
   for (auto& q : queues_) {
-    purged += std::erase_if(q, [&](queued_task& item) {
+    std::erase_if(q, [&](queued_task& item) {
       if (item.deadline > now) return false;
       ++stats_.expired;
       if (item.on_dropped) {
@@ -47,7 +45,6 @@ std::size_t executor::purge_expired_locked(dropped_list& dropped) {
       return true;
     });
   }
-  return purged;
 }
 
 void executor::fire(dropped_list& dropped) {
@@ -98,40 +95,9 @@ void executor::promote_aged_locked() {
   }
 }
 
-void executor::post(task t, task_options opts) {
-  opts.priority = std::min(opts.priority, k_executor_priority_levels - 1);
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (stopping_) {
-      throw std::runtime_error("executor::post: executor is shutting down");
-    }
-    if (total_queued_locked() < config_.queue_capacity) break;
-    dropped_list dropped;
-    if (purge_expired_locked(dropped) > 0) {
-      // Expired entries came off the queue: fire their drop handlers *now*
-      // (a deferred handler is a stranded promise — its waiter would block
-      // for as long as this producer does) and wake fellow producers, since
-      // the purge may have freed more slots than this post consumes. Then
-      // re-evaluate from scratch.
-      lock.unlock();
-      not_full_.notify_all();
-      fire(dropped);
-      lock.lock();
-      continue;
-    }
-    not_full_.wait(lock);
-  }
-  enqueue_locked(opts.priority,
-                 queued_task{util::timer{}, std::move(t), opts.deadline,
-                             std::move(opts.on_dropped)});
-  lock.unlock();
-  not_empty_.notify_one();
-}
-
 bool executor::try_post(task t, task_options opts) {
   opts.priority = std::min(opts.priority, k_executor_priority_levels - 1);
   dropped_list dropped;
-  std::size_t purged = 0;
   bool admitted = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -139,7 +105,7 @@ bool executor::try_post(task t, task_options opts) {
       throw std::runtime_error("executor::try_post: executor is shutting down");
     }
     if (total_queued_locked() >= config_.queue_capacity) {
-      purged = purge_expired_locked(dropped);
+      purge_expired_locked(dropped);
     }
     bool have_room = total_queued_locked() < config_.queue_capacity;
     if (!have_room) {
@@ -172,10 +138,6 @@ bool executor::try_post(task t, task_options opts) {
     }
   }
   if (admitted) not_empty_.notify_one();
-  // The purge may have freed more capacity than this admission consumed:
-  // wake producers blocked in post() rather than leaving them asleep until
-  // a worker next pops (potentially a full solve away).
-  if (purged > 0) not_full_.notify_all();
   fire(dropped);
   return admitted;
 }
@@ -251,7 +213,6 @@ void executor::worker_loop(std::size_t worker_id) {
         }
       }
     }
-    if (item || !dropped.empty()) not_full_.notify_all();
     fire(dropped);
     if (drained) return;
     if (!item) continue;  // dropped an expired task: look again

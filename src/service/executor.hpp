@@ -7,10 +7,9 @@
 // with earliest-deadline-first inside a level — deadline-bound tasks run
 // before unbounded ones, FIFO among equal deadlines (so deadline-free
 // workloads behave exactly as the old FIFO did). The bound is the service's
-// backpressure
-// mechanism — `post` blocks the producer when the queue is full (legacy
-// interactive sessions), `try_post` sheds instead (QoS admission) — and two
-// policies keep a full queue from going blind:
+// backpressure mechanism — `try_post` never blocks the producer; it sheds
+// instead (QoS admission) — and two policies keep a full queue from going
+// blind:
 //
 //   expiry:       a queued task whose deadline has passed is dropped (its
 //                 on_dropped handler fires) instead of wasting a worker, and
@@ -114,15 +113,10 @@ class executor {
   executor(const executor&) = delete;
   executor& operator=(const executor&) = delete;
 
-  /// Enqueues `t`, blocking while the admission queue is full (expired
-  /// entries are purged to make room before sleeping). Throws
+  /// Admission: purge expired entries, then displace a lower-priority queued
+  /// task, then give up — false (and the rejected counter) when nothing
+  /// below `opts.priority` could be shed. Never blocks. Throws
   /// std::runtime_error after shutdown began.
-  void post(task t, task_options opts);
-  void post(task t) { post(std::move(t), task_options{}); }
-
-  /// Non-blocking admission: purge expired entries, then displace a
-  /// lower-priority queued task, then give up — false (and the rejected
-  /// counter) when nothing below `opts.priority` could be shed.
   [[nodiscard]] bool try_post(task t, task_options opts);
   [[nodiscard]] bool try_post(task t) {
     return try_post(std::move(t), task_options{});
@@ -169,16 +163,14 @@ class executor {
   /// crossed one or more aging steps up that many levels. No-op when
   /// aging_step_seconds == 0. Lock must be held.
   void promote_aged_locked();
-  /// Drops every queued task whose deadline has passed; returns how many
-  /// came off the queue (slots freed). Lock must be held; the harvested
-  /// handlers must be fired promptly after it is released.
-  std::size_t purge_expired_locked(dropped_list& dropped);
+  /// Drops every queued task whose deadline has passed. Lock must be held;
+  /// the harvested handlers must be fired promptly after it is released.
+  void purge_expired_locked(dropped_list& dropped);
   static void fire(dropped_list& dropped);
 
   executor_config config_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::array<std::deque<queued_task>, k_executor_priority_levels> queues_;
   executor_stats stats_;
   /// Per-worker in-flight tracking behind running(); guarded by mutex_.

@@ -153,7 +153,7 @@ const core::steiner_result& exploration_session::tree() {
     query q;
     q.seeds.assign(seeds_.begin(), seeds_.end());
     q.config = config_;  // per-query override tracks set_ranks edits
-    auto qr = service_->solve(std::move(q));
+    auto qr = service_->solve(request{std::move(q)});
     last_kind_ = qr.kind;
     if (qr.kind != solve_kind::cache_hit) ++recomputes_;
     cached_ = std::move(qr.result);

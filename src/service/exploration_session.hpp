@@ -17,10 +17,6 @@
 // through the edge-delta Voronoi repair, previously cached results stay
 // servable for their epochs until retirement, and re-deriving the same
 // history reproduces the same epoch fingerprints.
-//
-// This class lives in src/service/ because it delegates to the service —
-// core::exploration_session (core/interactive.hpp) remains as an alias for
-// the original, layering-inverted spelling.
 #pragma once
 
 #include <memory>

@@ -5,10 +5,9 @@
 // seed set) or straight from the result cache, and reports which path it
 // took along with admission-to-completion latency splits.
 //
-// `query` is the QoS-free core of a `request` (request.hpp). The
-// future-based submit(query)/try_submit/solve surface survives as thin
-// wrappers for one deprecation window — new callers should submit a
-// `request` and hold the `query_handle` (query_handle.hpp).
+// `query` is the QoS-free core of a `request` (request.hpp): callers wrap it
+// in a `request`, submit that, and hold the `query_handle`
+// (query_handle.hpp).
 #pragma once
 
 #include <cstdint>

@@ -64,9 +64,7 @@ struct request_state {
   admission_estimates estimates{};
 
   std::promise<query_result> promise;
-  /// Engaged by submit(request) before the task is posted; the legacy
-  /// future-based wrappers take the plain future instead and leave this
-  /// empty (the handle is never exposed there).
+  /// Engaged by submit(request) before the task is posted.
   std::shared_future<query_result> future;
 };
 
@@ -125,7 +123,7 @@ class query_handle {
   /// Admission-time completion estimates for this request — the learned
   /// cost model's prediction and the global-p50 baseline side by side, plus
   /// which one admission used. All zero when admission never priced the
-  /// request (legacy wrappers with estimation off).
+  /// request (no deadline, and tracing, cost model and SLOs all off).
   [[nodiscard]] admission_estimates admission() const {
     return state().estimates;
   }

@@ -79,8 +79,7 @@ enum class determinism_mode : std::uint8_t {
 }
 
 /// A query plus its QoS envelope. The query fields mean exactly what they
-/// mean on `query` (query.hpp); the embedded struct keeps one source of
-/// truth for them during the deprecation window of the future-based API.
+/// mean on `query` (query.hpp).
 struct request {
   query q;
 

@@ -322,8 +322,7 @@ executor::task steiner_service::make_task(
 }
 
 void steiner_service::dispatch(request r,
-                               std::shared_ptr<detail::request_state> st,
-                               admission mode) {
+                               std::shared_ptr<detail::request_state> st) {
   const std::size_t prio = priority_index(r.priority);
   const auto reject = [&](reject_reason why) {
     ++shed_by_prio_[prio];
@@ -381,9 +380,7 @@ void steiner_service::dispatch(request r,
 
   executor::task t = make_task(
       st, std::move(r.q), r.determinism == determinism_mode::relaxed);
-  if (mode == admission::block) {
-    exec_.post(std::move(t), std::move(opts));  // throws once shutdown began
-  } else if (!exec_.try_post(std::move(t), std::move(opts))) {
+  if (!exec_.try_post(std::move(t), std::move(opts))) {
     reject(reject_reason::queue_full);
     return;
   }
@@ -393,37 +390,12 @@ void steiner_service::dispatch(request r,
 query_handle steiner_service::submit(request r) {
   auto st = make_request_state(r);
   st->future = st->promise.get_future().share();
-  dispatch(std::move(r), st, admission::shed);
+  dispatch(std::move(r), st);
   return query_handle(std::move(st));
 }
 
 query_result steiner_service::solve(request r) {
   return submit(std::move(r)).get();
-}
-
-std::future<query_result> steiner_service::submit(query q) {
-  request r{std::move(q)};
-  auto st = make_request_state(r);
-  std::future<query_result> future = st->promise.get_future();
-  dispatch(std::move(r), std::move(st), admission::block);
-  return future;
-}
-
-std::optional<std::future<query_result>> steiner_service::try_submit(query q) {
-  request r{std::move(q)};
-  auto st = make_request_state(r);
-  std::future<query_result> future = st->promise.get_future();
-  dispatch(std::move(r), st, admission::shed);
-  // The only possible rejection here is a saturated queue (legacy queries
-  // carry no deadline or token) — map it onto the historical nullopt.
-  if (st->status.load(std::memory_order_acquire) == request_status::rejected) {
-    return std::nullopt;
-  }
-  return future;
-}
-
-query_result steiner_service::solve(query q) {
-  return submit(std::move(q)).get();
 }
 
 std::uint64_t steiner_service::advance_epoch(const graph::edge_delta& delta) {

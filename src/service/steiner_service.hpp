@@ -18,11 +18,6 @@
 // stop mid-flight at cooperative solver checkpoints with partial work
 // discarded (donors and cache untouched).
 //
-// The future-based API below is the previous surface, kept as thin wrappers
-// during a deprecation window:
-//
-//   submit(query) -> future<query_result>         (blocking admission)
-//
 // Each query takes the cheapest correct path:
 //   1. result cache   — exact (epoch, seeds, config) repeat: no solver work;
 //   2. stale hit      — the current epoch has no entry yet but an older live
@@ -282,24 +277,6 @@ class steiner_service {
   /// call from a worker thread (it would wait on its own pool).
   [[nodiscard]] query_result solve(request r);
 
-  // --- deprecated future-based surface (thin wrappers over the request
-  // path; one deprecation window, then removal — migrate to
-  // submit(request)) -------------------------------------------------------
-
-  /// Asynchronous execution on the worker pool; blocks only while the
-  /// bounded admission queue is full. Invalid seeds surface as exceptions on
-  /// the future. Equivalent to submit(request{q}) at interactive priority
-  /// with no deadline, minus the handle.
-  [[nodiscard]] std::future<query_result> submit(query q);
-
-  /// Load-shedding admission: nullopt (and the rejected counter) when the
-  /// queue is full.
-  [[nodiscard]] std::optional<std::future<query_result>> try_submit(query q);
-
-  /// Synchronous convenience: submit + wait. Do not call from a worker
-  /// thread (it would wait on its own pool).
-  [[nodiscard]] query_result solve(query q);
-
   /// Derives a new graph epoch from a batch of edge edits — the §I
   /// "adjusting edge distance functions / removing classes of edges"
   /// interactions — *without* rebuilding the service. Old-epoch cache
@@ -414,19 +391,15 @@ class steiner_service {
     std::vector<graph::applied_edge_edit> edits;
   };
 
-  /// Blocking (legacy wrappers) vs shedding (request surface) admission.
-  enum class admission : std::uint8_t { block, shed };
-
   /// Allocates the shared lifecycle state for a request (id, priority,
   /// budget wiring). The caller takes the promise's future *before*
   /// dispatch() posts the task.
   [[nodiscard]] std::shared_ptr<detail::request_state> make_request_state(
       const request& r);
   /// Admission: pre-cancel/pre-expiry short-circuit, cost-model deadline
-  /// check, then executor post. Resolves the state itself on every
+  /// check, then executor try_post. Resolves the state itself on every
   /// non-admitted path.
-  void dispatch(request r, std::shared_ptr<detail::request_state> st,
-                admission mode);
+  void dispatch(request r, std::shared_ptr<detail::request_state> st);
   /// The worker-side task: lifecycle transitions around execute().
   /// `relaxed` carries the request's determinism opt-in into exec_context.
   [[nodiscard]] executor::task make_task(

@@ -391,14 +391,14 @@ TEST(ServiceDistshare, OverlappingQueriesHitFragmentsAndMatch) {
 
   service::query first;
   first.seeds = {10, 60, 110, 160, 200};
-  const auto cold = svc.solve(first);
+  const auto cold = svc.solve(service::request{first});
   EXPECT_EQ(cold.kind, service::solve_kind::cold);
   EXPECT_EQ(cold.assist.fragments_injected, 0u);
 
   service::query second;
   second.seeds = {10, 60, 110, 160, 30};  // 4/5 overlap
-  const auto assisted = svc.solve(second);
-  const auto reference = plain_svc.solve(second);
+  const auto assisted = svc.solve(service::request{second});
+  const auto reference = plain_svc.solve(service::request{second});
   EXPECT_EQ(assisted.kind, service::solve_kind::cold);
   EXPECT_GT(assisted.assist.fragments_injected, 0u);
   EXPECT_GT(assisted.assist.preseeded_vertices, 0u);
@@ -432,7 +432,7 @@ TEST(ServiceDistshare, EpochAdvanceRetiresFragmentsAndOracle) {
 
   service::query q;
   q.seeds = {5, 70, 130};
-  (void)svc.solve(q);
+  (void)svc.solve(service::request{q});
   ASSERT_GT(svc.fragments().snapshot().fragments, 0u);
 
   // Raise an existing edge: fragments retire with their epoch, the oracle's
@@ -448,7 +448,7 @@ TEST(ServiceDistshare, EpochAdvanceRetiresFragmentsAndOracle) {
   EXPECT_TRUE(svc.oracle_stats().lower_valid);
 
   // Queries on the new epoch still solve correctly (no assists available).
-  const auto after = svc.solve(q);
+  const auto after = svc.solve(service::request{q});
   EXPECT_EQ(after.kind, service::solve_kind::cold);
   EXPECT_EQ(after.assist.fragments_injected, 0u);
 
@@ -471,8 +471,8 @@ TEST(ServiceDistshare, OracleAssistedServiceSolvesMatchPlain) {
   for (int i = 0; i < 5; ++i) {
     service::query q;
     q.seeds = random_seeds(g, 6, gen);
-    const auto pruned = svc.solve(q);
-    const auto reference = plain_svc.solve(q);
+    const auto pruned = svc.solve(service::request{q});
+    const auto reference = plain_svc.solve(service::request{q});
     EXPECT_EQ(pruned.result.tree_edges, reference.result.tree_edges);
     EXPECT_EQ(pruned.result.total_distance, reference.result.total_distance);
   }

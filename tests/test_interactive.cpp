@@ -1,9 +1,9 @@
 // Tests for the interactive exploration session (§I workflow).
 #include <gtest/gtest.h>
 
-#include "core/interactive.hpp"
 #include "core/validation.hpp"
 #include "graph/generators.hpp"
+#include "service/exploration_session.hpp"
 #include "service/steiner_service.hpp"
 
 namespace {
@@ -20,7 +20,7 @@ graph::csr_graph make_graph(std::uint64_t seed) {
 }
 
 TEST(Interactive, LazyRecomputeAndCaching) {
-  core::exploration_session session(make_graph(1));
+  service::exploration_session session(make_graph(1));
   EXPECT_FALSE(session.up_to_date());
   session.add_seed(3);
   session.add_seed(77);
@@ -37,7 +37,7 @@ TEST(Interactive, LazyRecomputeAndCaching) {
 
 TEST(Interactive, MatchesFreshSolve) {
   const auto g = make_graph(2);
-  core::exploration_session session(g);
+  service::exploration_session session(g);
   const std::vector<vertex_id> seeds{5, 60, 120, 199};
   session.set_seeds(seeds);
   const auto& via_session = session.tree();
@@ -49,7 +49,7 @@ TEST(Interactive, MatchesFreshSolve) {
 }
 
 TEST(Interactive, EditsInvalidate) {
-  core::exploration_session session(make_graph(3));
+  service::exploration_session session(make_graph(3));
   session.set_seeds(std::vector<vertex_id>{1, 50});
   (void)session.tree();
   EXPECT_TRUE(session.up_to_date());
@@ -62,7 +62,7 @@ TEST(Interactive, EditsInvalidate) {
 }
 
 TEST(Interactive, IdempotentEditsDoNotInvalidate) {
-  core::exploration_session session(make_graph(4));
+  service::exploration_session session(make_graph(4));
   session.set_seeds(std::vector<vertex_id>{1, 2});
   (void)session.tree();
   EXPECT_FALSE(session.add_seed(1));     // already present
@@ -71,7 +71,7 @@ TEST(Interactive, IdempotentEditsDoNotInvalidate) {
 }
 
 TEST(Interactive, AddRemoveRoundTripRestoresTree) {
-  core::exploration_session session(make_graph(5));
+  service::exploration_session session(make_graph(5));
   session.set_seeds(std::vector<vertex_id>{10, 90, 170});
   const auto baseline = session.tree().tree_edges;
   session.add_seed(42);
@@ -81,14 +81,14 @@ TEST(Interactive, AddRemoveRoundTripRestoresTree) {
 }
 
 TEST(Interactive, SingleOrNoSeedsYieldEmptyTree) {
-  core::exploration_session session(make_graph(6));
+  service::exploration_session session(make_graph(6));
   EXPECT_TRUE(session.tree().tree_edges.empty());
   session.add_seed(7);
   EXPECT_TRUE(session.tree().tree_edges.empty());
 }
 
 TEST(Interactive, FilterEdgesMayProduceForest) {
-  core::exploration_session session(make_graph(7));
+  service::exploration_session session(make_graph(7));
   session.set_seeds(std::vector<vertex_id>{0, 100, 180});
   const auto before = session.tree().total_distance;
   session.filter_edges_above(5);  // keep only the strongest relationships
@@ -103,7 +103,7 @@ TEST(Interactive, FilterEdgesMayProduceForest) {
 }
 
 TEST(Interactive, ReweightChangesDistances) {
-  core::exploration_session session(make_graph(8));
+  service::exploration_session session(make_graph(8));
   session.set_seeds(std::vector<vertex_id>{3, 140});
   const auto before = session.tree().total_distance;
   session.reweight([](vertex_id, vertex_id, weight_t w) { return w * 10; });
@@ -112,7 +112,7 @@ TEST(Interactive, ReweightChangesDistances) {
 }
 
 TEST(Interactive, RankKnobPreservesResult) {
-  core::exploration_session session(make_graph(9));
+  service::exploration_session session(make_graph(9));
   session.set_seeds(std::vector<vertex_id>{11, 44, 99, 160});
   const auto with_16 = session.tree().tree_edges;
   session.set_ranks(64);
@@ -123,7 +123,7 @@ TEST(Interactive, RankKnobPreservesResult) {
 }
 
 TEST(Interactive, SeedEditsUseWarmStartAndCacheHits) {
-  core::exploration_session session(make_graph(11));
+  service::exploration_session session(make_graph(11));
   session.set_seeds(std::vector<vertex_id>{10, 90, 170});
   const auto baseline = session.tree().tree_edges;
   EXPECT_EQ(session.last_solve_kind(), service::solve_kind::cold);
@@ -146,7 +146,7 @@ TEST(Interactive, SeedEditsUseWarmStartAndCacheHits) {
 }
 
 TEST(Interactive, GraphEditsDeriveEpochsInsteadOfRebuilding) {
-  core::exploration_session session(make_graph(12));
+  service::exploration_session session(make_graph(12));
   session.set_seeds(std::vector<vertex_id>{3, 140});
   (void)session.tree();
   EXPECT_EQ(session.current_epoch(), 0u);
@@ -180,7 +180,7 @@ TEST(Interactive, GraphEditsDeriveEpochsInsteadOfRebuilding) {
 }
 
 TEST(Interactive, NoOpReweightKeepsCacheAndEpoch) {
-  core::exploration_session session(make_graph(13));
+  service::exploration_session session(make_graph(13));
   session.set_seeds(std::vector<vertex_id>{10, 90});
   (void)session.tree();
   session.reweight([](vertex_id, vertex_id, weight_t w) { return w; });
@@ -190,7 +190,7 @@ TEST(Interactive, NoOpReweightKeepsCacheAndEpoch) {
 }
 
 TEST(Interactive, FilterDerivesAnEpochToo) {
-  core::exploration_session session(make_graph(14));
+  service::exploration_session session(make_graph(14));
   session.set_seeds(std::vector<vertex_id>{0, 100, 180});
   (void)session.tree();
   session.filter_edges_above(15);
@@ -201,7 +201,7 @@ TEST(Interactive, FilterDerivesAnEpochToo) {
 }
 
 TEST(Interactive, RejectsBadInput) {
-  core::exploration_session session(make_graph(10));
+  service::exploration_session session(make_graph(10));
   EXPECT_THROW(session.add_seed(10000), std::out_of_range);
   EXPECT_THROW(session.set_seeds(std::vector<vertex_id>{1, 10000}),
                std::out_of_range);
@@ -209,7 +209,7 @@ TEST(Interactive, RejectsBadInput) {
 }
 
 TEST(Interactive, RejectedSetSeedsLeavesStateUntouched) {
-  core::exploration_session session(make_graph(15));
+  service::exploration_session session(make_graph(15));
   session.set_seeds(std::vector<vertex_id>{1, 2});
   (void)session.tree();
   EXPECT_THROW(session.set_seeds(std::vector<vertex_id>{5, 10000}),
@@ -221,7 +221,7 @@ TEST(Interactive, RejectedSetSeedsLeavesStateUntouched) {
 
 TEST(Interactive, FilterVerticesIsolatesThemInOneEpoch) {
   const auto g = make_graph(16);
-  core::exploration_session session{graph::csr_graph(g)};
+  service::exploration_session session{graph::csr_graph(g)};
   session.set_seeds(std::vector<vertex_id>{5, 60, 120});
   (void)session.tree();
 
@@ -262,7 +262,7 @@ TEST(Interactive, FilterVerticesIsolatesThemInOneEpoch) {
 }
 
 TEST(Interactive, FilterVerticesRejectsSeedsAndLeavesStateUntouched) {
-  core::exploration_session session(make_graph(17));
+  service::exploration_session session(make_graph(17));
   session.set_seeds(std::vector<vertex_id>{5, 60, 120});
   (void)session.tree();
   // Removing a seed vertex is an error, reported before anything applies.
@@ -288,7 +288,7 @@ TEST(Interactive, RemoveVerticesWithNoEdgesIsANoOp) {
   graph::edge_list list(4);
   list.add_undirected_edge(0, 1, 3);
   list.add_undirected_edge(1, 2, 4);
-  core::exploration_session session{graph::csr_graph(list)};
+  service::exploration_session session{graph::csr_graph(list)};
   session.set_seeds(std::vector<vertex_id>{0, 2});
   (void)session.tree();
   session.remove_vertices(std::vector<vertex_id>{3});  // vertex 3 is isolated
@@ -306,7 +306,7 @@ TEST(Interactive, ParallelEdgesFilterAndReweightActOnPairs) {
   list.add_undirected_edge(2, 3, 20);
   list.add_undirected_edge(0, 3, 15);
   list.add_undirected_edge(0, 3, 16);  // both above the cutoff below
-  core::exploration_session session{graph::csr_graph(list)};
+  service::exploration_session session{graph::csr_graph(list)};
   session.set_seeds(std::vector<vertex_id>{0, 2});
   (void)session.tree();
 

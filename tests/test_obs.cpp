@@ -302,8 +302,8 @@ TEST(PromText, WritesOneHeaderPerFamilyAndScaledHistograms) {
 TEST(Metrics, ExpositionParsesCleanAndCountersAreMonotone) {
   steiner_service svc(make_connected_graph(200, 25, 41), obs_config(2));
   std::vector<vertex_id> seeds{3, 40, 90, 140};
-  (void)svc.solve(make_query(seeds));
-  (void)svc.solve(make_query(seeds));  // cache hit
+  (void)svc.solve(request{make_query(seeds)});
+  (void)svc.solve(request{make_query(seeds)});  // cache hit
 
   const std::string first = render_metrics_text(svc.snapshot());
   const auto report = obs::validate_prometheus(first);
@@ -311,7 +311,7 @@ TEST(Metrics, ExpositionParsesCleanAndCountersAreMonotone) {
   EXPECT_GT(report.series, 50u);
 
   std::vector<vertex_id> more{5, 60, 110, 160, 190};
-  (void)svc.solve(make_query(more));
+  (void)svc.solve(request{make_query(more)});
   const std::string second = render_metrics_text(svc.snapshot());
   const auto report2 = obs::validate_prometheus(second);
   EXPECT_TRUE(report2.ok()) << report2.to_string();
@@ -518,7 +518,7 @@ TEST(Tracing, ServiceHandleExposesTraceAndSlowLogCaptures) {
 
   // Warm-up solve: the admission estimator is history-based (cold-solve p50),
   // so the traced request below gets a non-zero completion estimate.
-  (void)svc.solve(make_query({7, 60, 110, 170}));
+  (void)svc.solve(request{make_query({7, 60, 110, 170})});
 
   request r;
   r.q.seeds = {3, 50, 100, 150};
@@ -563,8 +563,8 @@ TEST(Tracing, DisabledTracingYieldsNoTraceAndIdenticalTrees) {
 
   steiner_service svc_on(graph::csr_graph(g), on);
   steiner_service svc_off(graph::csr_graph(g), off);
-  const query_result a = svc_on.solve(make_query(seeds));
-  const query_result b = svc_off.solve(make_query(seeds));
+  const query_result a = svc_on.solve(request{make_query(seeds)});
+  const query_result b = svc_off.solve(request{make_query(seeds)});
 
   EXPECT_NE(a.trace, nullptr);
   EXPECT_EQ(b.trace, nullptr);
@@ -578,7 +578,7 @@ TEST(Tracing, DisabledTracingYieldsNoTraceAndIdenticalTrees) {
 TEST(DebugEndpoint, ServesMetricsStatuszAndTracez) {
   const auto g = make_connected_graph(200, 25, 46);
   steiner_service svc(graph::csr_graph(g), obs_config(1));
-  (void)svc.solve(make_query({3, 50, 100, 150}));
+  (void)svc.solve(request{make_query({3, 50, 100, 150})});
 
   debug_endpoint endpoint(svc);
   ASSERT_TRUE(endpoint.start());
@@ -635,7 +635,7 @@ TEST(DebugEndpoint, ScrapesConcurrentWithQueries) {
     query q;
     q.seeds = {static_cast<vertex_id>(3 + i), 50, 100,
                static_cast<vertex_id>(150 + i)};
-    (void)svc.solve(std::move(q));
+    (void)svc.solve(request{std::move(q)});
   }
   stop.store(true);
   scraper.join();
@@ -657,7 +657,7 @@ TEST(ClusterTelemetry, DistributedSolveFeedsClusterzTraceAndMetrics) {
       obs::http_body(obs::http_get(endpoint.port(), "/clusterz"));
   EXPECT_NE(empty_doc.find("\"world\":0"), std::string::npos);
 
-  const query_result result = svc.solve(make_query({3, 50, 100, 150}));
+  const query_result result = svc.solve(request{make_query({3, 50, 100, 150})});
   ASSERT_NE(result.trace, nullptr);
 
   // The straggler digest landed in the trace summary...
@@ -727,8 +727,7 @@ TEST(Executor, AgingPromotesStarvedBackgroundTask) {
     if (background_ran.load() || interactive_left.fetch_sub(1) <= 0) return;
     executor::task_options opts;
     opts.priority = 0;
-    std::function<void(double)> self;  // re-post a fresh copy of this body
-    exec.post(
+    EXPECT_TRUE(exec.try_post(
         [&](double wait) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
           if (background_ran.load() || interactive_left.fetch_sub(1) <= 0) {
@@ -736,25 +735,26 @@ TEST(Executor, AgingPromotesStarvedBackgroundTask) {
           }
           executor::task_options again;
           again.priority = 0;
-          exec.post(
+          EXPECT_TRUE(exec.try_post(
               [&](double) {
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
                 (void)wait;
               },
-              again);
+              again));
         },
-        opts);
+        opts));
   };
 
   {
     executor::task_options opts;
     opts.priority = 0;
-    for (int i = 0; i < 8; ++i) exec.post(interactive, opts);
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(exec.try_post(interactive, opts));
   }
   {
     executor::task_options opts;
     opts.priority = 2;  // background
-    exec.post([&](double) { background_ran.store(true); }, opts);
+    ASSERT_TRUE(
+        exec.try_post([&](double) { background_ran.store(true); }, opts));
   }
 
   for (int spin = 0; spin < 4000 && !background_ran.load(); ++spin) {
@@ -773,7 +773,7 @@ TEST(Executor, NoAgingKeepsStrictPriorityAndCountsNothing) {
   for (int i = 0; i < 10; ++i) {
     executor::task_options opts;
     opts.priority = static_cast<std::size_t>(i % 3);
-    exec.post([&](double) { ++ran; }, opts);
+    ASSERT_TRUE(exec.try_post([&](double) { ++ran; }, opts));
   }
   while (ran.load() < 10) std::this_thread::yield();
   EXPECT_EQ(exec.stats().promoted, 0u);
@@ -785,11 +785,11 @@ TEST(Executor, StatsReportLiveQueueDepth) {
   config.queue_capacity = 64;
   executor exec(config);
   std::atomic<bool> release{false};
-  exec.post([&](double) {
+  ASSERT_TRUE(exec.try_post([&](double) {
     while (!release.load()) std::this_thread::yield();
-  });
-  exec.post([](double) {});
-  exec.post([](double) {});
+  }));
+  ASSERT_TRUE(exec.try_post([](double) {}));
+  ASSERT_TRUE(exec.try_post([](double) {}));
   // The blocker occupies the worker; two tasks wait in the queue.
   for (int spin = 0; spin < 2000 && exec.stats().queue_depth < 2; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -950,7 +950,7 @@ TEST(Slo, ViolationIsForceRetainedInSlowLog) {
   // Zero-latency objective for every class: each completion violates.
   config.slo.objective_seconds = {0.0};
   steiner_service svc(graph::csr_graph(g), config);
-  (void)svc.solve(make_query({3, 50, 100, 150}));
+  (void)svc.solve(request{make_query({3, 50, 100, 150})});
 
   EXPECT_GE(svc.stats().slo_violations, 1u);
   EXPECT_GE(svc.stats().slow_queries, 1u);
@@ -977,7 +977,7 @@ TEST(Sampling, HeadSamplingRateIsExact) {
     query q;
     q.seeds = {static_cast<vertex_id>(5 + i), 60, 120,
                static_cast<vertex_id>(160 + i)};
-    (void)svc.solve(std::move(q));
+    (void)svc.solve(request{std::move(q)});
   }
   // Deterministic modulo sampling: executions 0 and 4 of 8.
   EXPECT_EQ(svc.stats().sampled_traces, 2u);
@@ -1003,8 +1003,8 @@ TEST(Sampling, SampledSolveBitIdenticalToUntracedBothEngines) {
     }
     steiner_service svc_sampled(graph::csr_graph(g), sampled_cfg);
     steiner_service svc_plain(graph::csr_graph(g), plain_cfg);
-    const query_result a = svc_sampled.solve(make_query(seeds));
-    const query_result b = svc_plain.solve(make_query(seeds));
+    const query_result a = svc_sampled.solve(request{make_query(seeds)});
+    const query_result b = svc_plain.solve(request{make_query(seeds)});
 
     EXPECT_NE(a.trace, nullptr) << "threaded=" << threaded;
     EXPECT_EQ(b.trace, nullptr) << "threaded=" << threaded;
@@ -1037,7 +1037,7 @@ TEST(DebugEndpoint, TracezHonorsLimitAndSloRouteServesBurnRates) {
     query q;
     q.seeds = {static_cast<vertex_id>(3 + i), 50, 100,
                static_cast<vertex_id>(140 + i)};
-    (void)svc.solve(std::move(q));
+    (void)svc.solve(request{std::move(q)});
   }
   debug_endpoint endpoint(svc);
   ASSERT_TRUE(endpoint.start());

@@ -38,9 +38,9 @@ graph::csr_graph make_connected_graph(int n, weight_t w_hi, std::uint64_t seed) 
 TEST(Executor, RunsEveryPostedTask) {
   std::atomic<int> ran{0};
   {
-    executor exec({2, 16});
+    executor exec({2, 64});
     for (int i = 0; i < 50; ++i) {
-      exec.post([&ran](double) { ++ran; });
+      ASSERT_TRUE(exec.try_post([&ran](double) { ++ran; }));
     }
   }  // destructor drains the queue
   EXPECT_EQ(ran.load(), 50);
@@ -49,7 +49,9 @@ TEST(Executor, RunsEveryPostedTask) {
 TEST(Executor, StatsCountExecutions) {
   executor exec({1, 64});
   std::atomic<int> ran{0};
-  for (int i = 0; i < 10; ++i) exec.post([&ran](double) { ++ran; });
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(exec.try_post([&ran](double) { ++ran; }));
+  }
   while (ran.load() < 10) std::this_thread::yield();
   const auto stats = exec.stats();
   EXPECT_EQ(stats.submitted, 10u);
@@ -64,9 +66,9 @@ TEST(Executor, TryPostShedsLoadWhenFull) {
   std::shared_future<void> gate(release.get_future());
   std::atomic<int> ran{0};
   // Occupy the single worker, then fill the single queue slot.
-  exec.post([gate, &ran](double) { gate.wait(); ++ran; });
+  ASSERT_TRUE(exec.try_post([gate, &ran](double) { gate.wait(); ++ran; }));
   while (exec.queue_depth() > 0) std::this_thread::yield();  // worker picked up
-  exec.post([gate, &ran](double) { gate.wait(); ++ran; });   // queued
+  ASSERT_TRUE(exec.try_post([gate, &ran](double) { gate.wait(); ++ran; }));
   bool accepted_extra = exec.try_post([&ran](double) { ++ran; });
   EXPECT_FALSE(accepted_extra);
   EXPECT_EQ(exec.stats().rejected, 1u);
@@ -264,9 +266,9 @@ TEST(Service, ColdThenCacheHit) {
   steiner_service svc(make_connected_graph(150, 20, 21), quiet_config(2));
   query q;
   q.seeds = {3, 70, 120};
-  const auto first = svc.solve(q);
+  const auto first = svc.solve(request{q});
   EXPECT_EQ(first.kind, solve_kind::cold);
-  const auto second = svc.solve(q);
+  const auto second = svc.solve(request{q});
   EXPECT_EQ(second.kind, solve_kind::cache_hit);
   EXPECT_EQ(second.result.tree_edges, first.result.tree_edges);
   EXPECT_EQ(second.result.total_distance, first.result.total_distance);
@@ -284,8 +286,8 @@ TEST(Service, SeedOrderAndDuplicatesShareACacheEntry) {
   query a, b;
   a.seeds = {3, 70, 120};
   b.seeds = {120, 3, 70, 3};  // same canonical set
-  (void)svc.solve(a);
-  const auto second = svc.solve(b);
+  (void)svc.solve(request{a});
+  const auto second = svc.solve(request{b});
   EXPECT_EQ(second.kind, solve_kind::cache_hit);
 }
 
@@ -294,11 +296,11 @@ TEST(Service, WarmStartOnSeedDelta) {
   steiner_service svc(graph::csr_graph(g), quiet_config(2));
   query base;
   base.seeds = {5, 60, 110, 170};
-  (void)svc.solve(base);
+  (void)svc.solve(request{base});
 
   query edited;
   edited.seeds = {5, 60, 110, 170, 42};
-  const auto warm = svc.solve(edited);
+  const auto warm = svc.solve(request{edited});
   EXPECT_EQ(warm.kind, solve_kind::warm_start);
   EXPECT_EQ(warm.warm.added_seeds, 1u);
 
@@ -316,11 +318,11 @@ TEST(Service, WarmStartRespectsDeltaLimit) {
   steiner_service svc(make_connected_graph(200, 25, 24), config);
   query base;
   base.seeds = {5, 60, 110};
-  (void)svc.solve(base);
+  (void)svc.solve(request{base});
 
   query far;  // delta 3 > limit 1: must solve cold
   far.seeds = {5, 20, 80, 150};
-  const auto result = svc.solve(far);
+  const auto result = svc.solve(request{far});
   EXPECT_EQ(result.kind, solve_kind::cold);
 }
 
@@ -330,8 +332,8 @@ TEST(Service, QueryFlagsForceFreshColdSolves) {
   q.seeds = {3, 70, 120};
   q.use_cache = false;
   q.allow_warm_start = false;
-  const auto first = svc.solve(q);
-  const auto second = svc.solve(q);
+  const auto first = svc.solve(request{q});
+  const auto second = svc.solve(request{q});
   EXPECT_EQ(first.kind, solve_kind::cold);
   EXPECT_EQ(second.kind, solve_kind::cold);
   EXPECT_EQ(svc.stats().cold_solves, 2u);
@@ -346,14 +348,14 @@ TEST(Service, DistributedColdSolveBitIdenticalToInProcess) {
   steiner_service local_svc(graph::csr_graph(g), quiet_config(2));
   query q;
   q.seeds = {5, 60, 110, 170};
-  const auto dist = dist_svc.solve(q);
-  const auto local = local_svc.solve(q);
+  const auto dist = dist_svc.solve(request{q});
+  const auto local = local_svc.solve(request{q});
   EXPECT_EQ(dist.kind, solve_kind::cold);
   EXPECT_EQ(dist.result.tree_edges, local.result.tree_edges);
   EXPECT_EQ(dist.result.total_distance, local.result.total_distance);
 
   // Distributed solves still feed the cache: identical repeats are free.
-  const auto repeat = dist_svc.solve(q);
+  const auto repeat = dist_svc.solve(request{q});
   EXPECT_EQ(repeat.kind, solve_kind::cache_hit);
 
   const auto stats = dist_svc.stats();
@@ -381,12 +383,12 @@ TEST(Service, ConfigOverrideGetsItsOwnCacheEntry) {
   steiner_service svc(make_connected_graph(150, 20, 26), quiet_config(1));
   query q;
   q.seeds = {3, 70, 120};
-  const auto with_default = svc.solve(q);
+  const auto with_default = svc.solve(request{q});
 
   core::solver_config other = svc.config().solver;
   other.num_ranks = 32;
   q.config = other;
-  const auto with_override = svc.solve(q);
+  const auto with_override = svc.solve(request{q});
   EXPECT_NE(with_override.kind, solve_kind::cache_hit);
   // Determinism: different runtime config, same tree.
   EXPECT_EQ(with_override.result.tree_edges, with_default.result.tree_edges);
@@ -395,37 +397,41 @@ TEST(Service, ConfigOverrideGetsItsOwnCacheEntry) {
 TEST(Service, TrivialAndInvalidQueries) {
   steiner_service svc(make_connected_graph(100, 15, 27), quiet_config(1));
   query empty;
-  const auto none = svc.solve(empty);
+  const auto none = svc.solve(request{empty});
   EXPECT_TRUE(none.result.tree_edges.empty());
 
   query single;
   single.seeds = {7};
-  EXPECT_TRUE(svc.solve(single).result.tree_edges.empty());
+  EXPECT_TRUE(svc.solve(request{single}).result.tree_edges.empty());
 
   query invalid;
   invalid.seeds = {1, 100000};
-  auto future = svc.submit(invalid);
-  EXPECT_THROW((void)future.get(), std::out_of_range);
+  query_handle handle = svc.submit(request{invalid});
+  EXPECT_THROW((void)handle.get(), std::out_of_range);
 }
 
-TEST(Service, TrySubmitShedsWhenSaturated) {
+TEST(Service, SubmitRejectsWhenSaturated) {
   auto config = quiet_config(1);
   config.exec.queue_capacity = 1;
   steiner_service svc(make_connected_graph(300, 25, 28), config);
-  std::vector<std::future<query_result>> accepted;
+  std::vector<query_handle> accepted;
   std::size_t rejected = 0;
   for (int i = 0; i < 12; ++i) {
     query q;
     q.seeds = {2, static_cast<vertex_id>(20 + i), 250};
     q.use_cache = false;
     q.allow_warm_start = false;
-    if (auto f = svc.try_submit(q)) {
-      accepted.push_back(std::move(*f));
-    } else {
+    query_handle h = svc.submit(request{q});
+    // A queue-full refusal resolves the handle before submit() returns.
+    if (h.status() == request_status::rejected) {
+      EXPECT_EQ(h.rejection(), reject_reason::queue_full);
+      EXPECT_THROW((void)h.get(), request_rejected);
       ++rejected;
+    } else {
+      accepted.push_back(std::move(h));
     }
   }
-  for (auto& f : accepted) (void)f.get();
+  for (auto& h : accepted) (void)h.get();
   EXPECT_EQ(accepted.size() + rejected, 12u);
   EXPECT_EQ(svc.stats().exec.rejected, rejected);
   // With a single worker and one queue slot, 12 back-to-back submissions
@@ -463,15 +469,15 @@ TEST(Service, ConcurrentQueriesMatchSequentialColdSolves) {
   steiner_service svc(graph::csr_graph(g), config);
 
   for (int round = 0; round < 2; ++round) {
-    std::vector<std::future<query_result>> futures;
-    futures.reserve(seed_sets.size());
+    std::vector<query_handle> handles;
+    handles.reserve(seed_sets.size());
     for (const auto& seeds : seed_sets) {
       query q;
       q.seeds = seeds;
-      futures.push_back(svc.submit(q));
+      handles.push_back(svc.submit(request{q}));
     }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      const auto qr = futures[i].get();
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      const auto qr = handles[i].get();
       EXPECT_EQ(qr.result.tree_edges, reference[i].tree_edges)
           << "query " << i << " via " << to_string(qr.kind);
       EXPECT_EQ(qr.result.total_distance, reference[i].total_distance);
@@ -499,12 +505,12 @@ TEST(Service, IdenticalConcurrentQueriesCoalesceIntoOneSolve) {
 
   query q;
   q.seeds = {5, 60, 110, 170, 230};
-  std::vector<std::future<query_result>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(svc.submit(q));
+  std::vector<query_handle> handles;
+  for (int i = 0; i < 8; ++i) handles.push_back(svc.submit(request{q}));
 
   std::vector<query_result> results;
-  results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
+  results.reserve(handles.size());
+  for (auto& h : handles) results.push_back(h.get());
   for (const auto& r : results) {
     EXPECT_EQ(r.result.tree_edges, results.front().result.tree_edges);
   }
@@ -519,11 +525,11 @@ TEST(Service, SnapshotExportsCountersAndLatencyHistograms) {
   steiner_service svc(make_connected_graph(150, 20, 31), quiet_config(2));
   query q;
   q.seeds = {3, 70, 120};
-  (void)svc.solve(q);  // cold
-  (void)svc.solve(q);  // cache hit
+  (void)svc.solve(request{q});  // cold
+  (void)svc.solve(request{q});  // cache hit
   query edited = q;
   edited.seeds.push_back(40);
-  (void)svc.solve(edited);  // warm start
+  (void)svc.solve(request{edited});  // warm start
 
   const auto snap = svc.snapshot();
   EXPECT_EQ(snap.stats.queries, 3u);
@@ -552,7 +558,7 @@ TEST(Service, CoreBudgetGrantsIntraQueryThreads) {
 
   query q;
   q.seeds = {5, 60, 110, 170};
-  const auto parallel = svc.solve(q);
+  const auto parallel = svc.solve(request{q});
   EXPECT_EQ(parallel.kind, solve_kind::cold);
 
   core::solver_config sequential = quiet_config(1).solver;
@@ -581,7 +587,7 @@ TEST(ServiceEpochs, AdvanceServesOldEpochAndEdgeWarmStartsNew) {
   steiner_service svc(graph::csr_graph(g), quiet_config(2));
   query q;
   q.seeds = {5, 60, 110, 170};
-  const auto first = svc.solve(q);
+  const auto first = svc.solve(request{q});
   EXPECT_EQ(first.kind, solve_kind::cold);
   EXPECT_EQ(first.epoch, 0u);
   EXPECT_EQ(svc.current_epoch(), 0u);
@@ -597,13 +603,13 @@ TEST(ServiceEpochs, AdvanceServesOldEpochAndEdgeWarmStartsNew) {
   // Pinned to the old epoch: still a cache hit with the old tree.
   query pinned = q;
   pinned.epoch = 0;
-  const auto old_hit = svc.solve(pinned);
+  const auto old_hit = svc.solve(request{pinned});
   EXPECT_EQ(old_hit.kind, solve_kind::cache_hit);
   EXPECT_EQ(old_hit.epoch, 0u);
   EXPECT_EQ(old_hit.result.tree_edges, first.result.tree_edges);
 
   // Unpinned: edge-delta warm start on the mutated graph.
-  const auto fresh = svc.solve(q);
+  const auto fresh = svc.solve(request{q});
   EXPECT_EQ(fresh.kind, solve_kind::warm_start);
   EXPECT_EQ(fresh.epoch, 1u);
   EXPECT_GT(fresh.warm.edge_edits, 0u);
@@ -614,7 +620,7 @@ TEST(ServiceEpochs, AdvanceServesOldEpochAndEdgeWarmStartsNew) {
   EXPECT_EQ(svc.stats().edge_warm_solves, 1u);
 
   // And the repaired solve populated the new epoch's cache.
-  const auto again = svc.solve(q);
+  const auto again = svc.solve(request{q});
   EXPECT_EQ(again.kind, solve_kind::cache_hit);
   EXPECT_EQ(again.epoch, 1u);
 }
@@ -628,7 +634,7 @@ TEST(ServiceEpochs, StaleHitServesPreviousEpochAndRefreshes) {
   steiner_service svc(graph::csr_graph(g), config);
   query q;
   q.seeds = {5, 60, 110, 170};
-  const auto first = svc.solve(q);
+  const auto first = svc.solve(request{q});
 
   const auto nbrs = g.neighbors(5);
   ASSERT_FALSE(nbrs.empty());
@@ -636,7 +642,7 @@ TEST(ServiceEpochs, StaleHitServesPreviousEpochAndRefreshes) {
   delta.edits.push_back(graph::edge_edit::reweight(5, nbrs.front(), 300));
   (void)svc.advance_epoch(delta);
 
-  const auto stale = svc.solve(q);
+  const auto stale = svc.solve(request{q});
   EXPECT_EQ(stale.kind, solve_kind::stale_hit);
   EXPECT_EQ(stale.epoch, 0u);  // explicitly the old epoch's tree
   EXPECT_EQ(stale.result.tree_edges, first.result.tree_edges);
@@ -646,7 +652,7 @@ TEST(ServiceEpochs, StaleHitServesPreviousEpochAndRefreshes) {
   // with the background refresh, or hitting the cache it already filled).
   query strict = q;
   strict.allow_stale = false;
-  const auto fresh = svc.solve(strict);
+  const auto fresh = svc.solve(request{strict});
   EXPECT_EQ(fresh.epoch, 1u);
   const auto cold = core::solve_steiner_tree(svc.graph(), q.seeds,
                                              svc.config().solver);
@@ -655,7 +661,7 @@ TEST(ServiceEpochs, StaleHitServesPreviousEpochAndRefreshes) {
   // Pinned queries never serve stale: the pin is authoritative.
   query pinned = q;
   pinned.epoch = 1;
-  EXPECT_NE(svc.solve(pinned).kind, solve_kind::stale_hit);
+  EXPECT_NE(svc.solve(request{pinned}).kind, solve_kind::stale_hit);
 }
 
 // Epoch retirement: once the live window slides past an epoch, its cache
@@ -667,7 +673,7 @@ TEST(ServiceEpochs, RetirementEvictsOldEpochState) {
   steiner_service svc(graph::csr_graph(g), config);
   query q;
   q.seeds = {3, 70, 120};
-  (void)svc.solve(q);  // epoch-0 entry + donor
+  (void)svc.solve(request{q});  // epoch-0 entry + donor
 
   const auto nbrs = g.neighbors(3);
   ASSERT_FALSE(nbrs.empty());
@@ -681,7 +687,7 @@ TEST(ServiceEpochs, RetirementEvictsOldEpochState) {
   EXPECT_GE(svc.stats().cache.retired, 1u);
   query pinned = q;
   pinned.epoch = 0;
-  EXPECT_THROW((void)svc.solve(pinned), std::invalid_argument);
+  EXPECT_THROW((void)svc.solve(request{pinned}), std::invalid_argument);
 }
 
 // Donor selection ranks by estimated reset-region volume (sum of affected
@@ -698,17 +704,17 @@ TEST(ServiceEpochs, DonorSelectionPrefersSmallResetVolume) {
   // Donor 1: {0, 30, 90} — removing 0 resets its [0..15] cell (16 vertices).
   query d1;
   d1.seeds = {0, 30, 90};
-  (void)svc.solve(d1);
+  (void)svc.solve(request{d1});
   // Donor 2 (more recent): {30, 60, 90} — removing 60 resets ~[46..75] (30).
   query d2;
   d2.seeds = {30, 60, 90};
-  (void)svc.solve(d2);
+  (void)svc.solve(request{d2});
 
   // Target {30, 90}: both donors have raw delta 1. Raw-count ranking with
   // recency tie-break would pick donor 2; volume ranking must pick donor 1.
   query target;
   target.seeds = {30, 90};
-  const auto warm = svc.solve(target);
+  const auto warm = svc.solve(request{target});
   ASSERT_EQ(warm.kind, solve_kind::warm_start);
   EXPECT_EQ(warm.warm.removed_seeds, 1u);
   EXPECT_EQ(warm.warm.reset_vertices, 16u);  // donor 1's cell of seed 0
@@ -720,8 +726,8 @@ TEST(ServiceEpochs, MetricsTextRendersSnapshot) {
   steiner_service svc(make_connected_graph(120, 15, 43), quiet_config(1));
   query q;
   q.seeds = {3, 70, 110};
-  (void)svc.solve(q);
-  (void)svc.solve(q);
+  (void)svc.solve(request{q});
+  (void)svc.solve(request{q});
 
   const std::string text = render_metrics_text(svc.snapshot());
   EXPECT_NE(text.find("# TYPE dsteiner_queries_total counter"),
@@ -752,9 +758,9 @@ TEST(Service, CoalescedQueriesPropagateLeaderFailure) {
 
   query q;
   q.seeds = {0, 2};  // disconnected; allow_disconnected_seeds is off
-  std::vector<std::future<query_result>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(svc.submit(q));
-  for (auto& f : futures) EXPECT_THROW((void)f.get(), std::runtime_error);
+  std::vector<query_handle> handles;
+  for (int i = 0; i < 4; ++i) handles.push_back(svc.submit(request{q}));
+  for (auto& h : handles) EXPECT_THROW((void)h.get(), std::runtime_error);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST(PriorityExecutor, DrainsLevelsInOrderFifoWithin) {
   executor exec({/*threads=*/1, /*capacity=*/16});
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
-  exec.post([gate](double) { gate.wait(); });
+  ASSERT_TRUE(exec.try_post([gate](double) { gate.wait(); }));
   // Wait for the gate to occupy the worker, then queue behind it.
   while (exec.queue_depth() > 0) std::this_thread::yield();
 
@@ -109,7 +109,7 @@ TEST(PriorityExecutor, ExpiredQueuedTaskIsDroppedNotRun) {
   executor exec({1, 16});
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
-  exec.post([gate](double) { gate.wait(); });
+  ASSERT_TRUE(exec.try_post([gate](double) { gate.wait(); }));
   while (exec.queue_depth() > 0) std::this_thread::yield();
 
   std::atomic<bool> ran{false};
@@ -132,7 +132,7 @@ TEST(PriorityExecutor, FullQueueDisplacesLowestLevelForHigherArrival) {
   executor exec({1, /*capacity=*/1});
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
-  exec.post([gate](double) { gate.wait(); });
+  ASSERT_TRUE(exec.try_post([gate](double) { gate.wait(); }));
   while (exec.queue_depth() > 0) std::this_thread::yield();
 
   std::atomic<bool> background_dropped{false};
@@ -531,7 +531,7 @@ TEST(StaleRefresh, BurstOfStaleHitsEnqueuesOneRefresh) {
   steiner_service svc(graph::csr_graph(g), config);
   query q;
   q.seeds = {5, 60, 110, 170};
-  (void)svc.solve(q);  // epoch-0 entry
+  (void)svc.solve(request{q});  // epoch-0 entry
 
   const auto nbrs = g.neighbors(5);
   ASSERT_FALSE(nbrs.empty());
@@ -541,10 +541,10 @@ TEST(StaleRefresh, BurstOfStaleHitsEnqueuesOneRefresh) {
 
   // Five stale-tolerant queries, all queued before any refresh can run (the
   // refresh sits at background priority behind these interactive ones).
-  std::vector<std::future<query_result>> futures;
-  for (int i = 0; i < 5; ++i) futures.push_back(svc.submit(q));
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().kind, solve_kind::stale_hit);
+  std::vector<query_handle> handles;
+  for (int i = 0; i < 5; ++i) handles.push_back(svc.submit(request{q}));
+  for (auto& h : handles) {
+    EXPECT_EQ(h.get().kind, solve_kind::stale_hit);
   }
   // Let the single deduplicated refresh drain.
   spin_until([&] { return svc.stats().cold_solves == 2; });
@@ -556,7 +556,7 @@ TEST(StaleRefresh, BurstOfStaleHitsEnqueuesOneRefresh) {
   EXPECT_EQ(stats.cold_solves, 2u);  // epoch-0 original + one refresh
 
   // The refresh populated the current epoch: no more staleness.
-  const auto fresh = svc.solve(q);
+  const auto fresh = svc.solve(request{q});
   EXPECT_EQ(fresh.kind, solve_kind::cache_hit);
   EXPECT_EQ(fresh.epoch, 1u);
 }
@@ -602,7 +602,7 @@ TEST(PriorityExecutor, EarliestDeadlineFirstWithinLevel) {
   executor exec({/*threads=*/1, /*capacity=*/16});
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
-  exec.post([gate](double) { gate.wait(); });
+  ASSERT_TRUE(exec.try_post([gate](double) { gate.wait(); }));
   while (exec.queue_depth() > 0) std::this_thread::yield();
 
   std::mutex order_mutex;
@@ -672,7 +672,7 @@ TEST(Cancellation, AbandonedRidersStopACoalescedRefreshLeader) {
   steiner_service svc(graph::csr_graph(g), config);
   query q;
   q.seeds = spread_seeds(svc.graph(), 12, 90);
-  (void)svc.solve(q);  // epoch-0 entry (the stale donor)
+  (void)svc.solve(request{q});  // epoch-0 entry (the stale donor)
 
   const auto nbrs = g.neighbors(q.seeds.front());
   ASSERT_FALSE(nbrs.empty());
@@ -682,7 +682,7 @@ TEST(Cancellation, AbandonedRidersStopACoalescedRefreshLeader) {
   (void)svc.advance_epoch(delta);
 
   // Stale hit: serves epoch-0 and enqueues the background refresh leader.
-  EXPECT_EQ(svc.solve(q).kind, solve_kind::stale_hit);
+  EXPECT_EQ(svc.solve(request{q}).kind, solve_kind::stale_hit);
   spin_until([&] { return svc.stats().stale_refreshes == 1; });
   std::this_thread::sleep_for(20ms);  // leader picked up + registered (~90ms solve)
 

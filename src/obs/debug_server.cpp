@@ -26,6 +26,30 @@ bool write_all(int fd, const char* data, std::size_t len) {
   return true;
 }
 
+/// Waits until `fd` has input or `deadline` passes; false on timeout/error.
+bool wait_readable(int fd, std::chrono::steady_clock::time_point deadline) {
+  const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+      deadline - std::chrono::steady_clock::now());
+  if (remaining.count() <= 0) return false;
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  return ::poll(&pfd, 1, static_cast<int>(remaining.count())) > 0;
+}
+
+/// Half-closes `fd` after a response sent before the request was fully read,
+/// then discards client input until the client closes or `deadline` passes.
+/// Closing a socket with unread input makes the kernel send RST, and an RST
+/// can destroy the response before the client reads it.
+void drain_after_response(int fd,
+                          std::chrono::steady_clock::time_point deadline) {
+  ::shutdown(fd, SHUT_WR);
+  char sink[4096];
+  while (wait_readable(fd, deadline) &&
+         ::recv(fd, sink, sizeof(sink), 0) > 0) {
+  }
+}
+
 void send_response(int fd, const char* status, const std::string& content_type,
                    const std::string& body) {
   char header[256];
@@ -148,14 +172,7 @@ void debug_server::handle_connection(int fd) {
   bool complete = false;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(read_timeout_ms_);
-  while (have < sizeof(buf) - 1) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (remaining.count() <= 0) break;
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    if (::poll(&pfd, 1, static_cast<int>(remaining.count())) <= 0) break;
+  while (have < sizeof(buf) - 1 && wait_readable(fd, deadline)) {
     const ssize_t n = ::recv(fd, buf + have, sizeof(buf) - 1 - have, 0);
     if (n <= 0) break;
     have += static_cast<std::size_t>(n);
@@ -177,6 +194,7 @@ void debug_server::handle_connection(int fd) {
       send_response(fd, "400 Bad Request", "text/plain",
                     "incomplete request\n");
     }
+    drain_after_response(fd, deadline);
     return;
   }
   if (std::strncmp(buf, "GET ", 4) != 0) {

@@ -191,6 +191,17 @@ struct rank_ctx {
     emit_telemetry(phase, 0, UINT64_MAX, ghost_labels, 0.0, 0);
   }
 
+  /// Records one (measured, modelled) traffic sample: wire bytes sent since
+  /// `sent_before`, and modelled payload bytes since the previous sample.
+  void record_traffic(std::uint32_t superstep, std::uint64_t sent_before) {
+    net_superstep_sample sample;
+    sample.superstep = superstep;
+    sample.bytes_measured = net.stats().bytes_sent - sent_before;
+    sample.bytes_modelled = report.bytes_modelled - modelled_epoch;
+    modelled_epoch = report.bytes_modelled;
+    report.samples.push_back(sample);
+  }
+
   /// Closes one superstep: runs the termination vote, emits the telemetry
   /// sample, and records a (measured, modelled) traffic sample — in that
   /// order, so the telemetry frame's own bytes land in the same traffic
@@ -209,12 +220,7 @@ struct rank_ctx {
     const double vote_seconds = seconds_since(vote_t0);
     ++report.supersteps;
     emit_telemetry(phase, superstep, min_bucket, 0, vote_seconds, outstanding);
-    net_superstep_sample sample;
-    sample.superstep = superstep;
-    sample.bytes_measured = net.stats().bytes_sent - sent_before;
-    sample.bytes_modelled = report.bytes_modelled - modelled_epoch;
-    modelled_epoch = report.bytes_modelled;
-    report.samples.push_back(sample);
+    record_traffic(superstep, sent_before);
     if (decision.cancel) {
       // Our own budget's reason if it tripped; otherwise another rank
       // cancelled and "cancelled" is the only honest description.
@@ -450,12 +456,7 @@ void sync_ghosts(rank_ctx& ctx, core::steiner_state& state,
   ctx.scratch.recv_wait_seconds = seconds_since(recv_t0);
   ctx.emit_phase_telemetry(telemetry_phase::ghost_sync,
                            ctx.report.ghost_labels_sent - ghosts_before);
-  net_superstep_sample sample;
-  sample.superstep = 0;
-  sample.bytes_measured = ctx.net.stats().bytes_sent - sent_before;
-  sample.bytes_modelled = ctx.report.bytes_modelled - ctx.modelled_epoch;
-  ctx.modelled_epoch = ctx.report.bytes_modelled;
-  ctx.report.samples.push_back(sample);
+  ctx.record_traffic(0, sent_before);
 }
 
 /// Phase 2: partition-local cross-cell minimum bridges. Each undirected edge
@@ -551,12 +552,7 @@ phase_metrics reduce_global_en(rank_ctx& ctx,
   comm.charge_collective(global_en.size() * entry_bytes, metrics);
   comm.note_buffer_bytes(global_en.size() * entry_bytes);
 
-  net_superstep_sample sample;
-  sample.superstep = 0;
-  sample.bytes_measured = ctx.net.stats().bytes_sent - sent_before;
-  sample.bytes_modelled = ctx.report.bytes_modelled - ctx.modelled_epoch;
-  ctx.modelled_epoch = ctx.report.bytes_modelled;
-  ctx.report.samples.push_back(sample);
+  ctx.record_traffic(0, sent_before);
   metrics.wall_seconds = seconds_since(t0);
   return metrics;
 }
@@ -709,12 +705,7 @@ phase_metrics gather_tree(rank_ctx& ctx,
               return std::tuple{a.source, a.target} <
                      std::tuple{b.source, b.target};
             });
-  net_superstep_sample sample;
-  sample.superstep = 0;
-  sample.bytes_measured = ctx.net.stats().bytes_sent - sent_before;
-  sample.bytes_modelled = ctx.report.bytes_modelled - ctx.modelled_epoch;
-  ctx.modelled_epoch = ctx.report.bytes_modelled;
-  ctx.report.samples.push_back(sample);
+  ctx.record_traffic(0, sent_before);
   metrics.wall_seconds = seconds_since(t0);
   return metrics;
 }

@@ -64,7 +64,7 @@ struct request_state {
   admission_estimates estimates{};
 
   std::promise<query_result> promise;
-  /// Engaged by submit(request) before the task is posted.
+  /// Taken from `promise` before the task is posted.
   std::shared_future<query_result> future;
 };
 

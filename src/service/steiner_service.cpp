@@ -264,6 +264,7 @@ std::shared_ptr<detail::request_state> steiner_service::make_request_state(
   st->budget.cancel = st->canceller.token();
   st->budget.user_cancel = r.cancel;
   if (r.deadline) st->budget.deadline = *r.deadline;
+  st->future = st->promise.get_future().share();
   return st;
 }
 
@@ -389,7 +390,6 @@ void steiner_service::dispatch(request r,
 
 query_handle steiner_service::submit(request r) {
   auto st = make_request_state(r);
-  st->future = st->promise.get_future().share();
   dispatch(std::move(r), st);
   return query_handle(std::move(st));
 }

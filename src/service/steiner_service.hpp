@@ -392,7 +392,7 @@ class steiner_service {
   };
 
   /// Allocates the shared lifecycle state for a request (id, priority,
-  /// budget wiring). The caller takes the promise's future *before*
+  /// budget wiring) and takes the promise's shared future, before
   /// dispatch() posts the task.
   [[nodiscard]] std::shared_ptr<detail::request_state> make_request_state(
       const request& r);

@@ -1,6 +1,5 @@
 #include "core/pruning.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "util/hash.hpp"
@@ -23,33 +22,15 @@ runtime::phase_metrics prune_cross_edges(
     });
   }
 
-  // Uniqueness collective: Allreduce(MIN) over the surviving entries' ids
-  // (Alg. 5 lines 13-15). The maps were already globally reduced, so this is
-  // a fidelity/accounting step; the element-wise minimum also re-asserts the
-  // deterministic winner should per-rank copies ever diverge.
-  std::vector<std::vector<cross_edge_entry>> buffers(per_rank_en.size());
-  for (std::size_t r = 0; r < per_rank_en.size(); ++r) {
-    std::vector<std::pair<seed_pair, cross_edge_entry>> sorted(
-        per_rank_en[r].begin(), per_rank_en[r].end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    buffers[r].reserve(sorted.size());
-    for (const auto& [key, entry] : sorted) buffers[r].push_back(entry);
-  }
-  comm.allreduce(buffers,
-                 [](const cross_edge_entry& a, const cross_edge_entry& b) {
-                   return min_entry(a, b);
-                 },
-                 metrics);
-  // Write the reduced winners back into the per-rank maps.
-  for (std::size_t r = 0; r < per_rank_en.size(); ++r) {
-    std::vector<std::pair<seed_pair, cross_edge_entry>> sorted(
-        per_rank_en[r].begin(), per_rank_en[r].end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      per_rank_en[r][sorted[i].first] = buffers[r][i];
-    }
+  // Uniqueness collective: Allreduce(MIN) over the surviving entries (Alg. 5
+  // lines 13-15). The maps were already globally reduced, so every rank holds
+  // the same winners and the collective only moves bytes: charge it as one
+  // element-wise allreduce of the surviving cross_edge_entry buffer.
+  const std::uint64_t bytes =
+      per_rank_en.front().size() * sizeof(cross_edge_entry);
+  if (bytes != 0) {
+    comm.charge_collective(bytes, metrics);
+    comm.note_buffer_bytes(bytes);
   }
 
   metrics.wall_seconds = wall.seconds();

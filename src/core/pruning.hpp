@@ -1,10 +1,11 @@
 // Global edge pruning (paper Alg. 5, EDGE_PRUNING_COLL; Alg. 3 line 18).
 //
 // Marks every cross-cell edge "deleted" except those whose cell pair was
-// selected by the MST G'2, then performs the paper's second
-// MPI_Allreduce(MPI_MIN) on endpoint ids so exactly one bridge survives per
-// cell pair (multiple bridges with identical distance can tie; the
-// (distance, u, v) order resolves them deterministically).
+// selected by the MST G'2, then charges the paper's second
+// MPI_Allreduce(MPI_MIN) on endpoint ids. The EN maps arrive globally
+// reduced, so exactly one bridge already survives per cell pair (multiple
+// bridges with identical distance can tie; the (distance, u, v) order
+// resolved them deterministically in the first reduction).
 #pragma once
 
 #include <span>
@@ -17,8 +18,9 @@
 
 namespace dsteiner::core {
 
-/// Prunes per-rank EN maps down to the MST-selected pairs and charges the
-/// uniqueness collective. Returns the pruning-phase metrics.
+/// Prunes per-rank EN maps (at least one; every map identical) down to the
+/// MST-selected pairs and charges the uniqueness collective. Returns the
+/// pruning-phase metrics.
 [[nodiscard]] runtime::phase_metrics prune_cross_edges(
     const runtime::communicator& comm,
     std::vector<cross_edge_map>& per_rank_en,

@@ -1,8 +1,10 @@
-// Internal pipeline pieces shared by the cold solver (steiner_solver.cpp) and
-// the warm-start path (warm_start.cpp). Not part of the public API.
+// Internal pipeline pieces shared by the cold solver (steiner_solver.cpp),
+// the warm-start path (warm_start.cpp) and the distributed solver
+// (runtime/net/dist_solver.cpp). Not part of the public API.
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -51,36 +53,32 @@ struct engine_context {
   engine_context& operator=(const engine_context&) = delete;
 };
 
-/// Opens a solver-phase span: stamps the probe's phase label (so engine
-/// samples taken during the phase carry it) and remembers the start offset.
-/// `close(metrics)` records the span with the phase's engine totals and the
+/// Runs one solver phase: stores `run()`'s metrics as phase `name` of
+/// `result` and returns them. With a trace, the phase runs under a span: the
+/// probe's phase label is stamped first (so engine samples taken during the
+/// phase carry it), and the span records the phase's engine totals and the
 /// cost model's simulated-seconds prediction — the per-phase half of the
-/// measured-vs-model comparison. No-ops throughout when `trace` is null.
-class phase_span {
- public:
-  phase_span(obs::query_trace* trace, const char* name,
-             const runtime::cost_model& costs) noexcept
-      : trace_(trace), name_(name), costs_(&costs) {
-    if (trace_ == nullptr) return;
-    trace_->probe().set_phase(name_);
-    start_ = trace_->now_seconds();
+/// measured-vs-model comparison.
+template <typename Run>
+runtime::phase_metrics& run_phase(steiner_result& result,
+                                  const solver_config& config,
+                                  const char* name, Run&& run) {
+  obs::query_trace* const trace = config.trace;
+  double start = 0.0;
+  if (trace != nullptr) {
+    trace->probe().set_phase(name);
+    start = trace->now_seconds();
   }
-
-  void close(const runtime::phase_metrics& metrics) noexcept {
-    if (trace_ == nullptr) return;
-    trace_->close_span(name_, "phase", start_, metrics.rounds,
-                       metrics.visitors_processed + metrics.visitors_skipped,
-                       metrics.messages_total(),
-                       metrics.sim_seconds(*costs_));
-    trace_ = nullptr;  // close once
+  runtime::phase_metrics& metrics = result.phases.phase(name);
+  metrics = run();
+  if (trace != nullptr) {
+    trace->close_span(name, "phase", start, metrics.rounds,
+                      metrics.visitors_processed + metrics.visitors_skipped,
+                      metrics.messages_total(),
+                      metrics.sim_seconds(config.costs));
   }
-
- private:
-  obs::query_trace* trace_;
-  const char* name_;
-  const runtime::cost_model* costs_;
-  double start_ = 0.0;
-};
+  return metrics;
+}
 
 /// Full cold solve, optionally capturing warm-start artifacts. `assists`
 /// pre-seeds phase 1 from shared SSSP fragments and/or prunes it with oracle
@@ -93,20 +91,48 @@ class phase_span {
                                         const solve_assists& assists = {},
                                         assist_stats* assist_out = nullptr);
 
+/// Resolves phase 1's engine knobs, shared by every transport. Strict order
+/// returns `engine` unchanged. Bucketed growth resolves the bucket width and
+/// tile threshold (0-valued knobs get graph-derived defaults) and, given
+/// landmark bounds, the priority limit; the resolved knobs go to `growth`.
+[[nodiscard]] runtime::engine_config phase1_config(
+    const graph::csr_graph& graph, const solver_config& config,
+    const runtime::engine_config& engine,
+    std::span<const graph::weight_t> prune_upper_bound, growth_stats& growth);
+
+/// Records what a bucketed phase-1 run did into `growth` (no-op in strict
+/// order).
+void record_phase1(const runtime::phase_metrics& metrics,
+                   std::uint64_t tiles_emitted, growth_stats& growth);
+
+/// A transport's phase 6 plus its edge gather: runs Alg. 6 from the pruned
+/// EN, fills `tree` with every rank's tree edges (any order) and returns the
+/// phase metrics.
+using tree_edge_phase = std::function<runtime::phase_metrics(
+    const cross_edge_map& pruned_en, std::vector<graph::weighted_edge>& tree)>;
+
 /// Phases 3-6 of Alg. 3 (MST, pruning, tree-edge collection, result
-/// assembly), shared between cold and warm solves. `per_rank_en` must hold
-/// the globally-reduced EN maps; `state` the converged Voronoi labelling.
-/// Fills the remaining phase metrics, the output tree, memory totals, runs
-/// optional validation, and captures (seed_list, state, pre-pruning EN) into
-/// `capture` when non-null.
+/// assembly), shared by the cold, warm and distributed solves; each
+/// transport supplies only `tree_edges`. `per_rank_en` must hold the
+/// globally-reduced EN maps (one per rank this process holds; all
+/// identical); `state` the converged Voronoi labelling. Fills the remaining
+/// phase metrics, the output tree, D(GS), memory totals, runs optional
+/// validation (on a tree; a permitted forest is returned as is), and captures
+/// (seed_list, state, pre-pruning EN) into `capture` when non-null.
 void finish_solve(const graph::csr_graph& graph,
-                  const runtime::dist_graph& dgraph,
                   const runtime::communicator& comm,
-                  const runtime::engine_config& engine,
                   const solver_config& config,
                   std::span<const graph::vertex_id> seed_list,
                   const steiner_state& state,
                   std::vector<cross_edge_map>& per_rank_en,
-                  steiner_result& result, solve_artifacts* capture);
+                  steiner_result& result, solve_artifacts* capture,
+                  const tree_edge_phase& tree_edges);
+
+/// The in-process transport's phase 6: Alg. 6 on `engine` over `dgraph`'s
+/// simulated ranks, then a simulated allgather. The returned callable
+/// borrows every argument.
+[[nodiscard]] tree_edge_phase in_process_tree_edges(
+    const runtime::dist_graph& dgraph, const steiner_state& state,
+    const runtime::engine_config& engine, const runtime::communicator& comm);
 
 }  // namespace dsteiner::core::detail

@@ -43,15 +43,47 @@ std::vector<graph::vertex_id> dedup_seeds(
   return dedup_seeds(graph.num_vertices(), seeds);
 }
 
+runtime::engine_config phase1_config(
+    const graph::csr_graph& graph, const solver_config& config,
+    const runtime::engine_config& engine,
+    std::span<const graph::weight_t> prune_upper_bound, growth_stats& growth) {
+  runtime::engine_config phase1 = engine;
+  if (config.growth != runtime::growth_mode::bucketed) return phase1;
+  phase1.growth = runtime::growth_mode::bucketed;
+  phase1.bucket_delta = config.bucket_delta != 0
+                            ? config.bucket_delta
+                            : graph::heuristic_delta(graph);
+  const std::uint64_t avg_degree =
+      graph.num_vertices() == 0 ? 0 : graph.num_arcs() / graph.num_vertices();
+  phase1.tile_threshold = config.tile_threshold != 0
+                              ? config.tile_threshold
+                              : std::max<std::uint64_t>(64, 4 * avg_degree);
+  if (!prune_upper_bound.empty()) {
+    phase1.priority_limit = *std::max_element(prune_upper_bound.begin(),
+                                              prune_upper_bound.end());
+  }
+  growth.mode = runtime::growth_mode::bucketed;
+  growth.delta = phase1.bucket_delta;
+  growth.tile_threshold = phase1.tile_threshold;
+  return phase1;
+}
+
+void record_phase1(const runtime::phase_metrics& metrics,
+                   std::uint64_t tiles_emitted, growth_stats& growth) {
+  if (growth.mode != runtime::growth_mode::bucketed) return;
+  growth.buckets_processed = metrics.buckets_processed;
+  growth.bucket_pruned = metrics.bucket_pruned;
+  growth.tiles_emitted = tiles_emitted;
+}
+
 void finish_solve(const graph::csr_graph& graph,
-                  const runtime::dist_graph& dgraph,
                   const runtime::communicator& comm,
-                  const runtime::engine_config& engine,
                   const solver_config& config,
                   std::span<const graph::vertex_id> seed_list,
                   const steiner_state& state,
                   std::vector<cross_edge_map>& per_rank_en,
-                  steiner_result& result, solve_artifacts* capture) {
+                  steiner_result& result, solve_artifacts* capture,
+                  const tree_edge_phase& tree_edges) {
   // Checkpoint between the reduction and the sequential tail: phases 3-5 run
   // without an engine (no per-round poll), so the boundaries are where a
   // cancelled or expired solve stops.
@@ -69,14 +101,12 @@ void finish_solve(const graph::csr_graph& graph,
 
   // Step 3: sequential MST of G'1, replicated (line 17).
   distance_graph_mst mst;
-  {
-    phase_span span(config.trace, runtime::phase_names::mst, config.costs);
+  run_phase(result, config, runtime::phase_names::mst, [&] {
     runtime::phase_metrics metrics;
     mst = compute_distance_graph_mst(per_rank_en.front(), seed_list, comm,
                                      metrics);
-    result.phases.phase(runtime::phase_names::mst) = metrics;
-    span.close(metrics);
-  }
+    return metrics;
+  });
   if (config.budget != nullptr) config.budget->check();
   result.spans_all_seeds = mst.spans_all_seeds;
   if (!mst.spans_all_seeds && !config.allow_disconnected_seeds) {
@@ -86,33 +116,16 @@ void finish_solve(const graph::csr_graph& graph,
   }
 
   // Step 4: global edge pruning (line 18).
-  {
-    phase_span span(config.trace, runtime::phase_names::pruning, config.costs);
-    auto metrics = prune_cross_edges(comm, per_rank_en, mst.mst_pairs);
-    result.phases.phase(runtime::phase_names::pruning) = metrics;
-    span.close(metrics);
-  }
+  run_phase(result, config, runtime::phase_names::pruning, [&] {
+    return prune_cross_edges(comm, per_rank_en, mst.mst_pairs);
+  });
 
   // Step 5: Steiner tree edges (line 19) and result assembly (line 20).
-  {
-    phase_span span(config.trace, runtime::phase_names::tree_edge, config.costs);
-    std::vector<std::vector<graph::weighted_edge>> per_rank_es;
-    auto metrics =
-        collect_tree_edges(dgraph, state, per_rank_en.front(), per_rank_es, engine);
-    result.tree_edges = comm.allgather(per_rank_es, metrics);
-    // D(GS): one partial sum per rank, reduced (Alg. 3 line 20).
-    std::vector<std::vector<graph::weight_t>> partial(
-        static_cast<std::size_t>(config.num_ranks),
-        std::vector<graph::weight_t>(1, 0));
-    for (std::size_t r = 0; r < per_rank_es.size(); ++r) {
-      for (const auto& e : per_rank_es[r]) partial[r][0] += e.weight;
-    }
-    comm.allreduce(partial,
-                   [](graph::weight_t a, graph::weight_t b) { return a + b; },
-                   metrics);
-    result.total_distance = partial.front().front();
-    result.phases.phase(runtime::phase_names::tree_edge) = metrics;
-    span.close(metrics);
+  run_phase(result, config, runtime::phase_names::tree_edge, [&] {
+    return tree_edges(per_rank_en.front(), result.tree_edges);
+  });
+  for (const graph::weighted_edge& e : result.tree_edges) {
+    result.total_distance += e.weight;
   }
   std::sort(result.tree_edges.begin(), result.tree_edges.end(),
             [](const graph::weighted_edge& a, const graph::weighted_edge& b) {
@@ -138,6 +151,26 @@ void finish_solve(const graph::csr_graph& graph,
     capture->state = state;
     capture->graph_fingerprint = graph.fingerprint();
   }
+}
+
+tree_edge_phase in_process_tree_edges(const runtime::dist_graph& dgraph,
+                                      const steiner_state& state,
+                                      const runtime::engine_config& engine,
+                                      const runtime::communicator& comm) {
+  return [&dgraph, &state, &engine, &comm](
+             const cross_edge_map& pruned_en,
+             std::vector<graph::weighted_edge>& tree) {
+    std::vector<std::vector<graph::weighted_edge>> per_rank_es;
+    tree_edge_handler handler(dgraph, state, per_rank_es);
+    auto metrics = runtime::run_visitors(
+        dgraph.parts(), handler,
+        seed_tree_edges(dgraph, pruned_en, per_rank_es), engine);
+    tree = comm.allgather(per_rank_es, metrics);
+    // D(GS): one partial sum per rank, reduced (Alg. 3 line 20).
+    comm.charge_collective(sizeof(graph::weight_t), metrics);
+    comm.note_buffer_bytes(sizeof(graph::weight_t));
+    return metrics;
+  };
 }
 
 steiner_result solve_cold(const graph::csr_graph& graph,
@@ -168,31 +201,11 @@ steiner_result solve_cold(const graph::csr_graph& graph,
   comm.reset_peak_buffer();
 
   // Phase-1 scheduling: bucketed growth runs phase 1 (and only phase 1) as
-  // bucketed delta-stepping with the knobs resolved here; 0-valued knobs get
-  // graph-derived defaults. The landmark oracle's largest upper bound caps the
-  // useful priority range: once every open bucket starts above it, nothing
-  // left can improve any cell and the engines drain-and-stop.
-  runtime::engine_config phase1 = engine;
-  if (config.growth == runtime::growth_mode::bucketed) {
-    phase1.growth = runtime::growth_mode::bucketed;
-    phase1.bucket_delta = config.bucket_delta != 0
-                              ? config.bucket_delta
-                              : graph::heuristic_delta(graph);
-    const std::uint64_t avg_degree =
-        graph.num_vertices() == 0 ? 0 : graph.num_arcs() / graph.num_vertices();
-    phase1.tile_threshold =
-        config.tile_threshold != 0
-            ? config.tile_threshold
-            : std::max<std::uint64_t>(64, 4 * avg_degree);
-    if (!assists.prune_upper_bound.empty()) {
-      phase1.priority_limit =
-          *std::max_element(assists.prune_upper_bound.begin(),
-                            assists.prune_upper_bound.end());
-    }
-    result.growth.mode = runtime::growth_mode::bucketed;
-    result.growth.delta = phase1.bucket_delta;
-    result.growth.tile_threshold = phase1.tile_threshold;
-  }
+  // bucketed delta-stepping. The landmark oracle's largest upper bound caps
+  // the useful priority range: once every open bucket starts above it,
+  // nothing left can improve any cell and the engines drain-and-stop.
+  const runtime::engine_config phase1 = phase1_config(
+      graph, config, engine, assists.prune_upper_bound, result.growth);
 
   // Step 1: Voronoi cells (Alg. 3 line 12). With assists, the state is
   // pre-seeded from shared fragments (the initial frontier shrinks to the
@@ -200,16 +213,14 @@ steiner_result solve_cold(const graph::csr_graph& graph,
   // bound proves non-improving — same fixed point, less relaxation.
   steiner_state state(graph.num_vertices());
   result.memory.state_bytes = state.memory_bytes() + graph.num_vertices() / 8;
-  {
-    phase_span span(config.trace, runtime::phase_names::voronoi, config.costs);
+  run_phase(result, config, runtime::phase_names::voronoi, [&] {
     assist_stats astats;
     std::atomic<std::uint64_t> pruned{0};
     std::atomic<std::uint64_t> tiles{0};
-    const voronoi_tiling tiling{&tiles};
     runtime::phase_metrics metrics;
     if (assists.empty()) {
       metrics = compute_voronoi_cells(dgraph, seed_list, state, phase1,
-                                      voronoi_prune{}, tiling);
+                                      voronoi_prune{}, &tiles);
     } else {
       std::vector<voronoi_visitor> initial = inject_fragments(
           graph, assists.fragments, seed_list, state, &astats.preseeded_vertices);
@@ -221,13 +232,10 @@ steiner_result solve_cold(const graph::csr_graph& graph,
       astats.frontier_visitors = initial.size();
       const voronoi_prune prune{assists.prune_upper_bound, &pruned};
       metrics = repair_voronoi_cells(dgraph, std::move(initial), state, phase1,
-                                     prune, tiling);
+                                     prune, &tiles);
     }
-    if (config.growth == runtime::growth_mode::bucketed) {
-      result.growth.buckets_processed = metrics.buckets_processed;
-      result.growth.bucket_pruned = metrics.bucket_pruned;
-      result.growth.tiles_emitted = tiles.load(std::memory_order_relaxed);
-    }
+    record_phase1(metrics, tiles.load(std::memory_order_relaxed),
+                  result.growth);
     astats.pruned_visitors = pruned.load(std::memory_order_relaxed);
     if (assist_out != nullptr) *assist_out = astats;
     if (config.trace != nullptr && !assists.empty()) {
@@ -236,38 +244,27 @@ steiner_result solve_cold(const graph::csr_graph& graph,
       config.trace->add_event("oracle_pruned_visitors",
                               static_cast<double>(astats.pruned_visitors));
     }
-    result.phases.phase(runtime::phase_names::voronoi) = metrics;
-    span.close(metrics);
-  }
+    return metrics;
+  });
 
   // Step 2a: partition-local min cross-cell edges (line 13).
   std::vector<cross_edge_map> per_rank_en;
-  {
-    phase_span span(config.trace, runtime::phase_names::local_min_edge,
-                    config.costs);
-    auto metrics = find_local_min_edges(dgraph, state, per_rank_en, engine);
-    result.phases.phase(runtime::phase_names::local_min_edge) = metrics;
-    span.close(metrics);
-  }
+  run_phase(result, config, runtime::phase_names::local_min_edge, [&] {
+    return find_local_min_edges(dgraph, state, per_rank_en, engine);
+  });
 
   // Step 2b: global Allreduce(MIN) (line 14). The reduction runs off-engine,
   // so checkpoint at its boundary.
   if (config.budget != nullptr) config.budget->check();
-  {
-    phase_span span(config.trace, runtime::phase_names::global_min_edge,
-                    config.costs);
-    global_reduce_options options;
-    options.dense = config.dense_distance_graph;
-    options.seeds = seed_list;
-    options.chunk_items = config.allreduce_chunk_items;
-    auto metrics = reduce_global_min_edges(comm, per_rank_en, options);
-    result.phases.phase(runtime::phase_names::global_min_edge) = metrics;
-    span.close(metrics);
-  }
+  run_phase(result, config, runtime::phase_names::global_min_edge, [&] {
+    return reduce_global_min_edges(
+        comm, per_rank_en,
+        {config.dense_distance_graph, seed_list, config.allreduce_chunk_items});
+  });
 
   // Steps 3-6: MST, pruning, tree edges, assembly.
-  finish_solve(graph, dgraph, comm, engine, config, seed_list, state,
-               per_rank_en, result, capture);
+  finish_solve(graph, comm, config, seed_list, state, per_rank_en, result,
+               capture, in_process_tree_edges(dgraph, state, engine, comm));
   return result;
 }
 

@@ -8,6 +8,8 @@
 // smaller" than |E| (§IV, Table IV).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -28,13 +30,75 @@ struct tree_edge_visitor {
   [[nodiscard]] std::uint64_t priority() const noexcept { return 0; }
 };
 
-/// Runs Alg. 6: seeds walks from every pruned cross-cell edge, collects tree
-/// edges into `per_rank_es` (one list per rank, Alg. 6 lines 3-4 place each
-/// cross edge at u's home partition). `in_tree` must be empty or |V| wide.
-[[nodiscard]] runtime::phase_metrics collect_tree_edges(
-    const runtime::dist_graph& dgraph, const steiner_state& state,
-    const cross_edge_map& pruned_en,
-    std::vector<std::vector<graph::weighted_edge>>& per_rank_es,
-    const runtime::engine_config& config);
+/// Alg. 6's walk step as a Handler for every engine (the cooperative and
+/// threaded engines in-process, net::superstep_engine over wire frames).
+class tree_edge_handler {
+ public:
+  tree_edge_handler(const runtime::dist_graph& dgraph,
+                    const steiner_state& state,
+                    std::vector<std::vector<graph::weighted_edge>>& per_rank_es)
+      : dgraph_(&dgraph),
+        state_(&state),
+        es_(&per_rank_es),
+        in_tree_(dgraph.graph().num_vertices(), 0) {}
+
+  bool pre_visit(const tree_edge_visitor& v, int) {
+    // Arrival check: a walk into an already-collected vertex carries no new
+    // work (its chain to the seed is already in ES).
+    return in_tree_[v.vj] == 0;
+  }
+
+  template <typename Emitter>
+  bool visit(const tree_edge_visitor& v, int rank, Emitter& out) {
+    const graph::vertex_id vj = v.vj;
+    if (in_tree_[vj] != 0) return false;  // raced with another walk this round
+    in_tree_[vj] = 1;
+    if (vj == state_->src[vj]) return true;  // reached the cell's seed
+    const graph::vertex_id p = state_->pred[vj];
+    assert(p != graph::k_no_vertex);
+    // The arc (vj -> pred) lives in vj's adjacency, so its weight is local.
+    const auto w = dgraph_->graph().edge_weight(vj, p);
+    assert(w.has_value());
+    (*es_)[static_cast<std::size_t>(rank)].push_back(
+        {std::min(p, vj), std::max(p, vj), *w});
+    // Alg. 6 lines 12-13: continue the walk only while pred is not the seed.
+    if (p != state_->src[vj]) out.to_vertex(tree_edge_visitor{p});
+    return true;
+  }
+
+ private:
+  const runtime::dist_graph* dgraph_;
+  const steiner_state* state_;
+  std::vector<std::vector<graph::weighted_edge>>* es_;
+  // Byte-per-vertex, not vector<bool>: under the threaded engine each rank's
+  // worker flips only its owned vertices, and bit-packing would make
+  // neighbouring vertices on different workers share a byte (a data race).
+  std::vector<std::uint8_t> in_tree_;
+};
+
+/// Alg. 6 lines 1-4: resets `per_rank_es` to one list per rank, places each
+/// pruned bridge at its u endpoint's owner, and returns the walk visitors
+/// for both endpoints of every bridge, in cell-pair order.
+[[nodiscard]] inline std::vector<tree_edge_visitor> seed_tree_edges(
+    const runtime::dist_graph& dgraph, const cross_edge_map& pruned_en,
+    std::vector<std::vector<graph::weighted_edge>>& per_rank_es) {
+  per_rank_es.assign(static_cast<std::size_t>(dgraph.num_ranks()), {});
+  // Deterministic seeding order: sort the pruned bridges by cell pair.
+  std::vector<std::pair<seed_pair, cross_edge_entry>> bridges(pruned_en.begin(),
+                                                              pruned_en.end());
+  std::sort(bridges.begin(), bridges.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  std::vector<tree_edge_visitor> initial;
+  initial.reserve(bridges.size() * 2);
+  for (const auto& [pair, entry] : bridges) {
+    // Alg. 6 lines 3-4: the cross edge itself joins ES at u's home partition.
+    per_rank_es[static_cast<std::size_t>(dgraph.owner(entry.u))].push_back(
+        {entry.u, entry.v, entry.edge_weight});
+    initial.push_back(tree_edge_visitor{entry.u});
+    initial.push_back(tree_edge_visitor{entry.v});
+  }
+  return initial;
+}
 
 }  // namespace dsteiner::core

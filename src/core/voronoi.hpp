@@ -12,8 +12,10 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/steiner_state.hpp"
@@ -42,6 +44,9 @@ struct voronoi_visitor {
 
   [[nodiscard]] graph::vertex_id target() const noexcept { return vj; }
   [[nodiscard]] std::uint64_t priority() const noexcept { return r; }
+
+  friend bool operator==(const voronoi_visitor&,
+                         const voronoi_visitor&) = default;
 };
 
 /// Optional admission pruning for Alg. 4 (service/distshare landmark oracle).
@@ -57,24 +62,138 @@ struct voronoi_prune {
   std::atomic<std::uint64_t>* pruned = nullptr;  ///< optional drop counter
 };
 
-/// Edge-tiling telemetry for bucketed growth (the tiling itself is switched
-/// by engine_config::growth + tile_threshold; the tile width is the
-/// threshold). Relaxed-atomic: tiles are emitted concurrently by workers.
-struct voronoi_tiling {
-  std::atomic<std::uint64_t>* tiles = nullptr;  ///< optional emitted-tile counter
+/// Handler implementing Alg. 4's visit() in the pre_visit/visit split of the
+/// engines: pre_visit performs the state relaxation (lines 5-9), visit the
+/// neighbour scatter (lines 10-13) unless a better update superseded it. The
+/// one Alg. 4 implementation: the cooperative and threaded engines run it
+/// in-process, net::superstep_engine runs it per rank over wire frames.
+class voronoi_handler {
+ public:
+  /// Under bucketed growth a non-zero `config.tile_threshold` T splits
+  /// non-delegate vertices of degree > T into ceil(degree / T) edge tiles
+  /// spread round-robin over ranks. Strict order never tiles: its priority
+  /// queue already interleaves hubs' scatters, and extra tile messages would
+  /// change the bit-identical schedule. `tiles`, when non-null, counts the
+  /// tiles emitted (relaxed-atomic: workers emit concurrently).
+  voronoi_handler(const runtime::dist_graph& dgraph, steiner_state& state,
+                  const runtime::engine_config& config,
+                  const voronoi_prune& prune = {},
+                  std::atomic<std::uint64_t>* tiles = nullptr)
+      : dgraph_(&dgraph),
+        state_(&state),
+        prune_(prune),
+        tile_width_(config.growth == runtime::growth_mode::bucketed
+                        ? config.tile_threshold
+                        : 0),
+        tiles_(tiles) {}
+
+  // Arrival-time admission check only: a visitor that cannot improve the
+  // target's *current* state is dropped. The relaxation itself happens at
+  // processing time (Alg. 4 lines 5-9 live in visit()), so a FIFO queue
+  // exhibits the label-correcting cascades the paper measures in Fig. 6 and
+  // the priority queue approximates Dijkstra's settling order.
+  //
+  // Oracle pruning rides on the same check: a proposed distance strictly
+  // above a known-achievable upper bound can never become the target's final
+  // label (nor seed a final label downstream — every product of its scatter
+  // is dominated the same way), so dropping it is output-neutral. The
+  // counter is relaxed-atomic because the threaded engine runs pre_visit
+  // concurrently across workers.
+  bool pre_visit(const voronoi_visitor& v, int rank) {
+    // Relays and tiles carry their own label, run on arbitrary ranks and
+    // never touch vertex state — admit unconditionally.
+    if (v.kind != voronoi_visitor::kind_t::normal) return true;
+    assert(dgraph_->owner(v.vj) == rank);
+    (void)rank;
+    if (!prune_.upper_bound.empty() && v.r > prune_.upper_bound[v.vj]) {
+      if (prune_.pruned != nullptr) {
+        prune_.pruned->fetch_add(1, std::memory_order_relaxed);
+      }
+      return false;
+    }
+    return std::tuple{v.r, v.t, v.vp} < state_->tuple_of(v.vj);
+  }
+
+  template <typename Emitter>
+  bool visit(const voronoi_visitor& v, int rank, Emitter& out) {
+    if (v.kind == voronoi_visitor::kind_t::relay) {
+      // Enumerate this rank's slice of the delegate's adjacency and scatter.
+      dgraph_->for_each_arc_in_slice(
+          v.vj, rank, [&](graph::vertex_id vi, graph::weight_t w) {
+            out.to_vertex(voronoi_visitor{vi, v.vj, v.t, v.r + w});
+          });
+      return true;
+    }
+    if (v.kind == voronoi_visitor::kind_t::tile) {
+      // One contiguous arc range of a hub's scatter. Like a relay the tile
+      // scatters the label it carries; if the hub was relabelled since, the
+      // improving update emitted fresh tiles and these emissions lose at
+      // admission — no state read, so tiles are safe on any rank/thread.
+      const std::uint64_t begin =
+          static_cast<std::uint64_t>(v.tile) * tile_width_;
+      dgraph_->for_each_arc_in_range(
+          v.vj, begin, begin + tile_width_,
+          [&](graph::vertex_id vi, graph::weight_t w) {
+            out.to_vertex(voronoi_visitor{vi, v.vj, v.t, v.r + w});
+          });
+      return true;
+    }
+    // Alg. 4 lines 5-9: relax at processing time; skip if superseded.
+    if (std::tuple{v.r, v.t, v.vp} >= state_->tuple_of(v.vj)) return false;
+    state_->distance[v.vj] = v.r;
+    state_->src[v.vj] = v.t;
+    state_->pred[v.vj] = v.vp;
+    if (dgraph_->is_delegate(v.vj)) {
+      // Broadcast relays: each rank scatters its slice of the hub's edges.
+      const int slices = dgraph_->num_ranks();
+      for (int q = 0; q < slices; ++q) {
+        voronoi_visitor relay{v.vj, v.vp, v.t, v.r,
+                              voronoi_visitor::kind_t::relay};
+        out.to_rank(q, relay);
+      }
+      return true;
+    }
+    const std::uint64_t degree = dgraph_->graph().degree(v.vj);
+    if (tile_width_ != 0 && degree > tile_width_) {
+      // Edge tiling (katana deltaTile): split the hub's scatter into
+      // independent arc-range work items spread round-robin over ranks so
+      // one hub cannot serialize a bucket on its owner.
+      const auto p = static_cast<std::uint64_t>(dgraph_->num_ranks());
+      const std::uint64_t ntiles = (degree + tile_width_ - 1) / tile_width_;
+      for (std::uint64_t i = 0; i < ntiles; ++i) {
+        voronoi_visitor tv{v.vj, v.vp, v.t, v.r,
+                           voronoi_visitor::kind_t::tile};
+        tv.tile = static_cast<std::uint32_t>(i);
+        out.to_rank(static_cast<int>(i % p), tv);
+      }
+      if (tiles_ != nullptr) {
+        tiles_->fetch_add(ntiles, std::memory_order_relaxed);
+      }
+      return true;
+    }
+    dgraph_->for_each_arc(v.vj, [&](graph::vertex_id vi, graph::weight_t w) {
+      out.to_vertex(voronoi_visitor{vi, v.vj, v.t, v.r + w});
+    });
+    return true;
+  }
+
+ private:
+  const runtime::dist_graph* dgraph_;
+  steiner_state* state_;
+  voronoi_prune prune_;
+  std::uint64_t tile_width_ = 0;  ///< 0 = tiling off
+  std::atomic<std::uint64_t>* tiles_ = nullptr;
 };
 
-/// Runs Alg. 4 to quiescence, filling `state`. Seeds bootstrap themselves:
-/// each s in S receives (r=0, t=s, vp=s).
-[[nodiscard]] runtime::phase_metrics compute_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
-    steiner_state& state, const runtime::engine_config& config);
 
-/// Overload with oracle pruning and tiling telemetry (bucketed growth).
+/// Runs Alg. 4 to quiescence, filling `state`. Seeds bootstrap themselves:
+/// each s in S receives (r=0, t=s, vp=s). `prune` adds oracle pruning (see
+/// voronoi_prune); `tiles` counts the edge tiles of bucketed growth.
 [[nodiscard]] runtime::phase_metrics compute_voronoi_cells(
     const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
     steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune, const voronoi_tiling& tiling);
+    const voronoi_prune& prune = {},
+    std::atomic<std::uint64_t>* tiles = nullptr);
 
 /// Warm-start repair: re-runs Alg. 4 to quiescence from caller-chosen initial
 /// visitors over an existing (partially valid) `state`. Used after a seed-set
@@ -86,19 +205,9 @@ struct voronoi_tiling {
 /// cold run would.
 [[nodiscard]] runtime::phase_metrics repair_voronoi_cells(
     const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
-    steiner_state& state, const runtime::engine_config& config);
-
-/// Overload with oracle pruning (see voronoi_prune).
-[[nodiscard]] runtime::phase_metrics repair_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
     steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune);
-
-/// Overload with oracle pruning and tiling telemetry (bucketed growth).
-[[nodiscard]] runtime::phase_metrics repair_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
-    steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune, const voronoi_tiling& tiling);
+    const voronoi_prune& prune = {},
+    std::atomic<std::uint64_t>* tiles = nullptr);
 
 /// Fragment-injection entry point — the cross-query analogue of warm-start
 /// frontier injection. Pre-seeds a fresh `state` with the lexicographic

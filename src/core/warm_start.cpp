@@ -201,13 +201,9 @@ steiner_result repair_solve(const graph::csr_graph& graph,
                                         state.distance[e.v] + *w});
     }
   }
-  {
-    detail::phase_span span(config.trace, runtime::phase_names::voronoi,
-                            config.costs);
-    auto metrics = repair_voronoi_cells(dgraph, std::move(initial), state, engine);
-    result.phases.phase(runtime::phase_names::voronoi) = metrics;
-    span.close(metrics);
-  }
+  detail::run_phase(result, config, runtime::phase_names::voronoi, [&] {
+    return repair_voronoi_cells(dgraph, std::move(initial), state, engine);
+  });
   result.memory.state_bytes = state.memory_bytes() + n / 8;
 
   // Affected cells: any cell that gained or lost a member or whose labels
@@ -246,29 +242,19 @@ steiner_result repair_solve(const graph::csr_graph& graph,
   }
   stats.rescanned_vertices = scan.size();
   std::vector<cross_edge_map> per_rank_en;
-  {
-    detail::phase_span span(config.trace, runtime::phase_names::local_min_edge,
-                            config.costs);
-    auto metrics =
-        find_local_min_edges_partial(dgraph, state, scan, per_rank_en, engine);
-    result.phases.phase(runtime::phase_names::local_min_edge) = metrics;
-    span.close(metrics);
-  }
+  detail::run_phase(result, config, runtime::phase_names::local_min_edge, [&] {
+    return find_local_min_edges_partial(dgraph, state, scan, per_rank_en,
+                                        engine);
+  });
 
   // Step 2b: global reduction over the rescanned entries only (off-engine:
   // checkpoint at the boundary).
   if (config.budget != nullptr) config.budget->check();
-  {
-    detail::phase_span span(config.trace, runtime::phase_names::global_min_edge,
-                            config.costs);
-    global_reduce_options options;
-    options.dense = config.dense_distance_graph;
-    options.seeds = seed_list;
-    options.chunk_items = config.allreduce_chunk_items;
-    auto metrics = reduce_global_min_edges(comm, per_rank_en, options);
-    result.phases.phase(runtime::phase_names::global_min_edge) = metrics;
-    span.close(metrics);
-  }
+  detail::run_phase(result, config, runtime::phase_names::global_min_edge, [&] {
+    return reduce_global_min_edges(
+        comm, per_rank_en,
+        {config.dense_distance_graph, seed_list, config.allreduce_chunk_items});
+  });
 
   // Reuse donor entries between two unaffected cells: their membership and
   // labels are untouched and a modified edge's endpoints always lie in
@@ -285,8 +271,9 @@ steiner_result repair_solve(const graph::csr_graph& graph,
   }
 
   // Steps 3-6 are shared with the cold path.
-  detail::finish_solve(graph, dgraph, comm, engine, config, seed_list, state,
-                       per_rank_en, result, capture);
+  detail::finish_solve(
+      graph, comm, config, seed_list, state, per_rank_en, result, capture,
+      detail::in_process_tree_edges(dgraph, state, engine, comm));
   if (stats_out != nullptr) *stats_out = stats;
   return result;
 }

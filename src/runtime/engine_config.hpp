@@ -8,8 +8,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "runtime/mailbox.hpp"
+#include "runtime/partition.hpp"
 #include "runtime/perf_model.hpp"
 #include "util/cancellation.hpp"
 
@@ -96,6 +98,32 @@ struct engine_config {
   /// never read from the probe, so execution and output are identical either
   /// way. Must outlive the run. Same hash-exclusion rule as `budget`.
   obs::engine_probe* probe = nullptr;
+};
+
+/// The send interface every engine hands to Handler::visit: to_vertex
+/// routes a visitor to the owner of its target(), to_rank to an explicit
+/// rank (delegate relays, edge tiles). Delivery is the engine's
+/// `send(visitor, from_rank, to_rank)`.
+template <typename Engine, typename Visitor>
+class engine_emitter {
+ public:
+  engine_emitter(Engine& engine, const partitioner& parts,
+                 int from_rank) noexcept
+      : engine_(&engine), parts_(&parts), from_rank_(from_rank) {}
+
+  void to_vertex(Visitor v) {
+    const int to = parts_->owner(v.target());
+    engine_->send(std::move(v), from_rank_, to);
+  }
+
+  void to_rank(int rank, Visitor v) {
+    engine_->send(std::move(v), from_rank_, rank);
+  }
+
+ private:
+  Engine* engine_;
+  const partitioner* parts_;
+  int from_rank_;
 };
 
 }  // namespace dsteiner::runtime

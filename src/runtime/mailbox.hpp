@@ -56,18 +56,18 @@ class mailbox {
     return buckets_.begin()->first;
   }
 
-  void push(Visitor v) {
+  void push(const Visitor& v) {
     if (delta_ != 0) {
-      buckets_[v.priority() / delta_].push_back(std::move(v));
+      buckets_[v.priority() / delta_].push_back(v);
       ++bucket_count_;
       return;
     }
     if (policy_ == queue_policy::fifo) {
-      fifo_.push_back(std::move(v));
+      fifo_.push_back(v);
       return;
     }
-    heap_.push_back({v.priority(), next_sequence_++, std::move(v)});
-    std::push_heap(heap_.begin(), heap_.end(), heap_greater);
+    heap_.push_back({v.priority(), next_sequence_++, v});
+    std::push_heap(heap_.begin(), heap_.end(), heap_greater{});
   }
 
   [[nodiscard]] Visitor pop() {
@@ -84,7 +84,7 @@ class mailbox {
       fifo_.pop_front();
       return v;
     }
-    std::pop_heap(heap_.begin(), heap_.end(), heap_greater);
+    std::pop_heap(heap_.begin(), heap_.end(), heap_greater{});
     Visitor v = std::move(heap_.back().visitor);
     heap_.pop_back();
     return v;
@@ -106,10 +106,12 @@ class mailbox {
 
   // std::push/pop_heap build a max-heap; invert the comparison for a min-heap
   // on (priority, sequence).
-  static bool heap_greater(const heap_entry& a, const heap_entry& b) noexcept {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    return a.sequence > b.sequence;
-  }
+  struct heap_greater {
+    bool operator()(const heap_entry& a, const heap_entry& b) const noexcept {
+      if (a.priority != b.priority) return a.priority > b.priority;
+      return a.sequence > b.sequence;
+    }
+  };
 
   queue_policy policy_;
   std::uint64_t delta_;  ///< bucket width; 0 = not in bucket mode

@@ -4,8 +4,8 @@
 // `world_size()` ranks: point-to-point typed frames with per-peer FIFO
 // ordering, plus measured traffic counters. Everything above it — superstep
 // batching, markers, the two-phase termination vote, ghost sync, collectives
-// — is built from these two primitives in termination.hpp / dist_solver.cpp,
-// so the algorithm code is byte-for-byte identical over the in-process
+// — is built from these two primitives (termination.hpp, superstep_engine.hpp,
+// dist_solver.cpp), so the algorithm code is identical over the in-process
 // loopback mesh (the default; see loopback_backend.hpp) and real TCP sockets
 // between processes (tcp_backend.hpp). That is what makes the
 // loopback-vs-TCP bit-identity tests meaningful: only the transport varies.

@@ -1,28 +1,23 @@
-// The distributed Steiner solver over a comm_backend mesh — Alg. 3 where
-// every rank is a real participant owning one hash-partition shard of the
-// vertex state and exchanging visitor batches as wire frames.
+// The distributed Steiner solver over a comm_backend mesh: Alg. 3 with every
+// rank a real participant owning one hash-partition shard of the vertex
+// state and exchanging visitor batches as wire frames.
 //
-// Output contract: bit-identical to core::solve_steiner_tree on the same
-// graph/seeds/config, for any world size and either backend. This does not
-// require replicating the shared-memory schedule: the tree is the unique
-// fixed point of lexicographic (distance, src, pred) minimisation, the
-// cross-cell reduction uses the same (bridge distance, u, v) tie-break, the
-// MST is content-determined, and the final edge list is canonically sorted —
-// so any convergent execution lands on the same bytes. The loopback-vs-TCP
-// and distributed-vs-single tests pin exactly this.
+// Net solves run core's code, not a copy. Phases 1 and 6 are core's
+// voronoi_handler and tree_edge_handler on superstep_engine (the Handler
+// contract over frames), so vertex delegates, bucketed growth's edge tiling
+// and the queue policy apply as in-process; phases 3-6 and result assembly
+// (MST, pruning, validation) are core's shared tail. Output contract: the
+// tree is bit-identical to core::solve_steiner_tree for any world size and
+// backend — the lexicographic (distance, src, pred) labelling has a unique
+// fixed point, bridges tie-break on (distance, u, v) and the edge list is
+// sorted, so any convergent schedule lands on the same bytes.
 //
-// Superstep shape per rank (phase 1; phase 6 walks reuse it):
-//   drain admitted visitors to a local fixed point, batching cross-partition
-//   relaxations per destination owner -> flush batches + a superstep marker
-//   to every peer -> drain every peer's frames up to its marker -> two-phase
-//   termination vote (sum outstanding | OR cancel | min open bucket). A
-//   confirmed all-idle vote ends the phase; a folded cancel bit unwinds all
-//   ranks together via util::operation_cancelled.
-//
-// Between phases 1 and 2 a ghost sync pushes every owned boundary vertex's
-// converged (src, d1) label to each rank owning one of its neighbours, which
-// is exactly the remote state the cross-edge scan reads (pred is never read
-// remotely and stays unset on ghosts).
+// Phase 2 is deliberately not run on the engine. A ghost sync pushes every
+// owned boundary vertex's converged (src, d1) to each rank owning one of its
+// neighbours, then each rank scans its owned edges. Routing core's
+// cross_edge_visitor probes instead would send one >= 40-byte probe per cut
+// edge; on FRS over three ranks that is ~9 MB per query against ~0.84 MB of
+// 24-byte ghost labels.
 #pragma once
 
 #include <cstdint>

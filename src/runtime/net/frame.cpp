@@ -1,11 +1,18 @@
 #include "runtime/net/frame.hpp"
 
+#include <bit>
 #include <cstring>
 #include <string>
 
 namespace dsteiner::runtime::net {
 
 namespace {
+
+using visitor_kind = core::voronoi_visitor::kind_t;
+
+/// Top bit of a visitor record's second word: set, the word is a relay or
+/// tile tag instead of a pred id (see encode_visitor_batch).
+constexpr std::uint64_t k_kind_tag = 1ull << 63;
 
 void put_u16(std::uint8_t* out, std::uint16_t v) {
   out[0] = static_cast<std::uint8_t>(v);
@@ -14,6 +21,16 @@ void put_u16(std::uint8_t* out, std::uint16_t v) {
 
 void put_u32(std::uint8_t* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+void put_u64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Grows `payload` by `n` bytes and returns where they start.
+std::uint8_t* grow(std::vector<std::uint8_t>& payload, std::size_t n) {
+  payload.resize(payload.size() + n);
+  return payload.data() + payload.size() - n;
 }
 
 std::uint16_t get_u16(const std::uint8_t* in) {
@@ -34,12 +51,8 @@ class wire_writer {
   }
 
   void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { put_u32(grow(bytes_, 4), v); }
+  void u64(std::uint64_t v) { put_u64(grow(bytes_, 8), v); }
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
@@ -209,35 +222,66 @@ void decode_hello(const frame& f, int& rank, int& world) {
   }
 }
 
-frame encode_visitor_batch(std::span<const net_visitor> items) {
-  wire_writer w(items.size() * 32);
-  for (const net_visitor& v : items) {
-    w.u64(v.vj);
-    w.u64(v.vp);
-    w.u64(v.t);
-    w.u64(v.r);
+void append_visitor(std::vector<std::uint8_t>& payload,
+                    const core::voronoi_visitor& v) {
+  std::uint64_t second = v.vp;
+  if (v.kind != visitor_kind::normal) {
+    second = k_kind_tag | (static_cast<std::uint64_t>(v.kind) << 32) | v.tile;
+  } else if ((v.vp & k_kind_tag) != 0 && v.vp != graph::k_no_vertex) {
+    throw wire_error("visitor_batch: pred id outside the wire range");
   }
-  return frame{frame_type::visitor_batch, w.take()};
+  std::uint8_t* out = grow(payload, 32);
+  put_u64(out, v.vj);
+  put_u64(out + 8, second);
+  put_u64(out + 16, v.t);
+  put_u64(out + 24, v.r);
 }
 
-std::vector<net_visitor> decode_visitor_batch(const frame& f) {
+frame encode_visitor_batch(std::span<const core::voronoi_visitor> items) {
+  frame f{frame_type::visitor_batch, {}};
+  f.payload.reserve(items.size() * 32);
+  for (const core::voronoi_visitor& v : items) append_visitor(f.payload, v);
+  return f;
+}
+
+std::vector<core::voronoi_visitor> decode_visitor_batch(const frame& f) {
   check_type(f, frame_type::visitor_batch, "visitor_batch");
   const std::size_t n = record_count(f, 32, "visitor_batch");
   wire_reader r(f.payload);
-  std::vector<net_visitor> out(n);
-  for (net_visitor& v : out) {
+  std::vector<core::voronoi_visitor> out(n);
+  for (core::voronoi_visitor& v : out) {
     v.vj = r.u64();
-    v.vp = r.u64();
+    const std::uint64_t second = r.u64();
     v.t = r.u64();
     v.r = r.u64();
+    if ((second & k_kind_tag) == 0 || second == graph::k_no_vertex) {
+      v.vp = second;
+      continue;
+    }
+    const std::uint64_t kind = (second & ~k_kind_tag) >> 32;
+    if (kind != static_cast<std::uint64_t>(visitor_kind::relay) &&
+        kind != static_cast<std::uint64_t>(visitor_kind::tile)) {
+      throw wire_error("visitor_batch: unknown visitor kind " +
+                       std::to_string(kind));
+    }
+    v.kind = static_cast<visitor_kind>(kind);
+    v.tile = static_cast<std::uint32_t>(second);
+    if (v.kind == visitor_kind::relay && v.tile != 0) {
+      throw wire_error("visitor_batch: relay visitor with a tile index");
+    }
   }
   return out;
 }
 
+void append_walk(std::vector<std::uint8_t>& payload, graph::vertex_id v) {
+  put_u64(grow(payload, 8), v);
+}
+
 frame encode_walk_batch(std::span<const graph::vertex_id> items) {
-  wire_writer w(items.size() * 8);
-  for (const graph::vertex_id v : items) w.u64(v);
-  return frame{frame_type::walk_batch, w.take()};
+  frame f{frame_type::walk_batch, {}};
+  f.payload.reserve(items.size() * 8);
+  for (const graph::vertex_id v : items) append_walk(f.payload, v);
+  return f;
 }
 
 std::vector<graph::vertex_id> decode_walk_batch(const frame& f) {
@@ -325,11 +369,12 @@ std::vector<graph::weighted_edge> decode_edge_batch(const frame& f) {
 }
 
 frame encode_vote(const bucket_vote& vote, bool confirm) {
-  wire_writer w(21);
+  wire_writer w(29);
   w.u64(vote.outstanding);
   w.u64(vote.min_bucket);
   w.u32(vote.superstep);
   w.u8(vote.cancel);
+  w.u64(std::bit_cast<std::uint64_t>(vote.max_work));
   return frame{confirm ? frame_type::vote_confirm : frame_type::vote, w.take()};
 }
 
@@ -344,6 +389,7 @@ bucket_vote decode_vote(const frame& f) {
   v.min_bucket = r.u64();
   v.superstep = r.u32();
   v.cancel = r.u8();
+  v.max_work = std::bit_cast<double>(r.u64());
   r.expect_done("vote");
   return v;
 }

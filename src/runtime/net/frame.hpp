@@ -12,10 +12,11 @@
 // desynchronised stream fails loudly at the first frame boundary.
 //
 // The typed payload codecs below carry exactly the state the engines already
-// exchange in-process: Voronoi visitor batches (Alg. 4 relaxations crossing
-// partitions), tree-edge walk batches (Alg. 6), ghost boundary labels,
-// cross-cell EN entries (Alg. 5), result tree edges, and the two-phase
-// termination votes folding the superstep barrier's aggregate payload.
+// exchange in-process: core's Voronoi visitors (Alg. 4 relaxations, delegate
+// relays and edge tiles crossing partitions), tree-edge walk batches
+// (Alg. 6), ghost boundary labels, cross-cell EN entries (Alg. 5), result
+// tree edges, and the two-phase termination votes folding the superstep
+// barrier's aggregate payload.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/voronoi.hpp"
 #include "graph/types.hpp"
 
 namespace dsteiner::runtime::net {
@@ -87,18 +89,6 @@ void encode_header(const frame& f, std::uint8_t out[k_header_bytes]);
 
 // ---- typed payloads ------------------------------------------------------
 
-/// One Voronoi relaxation crossing a partition boundary. Field meanings match
-/// core::voronoi_visitor: relax vertex `vj` with candidate label
-/// (dist `r`, seed `t`, pred `vp`).
-struct net_visitor {
-  graph::vertex_id vj = 0;
-  graph::vertex_id vp = graph::k_no_vertex;
-  graph::vertex_id t = graph::k_no_vertex;
-  graph::weight_t r = graph::k_inf_distance;
-
-  friend bool operator==(const net_visitor&, const net_visitor&) = default;
-};
-
 /// A boundary vertex's converged phase-1 label, pushed by its owner to every
 /// rank owning one of its neighbours (the ghost/boundary sync).
 struct ghost_label {
@@ -111,13 +101,15 @@ struct ghost_label {
 
 /// One rank's contribution to a termination round — the same payload the
 /// threaded engine folds through parallel::superstep_barrier::aggregate:
-/// outstanding backlog (summed), cooperative-stop flag (OR-folded) and the
-/// lowest open delta-stepping bucket (min-folded; UINT64_MAX = none).
+/// outstanding backlog (summed), cooperative-stop flag (OR-folded), the
+/// lowest open delta-stepping bucket (min-folded; UINT64_MAX = none) and the
+/// superstep's simulated work (max-folded: the critical path).
 struct bucket_vote {
   std::uint64_t outstanding = 0;
   std::uint64_t min_bucket = UINT64_MAX;
   std::uint32_t superstep = 0;
   std::uint8_t cancel = 0;
+  double max_work = 0.0;  ///< cost-model units; travels as its IEEE-754 bits
 
   friend bool operator==(const bucket_vote&, const bucket_vote&) = default;
 };
@@ -137,10 +129,23 @@ struct wire_en_entry {
 [[nodiscard]] frame encode_hello(int rank, int world);
 void decode_hello(const frame& f, int& rank, int& world);
 
-[[nodiscard]] frame encode_visitor_batch(std::span<const net_visitor> items);
-[[nodiscard]] std::vector<net_visitor> decode_visitor_batch(const frame& f);
+/// core::voronoi_visitor records of 32 bytes: {vj, vp or tag, t, r}. Relay
+/// and tile visitors never read vp, so that word carries their tag instead:
+/// top bit set, kind in bits 32-62, tile index in bits 0-31. A normal
+/// visitor's vp is sent as is; it must be below 2^63 or k_no_vertex. An
+/// unknown kind, or a relay with a tile index, is a wire_error.
+[[nodiscard]] frame encode_visitor_batch(
+    std::span<const core::voronoi_visitor> items);
+/// One record of encode_visitor_batch, appended to a visitor_batch payload —
+/// for senders that stream records into frames as they are produced.
+void append_visitor(std::vector<std::uint8_t>& payload,
+                    const core::voronoi_visitor& v);
+[[nodiscard]] std::vector<core::voronoi_visitor> decode_visitor_batch(
+    const frame& f);
 
 [[nodiscard]] frame encode_walk_batch(std::span<const graph::vertex_id> items);
+/// One record of encode_walk_batch, appended to a walk_batch payload.
+void append_walk(std::vector<std::uint8_t>& payload, graph::vertex_id v);
 [[nodiscard]] std::vector<graph::vertex_id> decode_walk_batch(const frame& f);
 
 [[nodiscard]] frame encode_ghost_batch(std::span<const ghost_label> items);
@@ -200,8 +205,10 @@ struct rank_telemetry {
   std::uint64_t visitors = 0;      ///< visitors/walks drained this window
   std::uint64_t min_bucket = UINT64_MAX;  ///< open delta bucket (none = max)
   std::uint64_t ghost_labels = 0;  ///< boundary labels pushed (ghost phase)
-  std::uint64_t compute_nanos = 0;     ///< local drain/relax work
-  std::uint64_t send_flush_nanos = 0;  ///< encoding + flushing data batches
+  /// Local drain/relax work; includes streaming out frames that fill
+  /// during the drain.
+  std::uint64_t compute_nanos = 0;
+  std::uint64_t send_flush_nanos = 0;  ///< encoding + sending the rest
   std::uint64_t recv_wait_nanos = 0;   ///< peer-drain loop (block + apply)
   std::uint64_t vote_nanos = 0;        ///< two-phase termination vote
   std::vector<telemetry_peer_traffic> peers;  ///< indexed by peer rank

@@ -73,23 +73,27 @@ bucket_vote termination_vote::fold_once(const bucket_vote& mine,
     folded.outstanding += theirs.outstanding;
     folded.min_bucket = std::min(folded.min_bucket, theirs.min_bucket);
     folded.cancel = folded.cancel | theirs.cancel;
+    folded.max_work = std::max(folded.max_work, theirs.max_work);
   }
   return folded;
 }
 
 vote_decision termination_vote::round(std::uint64_t outstanding, bool cancel,
                                       std::uint64_t min_bucket,
-                                      std::uint32_t superstep) {
+                                      std::uint32_t superstep,
+                                      double work) {
   bucket_vote mine;
   mine.outstanding = outstanding;
   mine.min_bucket = min_bucket;
   mine.superstep = superstep;
   mine.cancel = cancel ? 1 : 0;
+  mine.max_work = work;
 
   const bucket_vote proposed = fold_once(mine, /*confirm=*/false);
   vote_decision decision;
   decision.cancel = proposed.cancel != 0;
   decision.min_bucket = proposed.min_bucket;
+  decision.max_work = proposed.max_work;
   if (proposed.cancel != 0) {
     decision.stop = true;  // cancellation stops everyone immediately
     return decision;

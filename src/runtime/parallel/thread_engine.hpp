@@ -100,25 +100,7 @@ class thread_engine {
     stats_ = std::vector<rank_stats>(p);
   }
 
-  /// Send interface handed to Handler::visit (mirrors visitor_engine).
-  class emitter {
-   public:
-    emitter(thread_engine& engine, int from_rank) noexcept
-        : engine_(&engine), from_rank_(from_rank) {}
-
-    void to_vertex(Visitor v) {
-      engine_->send(std::move(v), from_rank_,
-                    engine_->parts_.owner(v.target()));
-    }
-
-    void to_rank(int rank, Visitor v) {
-      engine_->send(std::move(v), from_rank_, rank);
-    }
-
-   private:
-    thread_engine* engine_;
-    int from_rank_;
-  };
+  using emitter = engine_emitter<thread_engine, Visitor>;
 
   /// Injects an initial visitor; staged in the owner's self-channel so the
   /// first superstep's phase A admits it on the owner's worker (pre_visit
@@ -183,6 +165,8 @@ class thread_engine {
   }
 
  private:
+  friend emitter;
+
   /// Per-rank accounting, touched only by the rank's worker; padded so
   /// neighbouring ranks on different workers do not false-share.
   struct alignas(64) rank_stats {
@@ -395,7 +379,7 @@ class thread_engine {
   void process_batch(int r) {
     rank_stats& st = stats_[static_cast<std::size_t>(r)];
     auto& box = mailboxes_[static_cast<std::size_t>(r)];
-    emitter out(*this, r);
+    emitter out(*this, parts_, r);
     const std::size_t batch = adaptive_
                                   ? auto_batch_.load(std::memory_order_relaxed)
                                   : config_.batch_size;
@@ -420,7 +404,7 @@ class thread_engine {
     rank_stats& st = stats_[static_cast<std::size_t>(r)];
     st.current_bucket = bucket;
     auto& box = mailboxes_[static_cast<std::size_t>(r)];
-    emitter out(*this, r);
+    emitter out(*this, parts_, r);
     while (!box.empty() && box.min_bucket() == bucket) {
       Visitor v = box.pop();
       ++st.visits_step;

@@ -68,27 +68,7 @@ class visitor_engine {
     round_work_.assign(static_cast<std::size_t>(parts.num_ranks()), 0.0);
   }
 
-  /// Lightweight send interface handed to Handler::visit.
-  class emitter {
-   public:
-    emitter(visitor_engine& engine, int from_rank) noexcept
-        : engine_(&engine), from_rank_(from_rank) {}
-
-    /// Route to the owner of visitor.target().
-    void to_vertex(Visitor v) {
-      engine_->send(std::move(v), from_rank_,
-                    engine_->parts_.owner(v.target()));
-    }
-
-    /// Route to an explicit rank (delegate relays).
-    void to_rank(int rank, Visitor v) {
-      engine_->send(std::move(v), from_rank_, rank);
-    }
-
-   private:
-    visitor_engine* engine_;
-    int from_rank_;
-  };
+  using emitter = engine_emitter<visitor_engine, Visitor>;
 
   /// Injects an initial visitor (the do_traversal seeding step); charged as a
   /// local message on the target's owner.
@@ -158,7 +138,7 @@ class visitor_engine {
           }
           Visitor v = box.pop();
           --pending_;
-          emitter out(*this, r);
+          emitter out(*this, parts_, r);
           if (handler_->visit(v, r, out)) {
             ++metrics_.visitors_processed;
             round_work_[static_cast<std::size_t>(r)] += config_.costs.visit_cost;
@@ -221,6 +201,8 @@ class visitor_engine {
   [[nodiscard]] const phase_metrics& metrics() const noexcept { return metrics_; }
 
  private:
+  friend emitter;
+
   void send(Visitor v, int from_rank, int to_rank) {
     // Emission work (serialization, queue injection) belongs to the sender —
     // this is what makes a high-degree scatter expensive on its home rank

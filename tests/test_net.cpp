@@ -8,6 +8,8 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/steiner_solver.hpp"
 #include "core/validation.hpp"
 #include "graph/generators.hpp"
+#include "io/dataset.hpp"
 #include "obs/trace.hpp"
 #include "runtime/net/cluster_telemetry.hpp"
 #include "runtime/net/dist_solver.hpp"
@@ -31,6 +34,7 @@ using namespace dsteiner;
 using namespace dsteiner::runtime::net;
 using graph::vertex_id;
 using graph::weight_t;
+namespace phase_names = runtime::phase_names;
 
 graph::csr_graph make_connected_graph(int n, weight_t w_hi,
                                       std::uint64_t seed) {
@@ -52,7 +56,7 @@ std::vector<vertex_id> pick_seeds(const graph::csr_graph& g, std::size_t count,
 // ---- frame round-trips ------------------------------------------------------
 
 TEST(NetFrame, VisitorBatchRoundTrip) {
-  const std::vector<net_visitor> in{
+  const std::vector<core::voronoi_visitor> in{
       {1, 2, 3, 4},
       {graph::k_no_vertex, graph::k_no_vertex, 0, graph::k_inf_distance},
       {42, 0, 7, 123456789}};
@@ -103,7 +107,7 @@ TEST(NetFrame, MarkerAndHelloRoundTrip) {
 }
 
 TEST(NetFrame, WholeFrameEncodeDecode) {
-  const std::vector<net_visitor> in{{1, 2, 3, 4}};
+  const std::vector<core::voronoi_visitor> in{{1, 2, 3, 4}};
   const frame f = encode_visitor_batch(in);
   const std::vector<std::uint8_t> bytes = encode_frame(f);
   EXPECT_EQ(bytes.size(), k_header_bytes + f.payload.size());
@@ -191,7 +195,7 @@ TEST(NetFrame, RejectsUnknownType) {
 
 TEST(NetFrame, RejectsTruncatedAndTrailingPayload) {
   const std::vector<std::uint8_t> bytes =
-      encode_frame(encode_visitor_batch(std::vector<net_visitor>{{1, 2, 3, 4}}));
+      encode_frame(encode_visitor_batch(std::vector<core::voronoi_visitor>{{1, 2, 3, 4}}));
   std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 1);
   EXPECT_THROW((void)decode_frame(truncated), wire_error);
   std::vector<std::uint8_t> trailing = bytes;
@@ -200,7 +204,7 @@ TEST(NetFrame, RejectsTruncatedAndTrailingPayload) {
 }
 
 TEST(NetFrame, RejectsPartialRecords) {
-  frame f = encode_visitor_batch(std::vector<net_visitor>{{1, 2, 3, 4}});
+  frame f = encode_visitor_batch(std::vector<core::voronoi_visitor>{{1, 2, 3, 4}});
   f.payload.pop_back();  // 31 bytes: not a whole 32-byte record
   EXPECT_THROW((void)decode_visitor_batch(f), wire_error);
 }
@@ -209,6 +213,132 @@ TEST(NetFrame, RejectsWrongType) {
   const frame f = make_marker(0);
   EXPECT_THROW((void)decode_visitor_batch(f), wire_error);
   EXPECT_THROW((void)decode_vote(f), wire_error);
+}
+
+TEST(NetFrame, VisitorKindsTravelInThePredWord) {
+  using kind = core::voronoi_visitor::kind_t;
+  core::voronoi_visitor relay{5, 9, 2, 40, kind::relay};
+  core::voronoi_visitor tile{6, 9, 2, 41, kind::tile};
+  tile.tile = 77;
+  const std::vector<core::voronoi_visitor> in{
+      {1, graph::k_no_vertex, 3, 4}, relay, tile};
+  const frame f = encode_visitor_batch(in);
+  EXPECT_EQ(f.payload.size(), in.size() * 32);
+  const std::vector<core::voronoi_visitor> out = decode_visitor_batch(f);
+  ASSERT_EQ(out.size(), in.size());
+  EXPECT_EQ(out[0], in[0]);
+  // Relays and tiles never read vp, so it does not travel.
+  relay.vp = 0;
+  tile.vp = 0;
+  EXPECT_EQ(out[1], relay);
+  EXPECT_EQ(out[2], tile);
+
+  // The second word of a record is the tagged one: byte 15 holds the tag
+  // bit, bytes 12-14 the kind.
+  frame unknown = encode_visitor_batch(std::vector<core::voronoi_visitor>{relay});
+  unknown.payload[12] = 3;  // kind 3 does not exist
+  EXPECT_THROW((void)decode_visitor_batch(unknown), wire_error);
+  frame relay_with_tile = encode_visitor_batch(std::vector{relay});
+  relay_with_tile.payload[8] = 1;  // tile index on a relay
+  EXPECT_THROW((void)decode_visitor_batch(relay_with_tile), wire_error);
+  // A normal visitor's pred must stay clear of the tag range.
+  const core::voronoi_visitor tagged_pred{1, (1ull << 63) | 5, 3, 4};
+  EXPECT_THROW((void)encode_visitor_batch(std::vector{tagged_pred}),
+               wire_error);
+}
+
+// Seeded mutation fuzz over every decoder: truncated, extended and
+// byte-flipped copies of valid frames either decode or raise wire_error —
+// never another exception.
+TEST(NetFrame, MutatedFramesOnlyRaiseWireError) {
+  rank_telemetry sample;
+  sample.phase = static_cast<std::uint8_t>(telemetry_phase::tree_walk);
+  sample.peers = {{1, 2, 3, 4}, {5, 6, 7, 8}};
+  core::voronoi_visitor tile{6, 9, 2, 41, core::voronoi_visitor::kind_t::tile};
+  tile.tile = 3;
+  bucket_vote vote;
+  vote.outstanding = 4;
+  vote.max_work = 2.5;
+
+  struct codec {
+    const char* name;
+    frame valid;
+    std::function<void(const frame&)> decode;
+  };
+  const std::vector<codec> codecs{
+      {"hello", encode_hello(1, 3),
+       [](const frame& f) {
+         int rank = 0;
+         int world = 0;
+         decode_hello(f, rank, world);
+       }},
+      {"visitor",
+       encode_visitor_batch(std::vector<core::voronoi_visitor>{
+           {1, 2, 3, 4},
+           {5, 9, 2, 40, core::voronoi_visitor::kind_t::relay},
+           tile}),
+       [](const frame& f) { (void)decode_visitor_batch(f); }},
+      {"walk", encode_walk_batch(std::vector<vertex_id>{1, 2, 3}),
+       [](const frame& f) { (void)decode_walk_batch(f); }},
+      {"ghost", encode_ghost_batch(std::vector<ghost_label>{{1, 2, 3}}),
+       [](const frame& f) { (void)decode_ghost_batch(f); }},
+      {"en", encode_en_batch(std::vector<wire_en_entry>{{1, 2, 3, 4, 5, 6}}),
+       [](const frame& f) { (void)decode_en_batch(f); }},
+      {"edge",
+       encode_edge_batch(std::vector<graph::weighted_edge>{{1, 2, 3}}),
+       [](const frame& f) { (void)decode_edge_batch(f); }},
+      {"vote", encode_vote(vote, true),
+       [](const frame& f) { (void)decode_vote(f); }},
+      {"marker", make_marker(7),
+       [](const frame& f) { (void)decode_marker(f); }},
+      {"telemetry", encode_telemetry(sample),
+       [](const frame& f) { (void)decode_telemetry(f); }},
+  };
+
+  util::rng gen(0xF422);
+  const auto only_wire_errors = [](const std::string& what,
+                                   const std::function<void()>& fn) {
+    try {
+      fn();
+    } catch (const wire_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << e.what();
+    }
+  };
+  constexpr int k_iterations = 400;
+  for (const codec& c : codecs) {
+    ASSERT_NO_THROW(c.decode(c.valid)) << c.name;
+    const std::vector<std::uint8_t> wire = encode_frame(c.valid);
+    for (int i = 0; i < k_iterations; ++i) {
+      std::vector<std::uint8_t> bytes = wire;
+      switch (gen.uniform(0, 2)) {
+        case 0:  // truncate
+          bytes.resize(gen.uniform(0, bytes.size() - 1));
+          break;
+        case 1:  // extend
+          for (std::uint64_t k = gen.uniform(1, 40); k > 0; --k) {
+            bytes.push_back(static_cast<std::uint8_t>(gen.uniform(0, 255)));
+          }
+          break;
+        default:  // flip 1-4 bytes
+          for (std::uint64_t k = gen.uniform(1, 4); k > 0; --k) {
+            bytes[gen.uniform(0, bytes.size() - 1)] ^=
+                static_cast<std::uint8_t>(gen.uniform(1, 255));
+          }
+      }
+      const std::string what =
+          std::string(c.name) + " mutation " + std::to_string(i);
+      only_wire_errors(what, [&] { (void)decode_header(bytes); });
+      only_wire_errors(what, [&] { c.decode(decode_frame(bytes)); });
+      // The same bytes past the header, as a payload of the right type.
+      frame payload_only{c.valid.type, {}};
+      if (bytes.size() > k_header_bytes) {
+        payload_only.payload.assign(bytes.begin() + k_header_bytes,
+                                    bytes.end());
+      }
+      only_wire_errors(what, [&] { c.decode(payload_only); });
+    }
+  }
 }
 
 // ---- loopback mesh ----------------------------------------------------------
@@ -339,6 +469,53 @@ TEST(NetDistSolve, RmatGraphMatches) {
   config.validate = true;
   const auto reference = core::solve_steiner_tree(g, seeds, config);
   expect_identical(solve_loopback(g, seeds, config, 4), reference);
+}
+
+TEST(NetDistSolve, DisconnectedSeedsForestWhenAllowed) {
+  // Two components: path 0-1-2 and path 3-4-5.
+  graph::edge_list list(6);
+  list.add_undirected_edge(0, 1, 3);
+  list.add_undirected_edge(1, 2, 4);
+  list.add_undirected_edge(3, 4, 5);
+  list.add_undirected_edge(4, 5, 6);
+  const graph::csr_graph g(list);
+  const std::vector<vertex_id> seeds{0, 2, 3, 5};
+  core::solver_config config;
+  config.allow_disconnected_seeds = true;
+  config.validate = true;
+  const auto reference = core::solve_steiner_tree(g, seeds, config);
+  for (const int world : {2, 3}) {
+    const auto forest = solve_loopback(g, seeds, config, world);
+    EXPECT_FALSE(forest.spans_all_seeds);
+    EXPECT_EQ(forest.total_distance, 3u + 4u + 5u + 6u);
+    expect_identical(forest, reference);
+  }
+}
+
+TEST(NetDistSolve, PhaseAccountingMatchesCore) {
+  const io::dataset ds = io::load_dataset("FRS", -4);
+  const auto seeds = pick_seeds(ds.graph, 12, 0x5EED);
+  constexpr int k_world = 3;
+  core::solver_config config;
+  config.num_ranks = k_world;
+  config.allow_disconnected_seeds = true;
+  config.delegate_threshold = 64;  // give the partition some hubs
+  const auto reference = core::solve_steiner_tree(ds.graph, seeds, config);
+  const auto distributed = solve_loopback(ds.graph, seeds, config, k_world);
+  expect_identical(distributed, reference);
+
+  for (const char* name : {phase_names::mst, phase_names::pruning}) {
+    const runtime::phase_metrics* net = distributed.phases.find(name);
+    const runtime::phase_metrics* core = reference.phases.find(name);
+    ASSERT_NE(net, nullptr) << name;
+    ASSERT_NE(core, nullptr) << name;
+    EXPECT_EQ(net->collective_bytes, core->collective_bytes) << name;
+    EXPECT_DOUBLE_EQ(net->sim_units, core->sim_units) << name;
+  }
+  EXPECT_GT(distributed.phases.find(phase_names::voronoi)->sim_units, 0.0);
+  EXPECT_GT(distributed.phases.find(phase_names::tree_edge)->sim_units, 0.0);
+  EXPECT_GT(reference.delegate_count, 0u);
+  EXPECT_EQ(distributed.delegate_count, reference.delegate_count);
 }
 
 TEST(NetDistSolve, SingleSeedAndDuplicateSeeds) {

@@ -10,6 +10,7 @@
 #include "core/validation.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
+#include "runtime/net/dist_solver.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -196,13 +197,23 @@ TEST_P(SolverBound, WithinTwoApproximation) {
 
   solver_config config;
   config.validate = true;
-  const auto result = solve_steiner_tree(g, seeds, config);
+  solver_config threaded = config;
+  threaded.mode = runtime::execution_mode::parallel_threads;
+  threaded.num_threads = 2;
   const auto exact = baselines::exact_steiner_tree(g, seeds);
 
-  EXPECT_GE(result.total_distance, exact.optimal_distance);
-  // The theoretical bound is 2(1 - 1/l) < 2.
-  EXPECT_LT(static_cast<double>(result.total_distance),
-            2.0 * static_cast<double>(exact.optimal_distance) + 1e-9);
+  // Every transport: the cooperative engine, the threaded engine, and three
+  // ranks exchanging frames over the loopback mesh.
+  const auto result = solve_steiner_tree(g, seeds, config);
+  for (const auto& other :
+       {result, solve_steiner_tree(g, seeds, threaded),
+        runtime::net::solve_loopback(g, seeds, config, 3)}) {
+    EXPECT_GE(other.total_distance, exact.optimal_distance);
+    // The theoretical bound is 2(1 - 1/l) < 2.
+    EXPECT_LT(static_cast<double>(other.total_distance),
+              2.0 * static_cast<double>(exact.optimal_distance) + 1e-9);
+    EXPECT_EQ(other.tree_edges, result.tree_edges);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallInstances, SolverBound,

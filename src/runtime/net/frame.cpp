@@ -14,33 +14,27 @@ using visitor_kind = core::voronoi_visitor::kind_t;
 /// tile tag instead of a pred id (see encode_visitor_batch).
 constexpr std::uint64_t k_kind_tag = 1ull << 63;
 
-void put_u16(std::uint8_t* out, std::uint16_t v) {
-  out[0] = static_cast<std::uint8_t>(v);
-  out[1] = static_cast<std::uint8_t>(v >> 8);
+/// Little-endian store and load of an unsigned integer of any width.
+template <typename T>
+void put_le(std::uint8_t* out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 
-void put_u32(std::uint8_t* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void put_u64(std::uint8_t* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+template <typename T>
+T get_le(const std::uint8_t* in) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>(v | (static_cast<T>(in[i]) << (8 * i)));
+  }
+  return v;
 }
 
 /// Grows `payload` by `n` bytes and returns where they start.
 std::uint8_t* grow(std::vector<std::uint8_t>& payload, std::size_t n) {
   payload.resize(payload.size() + n);
   return payload.data() + payload.size() - n;
-}
-
-std::uint16_t get_u16(const std::uint8_t* in) {
-  return static_cast<std::uint16_t>(in[0] | (in[1] << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[i]) << (8 * i);
-  return v;
 }
 
 /// Little-endian appender for payload construction.
@@ -51,8 +45,8 @@ class wire_writer {
   }
 
   void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) { put_u32(grow(bytes_, 4), v); }
-  void u64(std::uint64_t v) { put_u64(grow(bytes_, 8), v); }
+  void u32(std::uint32_t v) { put_le(grow(bytes_, 4), v); }
+  void u64(std::uint64_t v) { put_le(grow(bytes_, 8), v); }
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
@@ -72,17 +66,13 @@ class wire_reader {
   }
   std::uint32_t u32() {
     need(4);
-    const std::uint32_t v = get_u32(bytes_.data() + pos_);
+    const std::uint32_t v = get_le<std::uint32_t>(bytes_.data() + pos_);
     pos_ += 4;
     return v;
   }
   std::uint64_t u64() {
     need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
+    const std::uint64_t v = get_le<std::uint64_t>(bytes_.data() + pos_);
     pos_ += 8;
     return v;
   }
@@ -156,17 +146,17 @@ const char* to_string(telemetry_phase phase) noexcept {
 }
 
 void encode_header(const frame& f, std::uint8_t out[k_header_bytes]) {
-  put_u16(out, k_frame_magic);
+  put_le(out, k_frame_magic);
   out[2] = static_cast<std::uint8_t>(f.type);
   out[3] = 0;  // flags, reserved
-  put_u32(out + 4, static_cast<std::uint32_t>(f.payload.size()));
+  put_le(out + 4, static_cast<std::uint32_t>(f.payload.size()));
 }
 
 frame_header decode_header(std::span<const std::uint8_t> header_bytes) {
   if (header_bytes.size() < k_header_bytes) {
     throw wire_error("truncated frame header");
   }
-  if (get_u16(header_bytes.data()) != k_frame_magic) {
+  if (get_le<std::uint16_t>(header_bytes.data()) != k_frame_magic) {
     throw wire_error("bad frame magic (stream desynchronised?)");
   }
   const std::uint8_t raw_type = header_bytes[2];
@@ -174,7 +164,7 @@ frame_header decode_header(std::span<const std::uint8_t> header_bytes) {
       raw_type > static_cast<std::uint8_t>(frame_type::telemetry)) {
     throw wire_error("unknown frame type " + std::to_string(raw_type));
   }
-  const std::uint32_t len = get_u32(header_bytes.data() + 4);
+  const std::uint32_t len = get_le<std::uint32_t>(header_bytes.data() + 4);
   if (len > k_max_payload_bytes) {
     throw wire_error("oversized frame: " + std::to_string(len) + " bytes");
   }
@@ -231,10 +221,10 @@ void append_visitor(std::vector<std::uint8_t>& payload,
     throw wire_error("visitor_batch: pred id outside the wire range");
   }
   std::uint8_t* out = grow(payload, 32);
-  put_u64(out, v.vj);
-  put_u64(out + 8, second);
-  put_u64(out + 16, v.t);
-  put_u64(out + 24, v.r);
+  put_le<std::uint64_t>(out, v.vj);
+  put_le<std::uint64_t>(out + 8, second);
+  put_le<std::uint64_t>(out + 16, v.t);
+  put_le<std::uint64_t>(out + 24, v.r);
 }
 
 frame encode_visitor_batch(std::span<const core::voronoi_visitor> items) {
@@ -247,13 +237,15 @@ frame encode_visitor_batch(std::span<const core::voronoi_visitor> items) {
 std::vector<core::voronoi_visitor> decode_visitor_batch(const frame& f) {
   check_type(f, frame_type::visitor_batch, "visitor_batch");
   const std::size_t n = record_count(f, 32, "visitor_batch");
-  wire_reader r(f.payload);
-  std::vector<core::voronoi_visitor> out(n);
-  for (core::voronoi_visitor& v : out) {
-    v.vj = r.u64();
-    const std::uint64_t second = r.u64();
-    v.t = r.u64();
-    v.r = r.u64();
+  // record_count proved the payload holds exactly n records.
+  std::vector<core::voronoi_visitor> out;
+  out.reserve(n);
+  for (const std::uint8_t* in = f.payload.data(); out.size() < n; in += 32) {
+    core::voronoi_visitor& v = out.emplace_back();
+    v.vj = get_le<std::uint64_t>(in);
+    const std::uint64_t second = get_le<std::uint64_t>(in + 8);
+    v.t = get_le<std::uint64_t>(in + 16);
+    v.r = get_le<std::uint64_t>(in + 24);
     if ((second & k_kind_tag) == 0 || second == graph::k_no_vertex) {
       v.vp = second;
       continue;
@@ -274,7 +266,7 @@ std::vector<core::voronoi_visitor> decode_visitor_batch(const frame& f) {
 }
 
 void append_walk(std::vector<std::uint8_t>& payload, graph::vertex_id v) {
-  put_u64(grow(payload, 8), v);
+  put_le<std::uint64_t>(grow(payload, 8), v);
 }
 
 frame encode_walk_batch(std::span<const graph::vertex_id> items) {

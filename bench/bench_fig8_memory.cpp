@@ -1,6 +1,7 @@
 // Fig. 8: cluster-wide peak memory usage split into the in-memory graph vs
-// algorithm state (vertex states, queues, EN/collective buffers), for
-// |S| = 1000 and the largest supported sweep point, on LVJ, CLW and WDC.
+// algorithm state (vertex states, queues, the Alg. 4 send filter's rows,
+// EN/collective buffers), for |S| = 1000 and the largest supported sweep
+// point, on LVJ, CLW and WDC.
 //
 // The paper's observations to reproduce: (i) on the small LVJ, algorithm
 // state dominates the graph; (ii) the jump from 1K to 10K seeds is driven by
@@ -20,7 +21,7 @@ int main() {
       "buffers are quadratic in |S|).");
 
   util::table table({"graph", "|S|", "EN mode", "graph mem", "state", "queues",
-                     "EN+G'1", "coll. buffer", "algo total"});
+                     "send filter", "EN+G'1", "coll. buffer", "algo total"});
   for (const char* key : {"LVJ", "CLW", "WDC"}) {
     const auto ds = io::load_dataset(key);
     for (const std::size_t s : {1000u, 2000u}) {
@@ -37,6 +38,7 @@ int main() {
              util::format_bytes(mem.graph_bytes),
              util::format_bytes(mem.state_bytes + mem.partition_bytes),
              util::format_bytes(mem.queue_peak_bytes),
+             util::format_bytes(mem.send_filter_bytes),
              util::format_bytes(mem.distance_graph_bytes),
              util::format_bytes(mem.collective_buffer_bytes),
              util::format_bytes(mem.algorithm_bytes())});

@@ -213,6 +213,8 @@ steiner_result solve_cold(const graph::csr_graph& graph,
   // bound proves non-improving — same fixed point, less relaxation.
   steiner_state state(graph.num_vertices());
   result.memory.state_bytes = state.memory_bytes() + graph.num_vertices() / 8;
+  result.memory.send_filter_bytes =
+      voronoi_handler::filter_bytes(dgraph, config.num_ranks);
   run_phase(result, config, runtime::phase_names::voronoi, [&] {
     assist_stats astats;
     std::atomic<std::uint64_t> pruned{0};

@@ -9,6 +9,11 @@
 //
 // Vertex delegates: a high-degree vertex's scatter is split into per-rank
 // relay visitors, each enumerating only that rank's slice of the adjacency.
+//
+// Sender-side dominance filter: a rank drops a scatter product bound for
+// another rank's vertex when it already sent that vertex a strictly shorter
+// distance (see voronoi_handler::emit), so most dominated visitors never
+// become messages.
 #pragma once
 
 #include <atomic>
@@ -85,7 +90,18 @@ class voronoi_handler {
         tile_width_(config.growth == runtime::growth_mode::bucketed
                         ? config.tile_threshold
                         : 0),
-        tiles_(tiles) {}
+        tiles_(tiles),
+        sent_(static_cast<std::size_t>(dgraph.num_ranks())) {}
+
+  /// Fig. 8 accounting for the dominance filter: `rows` ranks' rows of one
+  /// distance per vertex. A rank allocates its row on its first remote
+  /// emission, so a single-rank run holds none.
+  [[nodiscard]] static std::uint64_t filter_bytes(
+      const runtime::dist_graph& dgraph, int rows) noexcept {
+    if (dgraph.num_ranks() <= 1) return 0;
+    return static_cast<std::uint64_t>(rows) * dgraph.graph().num_vertices() *
+           sizeof(graph::weight_t);
+  }
 
   // Arrival-time admission check only: a visitor that cannot improve the
   // target's *current* state is dropped. The relaxation itself happens at
@@ -120,7 +136,7 @@ class voronoi_handler {
       // Enumerate this rank's slice of the delegate's adjacency and scatter.
       dgraph_->for_each_arc_in_slice(
           v.vj, rank, [&](graph::vertex_id vi, graph::weight_t w) {
-            out.to_vertex(voronoi_visitor{vi, v.vj, v.t, v.r + w});
+            emit(voronoi_visitor{vi, v.vj, v.t, v.r + w}, rank, out);
           });
       return true;
     }
@@ -134,7 +150,7 @@ class voronoi_handler {
       dgraph_->for_each_arc_in_range(
           v.vj, begin, begin + tile_width_,
           [&](graph::vertex_id vi, graph::weight_t w) {
-            out.to_vertex(voronoi_visitor{vi, v.vj, v.t, v.r + w});
+            emit(voronoi_visitor{vi, v.vj, v.t, v.r + w}, rank, out);
           });
       return true;
     }
@@ -172,17 +188,50 @@ class voronoi_handler {
       return true;
     }
     dgraph_->for_each_arc(v.vj, [&](graph::vertex_id vi, graph::weight_t w) {
-      out.to_vertex(voronoi_visitor{vi, v.vj, v.t, v.r + w});
+      emit(voronoi_visitor{vi, v.vj, v.t, v.r + w}, rank, out);
     });
     return true;
   }
 
  private:
+  // Routes one scatter product through the sender-side dominance filter.
+  // Row sent_[rank] holds the best distance `rank` has already sent to each
+  // vertex another rank owns. A product for such a vertex with a strictly
+  // greater r is dropped here, before it is a message, because it could
+  // never matter:
+  //   - each sender->receiver pair delivers in FIFO order on every engine
+  //     (cooperative, threaded, net), and a mailbox pops lower (priority,
+  //     arrival) first. So the earlier visitor x, with x.r < y.r, is
+  //     admitted or rejected before y, and if admitted it is visited
+  //     before y;
+  //   - state only decreases, so once x is through, y's tuple is dominated:
+  //     y could only ever be a pre_visit rejection or a skipped visit;
+  //   - the oracle and bucket prunes drop y whenever they drop x.
+  // Ties pass, because the (src, pred) tie-break may still need them. Local
+  // targets skip the row and meet pre_visit at once, exactly as before; so
+  // do relays and tiles (to_rank). A dropped product is not a message: no
+  // messages_* count and no send_cost. Rows are allocated on a rank's first
+  // remote emission and touched only by the worker running that rank.
+  template <typename Emitter>
+  void emit(const voronoi_visitor& v, int rank, Emitter& out) {
+    const int to = dgraph_->owner(v.vj);
+    if (to != rank) {
+      std::vector<graph::weight_t>& row = sent_[static_cast<std::size_t>(rank)];
+      if (row.empty()) {
+        row.assign(dgraph_->graph().num_vertices(), graph::k_inf_distance);
+      }
+      if (v.r > row[v.vj]) return;
+      row[v.vj] = v.r;
+    }
+    out.to_rank(to, v);  // to_vertex's routing, without hashing v.vj again
+  }
+
   const runtime::dist_graph* dgraph_;
   steiner_state* state_;
   voronoi_prune prune_;
   std::uint64_t tile_width_ = 0;  ///< 0 = tiling off
   std::atomic<std::uint64_t>* tiles_ = nullptr;
+  std::vector<std::vector<graph::weight_t>> sent_;  ///< per rank; see emit
 };
 
 

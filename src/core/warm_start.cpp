@@ -205,6 +205,8 @@ steiner_result repair_solve(const graph::csr_graph& graph,
     return repair_voronoi_cells(dgraph, std::move(initial), state, engine);
   });
   result.memory.state_bytes = state.memory_bytes() + n / 8;
+  result.memory.send_filter_bytes =
+      voronoi_handler::filter_bytes(dgraph, config.num_ranks);
 
   // Affected cells: any cell that gained or lost a member or whose labels
   // moved, plus the delta seeds, plus every cell holding a modified-edge

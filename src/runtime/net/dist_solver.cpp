@@ -201,6 +201,9 @@ void solve_phases(const graph::csr_graph& graph,
                                       config.batch_size, config.costs};
   core::steiner_state state(graph.num_vertices());
   result.memory.state_bytes = state.memory_bytes() + graph.num_vertices() / 8;
+  // This rank's one dominance-filter row.
+  result.memory.send_filter_bytes =
+      core::voronoi_handler::filter_bytes(dgraph, 1);
 
   core::detail::run_phase(result, config, phase_names::voronoi, [&] {
     const runtime::engine_config phase1 =

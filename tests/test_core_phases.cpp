@@ -8,12 +8,14 @@
 #include "core/distance_graph.hpp"
 #include "core/mst_prim.hpp"
 #include "core/pruning.hpp"
+#include "core/steiner_solver.hpp"
 #include "core/steiner_state.hpp"
 #include "core/tree_edges.hpp"
 #include "core/voronoi.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
 #include "runtime/comm.hpp"
+#include "runtime/net/dist_solver.hpp"
 #include "seed/seed_select.hpp"
 #include "util/random.hpp"
 
@@ -42,21 +44,29 @@ std::vector<vertex_id> pick_seeds(const graph::csr_graph& g, std::size_t count,
 }
 
 // ---- Distributed Voronoi equals the sequential oracle under every
-// combination of ranks, queue policy, execution mode and delegate setting.
+// combination of ranks, queue policy, engine, delegate setting and growth
+// mode. Bucketed growth uses a narrow bucket and edge tiles on most vertices,
+// so relays, tiles and plain scatters all pass the sender-side filter.
 
 class VoronoiDistributed
     : public ::testing::TestWithParam<
-          std::tuple<int, queue_policy, execution_mode, bool>> {};
+          std::tuple<int, queue_policy, execution_mode, bool, growth_mode>> {};
 
 TEST_P(VoronoiDistributed, MatchesSequentialOracle) {
-  const auto [ranks, policy, mode, delegates] = GetParam();
+  const auto [ranks, policy, mode, delegates, growth] = GetParam();
   const auto g = make_test_graph(150, 7);
   const auto seeds = pick_seeds(g, 8, 21);
 
   const dist_graph dgraph(
       g, {ranks, partition_scheme::hash, delegates, delegates ? 8u : 0u});
   steiner_state state(g.num_vertices());
-  const engine_config config{policy, mode, 16, cost_model{}};
+  engine_config config{policy, mode, 16, cost_model{}};
+  config.num_threads = 2;
+  if (growth == growth_mode::bucketed) {
+    config.growth = growth;
+    config.bucket_delta = 8;
+    config.tile_threshold = 4;
+  }
   const auto metrics = compute_voronoi_cells(dgraph, seeds, state, config);
 
   const auto oracle = graph::multi_source_voronoi(g, seeds);
@@ -72,8 +82,56 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(queue_policy::fifo,
                                          queue_policy::priority),
                        ::testing::Values(execution_mode::async,
-                                         execution_mode::bsp),
-                       ::testing::Values(false, true)));
+                                         execution_mode::bsp,
+                                         execution_mode::parallel_threads),
+                       ::testing::Values(false, true),
+                       ::testing::Values(growth_mode::strict_order,
+                                         growth_mode::bucketed)));
+
+TEST(VoronoiDistributed, DropsDominatedRemoteEmissions) {
+  // Block partition over 2 ranks: {0, 1, 2} on rank 0, {3, 4, 5} on rank 1.
+  // Rank-0 vertices 1 (d = 1) and 2 (d = 5) both neighbour rank-1 seed 3.
+  // Vertex 1 scatters (r = 2) to 3 first; vertex 2's later r = 15 is
+  // dominated and never leaves rank 0. Rank 1 sends 3's scatter to 1 and 2.
+  graph::edge_list list(6);
+  list.add_undirected_edge(0, 1, 1);
+  list.add_undirected_edge(0, 2, 5);
+  list.add_undirected_edge(1, 3, 1);
+  list.add_undirected_edge(2, 3, 10);
+  list.add_undirected_edge(3, 4, 1);
+  list.add_undirected_edge(4, 5, 1);
+  const graph::csr_graph g(list);
+  const std::vector<vertex_id> seeds{0, 3};
+  const dist_graph dgraph(g, {2, partition_scheme::block, false, 0});
+  ASSERT_EQ(dgraph.owner(2), 0);
+  ASSERT_EQ(dgraph.owner(3), 1);
+  const auto oracle = graph::multi_source_voronoi(g, seeds);
+
+  for (const execution_mode mode :
+       {execution_mode::async, execution_mode::bsp,
+        execution_mode::parallel_threads}) {
+    steiner_state state(g.num_vertices());
+    engine_config config{queue_policy::priority, mode, 16, cost_model{}};
+    config.num_threads = 2;
+    const auto metrics = compute_voronoi_cells(dgraph, seeds, state, config);
+    // Without the filter: 2 from rank 0 (r = 2 and r = 15) + 2 from rank 1.
+    EXPECT_EQ(metrics.messages_remote, 3u) << static_cast<int>(mode);
+    EXPECT_EQ(state.distance, oracle.distance);
+    EXPECT_EQ(state.src, oracle.src);
+    EXPECT_EQ(state.pred, oracle.pred);
+  }
+
+  // Net phase metrics are the reporting rank's own: rank 0 sends only r = 2.
+  solver_config config;
+  config.num_ranks = 2;
+  config.scheme = partition_scheme::block;
+  config.use_delegates = false;
+  const auto net = net::solve_loopback(g, seeds, config, 2);
+  const phase_metrics* voronoi = net.phases.find(phase_names::voronoi);
+  ASSERT_NE(voronoi, nullptr);
+  EXPECT_EQ(voronoi->messages_remote, 1u);
+  EXPECT_EQ(net.tree_edges, solve_steiner_tree(g, seeds, config).tree_edges);
+}
 
 TEST(VoronoiDistributed, PriorityQueueSendsFewerMessages) {
   // The paper's core claim (Fig. 6): message prioritization cuts traffic.

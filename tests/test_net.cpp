@@ -516,6 +516,11 @@ TEST(NetDistSolve, PhaseAccountingMatchesCore) {
   EXPECT_GT(distributed.phases.find(phase_names::tree_edge)->sim_units, 0.0);
   EXPECT_GT(reference.delegate_count, 0u);
   EXPECT_EQ(distributed.delegate_count, reference.delegate_count);
+  // Dominance-filter rows: one per simulated rank in-process, one per net
+  // rank.
+  const std::uint64_t row = ds.graph.num_vertices() * sizeof(graph::weight_t);
+  EXPECT_EQ(reference.memory.send_filter_bytes, k_world * row);
+  EXPECT_EQ(distributed.memory.send_filter_bytes, row);
 }
 
 TEST(NetDistSolve, SingleSeedAndDuplicateSeeds) {

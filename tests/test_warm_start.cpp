@@ -195,6 +195,9 @@ TEST(WarmStart, DoesLessPhaseOneWorkThanCold) {
   ASSERT_NE(cold_voronoi, nullptr);
   EXPECT_LT(warm_voronoi->visitors_processed, cold_voronoi->visitors_processed);
   EXPECT_LT(warm_voronoi->messages_total(), cold_voronoi->messages_total());
+  // Repair runs the same handler, so it holds the same dominance-filter rows.
+  EXPECT_EQ(warm.memory.send_filter_bytes, cold.memory.send_filter_bytes);
+  EXPECT_GT(warm.memory.send_filter_bytes, 0u);
 
   const auto* warm_scan = warm.phases.find(runtime::phase_names::local_min_edge);
   const auto* cold_scan = cold.phases.find(runtime::phase_names::local_min_edge);

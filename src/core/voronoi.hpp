@@ -208,10 +208,12 @@ class voronoi_handler {
   //     y could only ever be a pre_visit rejection or a skipped visit;
   //   - the oracle and bucket prunes drop y whenever they drop x.
   // Ties pass, because the (src, pred) tie-break may still need them. Local
-  // targets skip the row and meet pre_visit at once, exactly as before; so
-  // do relays and tiles (to_rank). A dropped product is not a message: no
-  // messages_* count and no send_cost. Rows are allocated on a rank's first
-  // remote emission and touched only by the worker running that rank.
+  // targets skip the row and meet pre_visit at once, exactly as before.
+  // Relays and tiles (to_rank) never come here: they carry a label to
+  // scatter, not a label for their target. A dropped product is not a
+  // message: no messages_* count and no send_cost. Rows are allocated on a
+  // rank's first remote emission and touched only by the worker running
+  // that rank.
   template <typename Emitter>
   void emit(const voronoi_visitor& v, int rank, Emitter& out) {
     const int to = dgraph_->owner(v.vj);

@@ -53,25 +53,6 @@ class flag_parser {
     return static_cast<std::size_t>(value);
   }
 
-  /// `--name a|b|...`: index of the matched choice; `fallback` when absent.
-  std::size_t choice(const char* name, std::vector<std::string> choices,
-                     std::size_t fallback) {
-    std::string alternatives;
-    for (const std::string& c : choices) {
-      if (!alternatives.empty()) alternatives += "|";
-      alternatives += c;
-    }
-    usage_ += std::string(" [") + name + " " + alternatives + "]";
-    const char* text = value_of(name);
-    if (text == nullptr) return fallback;
-    for (std::size_t i = 0; i < choices.size(); ++i) {
-      if (choices[i] == text) return i;
-    }
-    std::fprintf(stderr, "%s: %s expects %s\n", program_, name,
-                 alternatives.c_str());
-    std::exit(2);
-  }
-
   /// Call after every flag is declared: any argument no accessor consumed is
   /// unknown, and aborts with the accumulated usage line.
   void finish() const {

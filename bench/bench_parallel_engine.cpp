@@ -18,13 +18,8 @@
 // on a multi-core host expect >= 2x at 4 workers for the solver phases the
 // engine runs (Voronoi + local-min-edge + tree-edge dominate LVJ solves).
 // The phase-1-heavy batch size (1024) amortises the two superstep barriers.
-// --growth bucketed switches to an A/B mode instead: repeated cold solves in
-// strict and bucketed phase-1 scheduling at the same thread count on the
-// power-law LVJ mirror, asserting the bucketed p50 beats the strict p50 and
-// that every tree is identical (exit status covers both).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
@@ -32,33 +27,9 @@
 #include "bench_common.hpp"
 #include "obs/trace.hpp"
 
-namespace {
-
-struct engine_flags {
-  std::size_t threads = 0;  ///< 0 = flag absent
-  bool bucketed = false;
-};
-
-engine_flags parse_flags(int argc, char** argv) {
-  dsteiner::bench::flag_parser parser(argc, argv);
-  engine_flags flags;
-  flags.threads = parser.positive_uint("--threads", 0);
-  flags.bucketed = parser.choice("--growth", {"strict", "bucketed"}, 0) == 1;
-  parser.finish();
-  return flags;
-}
-
-double p50_of(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace dsteiner;
-  const engine_flags flags = parse_flags(argc, argv);
-  const std::size_t max_threads_flag = flags.threads;
+  const std::size_t max_threads_flag = bench::parse_threads_flag(argc, argv);
   bench::print_header(
       "Parallel engine: single cold solve scaling with worker threads",
       "the threaded-runtime extension (beyond the paper's simulated ranks)",
@@ -78,68 +49,6 @@ int main(int argc, char** argv) {
   core::solver_config base;
   base.num_ranks = 16;
   base.batch_size = 1024;  // amortise superstep barriers in threaded runs
-
-  if (flags.bucketed) {
-    // A/B mode: strict vs bucketed phase-1 scheduling, threaded engine, on
-    // the power-law mirror (skewed degrees are exactly where bucket draining
-    // plus edge tiling pay). Runs at the solver's *default* batch size: the
-    // comparison is barrier-count-dominated — strict pays one superstep per
-    // batch per rank while bucketed drains whole buckets — and the 1024
-    // batch above exists precisely to paper over that cost for the scaling
-    // sweep. p50 over an odd number of interleaved repetitions so one noisy
-    // run cannot decide the comparison.
-    const std::size_t threads =
-        std::min({max_threads_flag != 0 ? max_threads_flag : hw,
-                  static_cast<std::size_t>(base.num_ranks),
-                  static_cast<std::size_t>(8)});
-    core::solver_config strict = base;
-    strict.batch_size = core::solver_config{}.batch_size;
-    strict.mode = runtime::execution_mode::parallel_threads;
-    strict.num_threads = threads;
-    core::solver_config bucketed = strict;
-    bucketed.growth = runtime::growth_mode::bucketed;
-
-    constexpr int k_reps = 5;
-    const auto reference = core::solve_steiner_tree(ds.graph, seeds, strict);
-    std::vector<double> strict_wall, bucketed_wall;
-    bool identical = true;
-    core::growth_stats growth{};
-    for (int rep = 0; rep < k_reps; ++rep) {
-      util::timer ts;
-      const auto s = core::solve_steiner_tree(ds.graph, seeds, strict);
-      strict_wall.push_back(ts.seconds());
-      util::timer tb;
-      const auto b = core::solve_steiner_tree(ds.graph, seeds, bucketed);
-      bucketed_wall.push_back(tb.seconds());
-      identical = identical && s.tree_edges == reference.tree_edges &&
-                  b.tree_edges == reference.tree_edges &&
-                  b.total_distance == reference.total_distance;
-      growth = b.growth;
-    }
-    const double strict_p50 = p50_of(strict_wall);
-    const double bucketed_p50 = p50_of(bucketed_wall);
-
-    util::table table({"growth", "threads", "p50 wall", "speedup"});
-    table.add_row({"strict", std::to_string(threads),
-                   util::format_duration(strict_p50), "1.00x"});
-    table.add_row({"bucketed", std::to_string(threads),
-                   util::format_duration(bucketed_p50),
-                   util::format_fixed(strict_p50 / bucketed_p50, 2) + "x"});
-    std::printf("%s\n", table.render().c_str());
-    std::printf(
-        "bucketed phase 1: delta=%llu tile_threshold=%llu buckets=%llu "
-        "tiles=%llu\n",
-        static_cast<unsigned long long>(growth.delta),
-        static_cast<unsigned long long>(growth.tile_threshold),
-        static_cast<unsigned long long>(growth.buckets_processed),
-        static_cast<unsigned long long>(growth.tiles_emitted));
-    std::printf("output identical across strict/bucketed: %s\n",
-                identical ? "yes" : "NO — determinism violated");
-    const bool faster = bucketed_p50 < strict_p50;
-    std::printf("bucketed p50 beats strict p50: %s\n",
-                faster ? "yes" : "NO — regression");
-    return identical && faster ? 0 : 1;
-  }
 
   // Sequential-engine baseline.
   util::timer seq_wall;

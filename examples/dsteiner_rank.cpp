@@ -26,7 +26,6 @@
 //   --edge-factor N      RMAT edge factor (default 8)
 //   --seeds a,b,c        explicit seed vertices
 //   --num-seeds N        deterministic seed selection (default 8)
-//   --growth strict|bucketed   phase-1 scheduling mode
 //   --verify-single      also run the in-process solver and require
 //                        bit-identical output (exit 1 on mismatch)
 //   --metrics-text       print this rank's dsteiner_net_* counters (plus, on
@@ -67,7 +66,6 @@ using namespace dsteiner;
                "                     (--dataset KEY | --rmat SCALE"
                " [--edge-factor N])\n"
                "                     [--seeds a,b,c | --num-seeds N]\n"
-               "                     [--growth strict|bucketed]\n"
                "                     [--verify-single] [--metrics-text]\n"
                "                     [--clusterz]\n");
   std::exit(2);
@@ -117,7 +115,6 @@ struct launcher_options {
   std::uint64_t edge_factor = 8;
   std::optional<std::string> seed_list;
   std::size_t num_seeds = 8;
-  runtime::growth_mode growth = runtime::growth_mode::strict_order;
   bool verify_single = false;
   bool metrics_text = false;
   bool clusterz = false;
@@ -150,15 +147,6 @@ launcher_options parse_options(int argc, char** argv) {
       opts.seed_list = next();
     } else if (arg == "--num-seeds") {
       opts.num_seeds = parse_u64(next(), "--num-seeds");
-    } else if (arg == "--growth") {
-      const std::string mode = next();
-      if (mode == "strict") {
-        opts.growth = runtime::growth_mode::strict_order;
-      } else if (mode == "bucketed") {
-        opts.growth = runtime::growth_mode::bucketed;
-      } else {
-        usage("unknown growth mode");
-      }
     } else if (arg == "--verify-single") {
       opts.verify_single = true;
     } else if (arg == "--metrics-text") {
@@ -270,7 +258,6 @@ int run_rank(const launcher_options& opts, int rank) {
   }
 
   core::solver_config config;
-  config.growth = opts.growth;
 
   runtime::net::tcp_backend_config net_config;
   net_config.rank = rank;

@@ -91,20 +91,6 @@ runtime::phase_metrics& run_phase(steiner_result& result,
                                         const solve_assists& assists = {},
                                         assist_stats* assist_out = nullptr);
 
-/// Resolves phase 1's engine knobs, shared by every transport. Strict order
-/// returns `engine` unchanged. Bucketed growth resolves the bucket width and
-/// tile threshold (0-valued knobs get graph-derived defaults) and, given
-/// landmark bounds, the priority limit; the resolved knobs go to `growth`.
-[[nodiscard]] runtime::engine_config phase1_config(
-    const graph::csr_graph& graph, const solver_config& config,
-    const runtime::engine_config& engine,
-    std::span<const graph::weight_t> prune_upper_bound, growth_stats& growth);
-
-/// Records what a bucketed phase-1 run did into `growth` (no-op in strict
-/// order).
-void record_phase1(const runtime::phase_metrics& metrics,
-                   std::uint64_t tiles_emitted, growth_stats& growth);
-
 /// A transport's phase 6 plus its edge gather: runs Alg. 6 from the pruned
 /// EN, fills `tree` with every rank's tree edges (any order) and returns the
 /// phase metrics.

@@ -15,7 +15,6 @@
 #include "core/validation.hpp"
 #include "core/voronoi.hpp"
 #include "core/warm_start.hpp"
-#include "graph/delta_stepping.hpp"
 #include "runtime/comm.hpp"
 #include "util/timer.hpp"
 
@@ -41,39 +40,6 @@ std::vector<graph::vertex_id> dedup_seeds(
 std::vector<graph::vertex_id> dedup_seeds(
     const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds) {
   return dedup_seeds(graph.num_vertices(), seeds);
-}
-
-runtime::engine_config phase1_config(
-    const graph::csr_graph& graph, const solver_config& config,
-    const runtime::engine_config& engine,
-    std::span<const graph::weight_t> prune_upper_bound, growth_stats& growth) {
-  runtime::engine_config phase1 = engine;
-  if (config.growth != runtime::growth_mode::bucketed) return phase1;
-  phase1.growth = runtime::growth_mode::bucketed;
-  phase1.bucket_delta = config.bucket_delta != 0
-                            ? config.bucket_delta
-                            : graph::heuristic_delta(graph);
-  const std::uint64_t avg_degree =
-      graph.num_vertices() == 0 ? 0 : graph.num_arcs() / graph.num_vertices();
-  phase1.tile_threshold = config.tile_threshold != 0
-                              ? config.tile_threshold
-                              : std::max<std::uint64_t>(64, 4 * avg_degree);
-  if (!prune_upper_bound.empty()) {
-    phase1.priority_limit = *std::max_element(prune_upper_bound.begin(),
-                                              prune_upper_bound.end());
-  }
-  growth.mode = runtime::growth_mode::bucketed;
-  growth.delta = phase1.bucket_delta;
-  growth.tile_threshold = phase1.tile_threshold;
-  return phase1;
-}
-
-void record_phase1(const runtime::phase_metrics& metrics,
-                   std::uint64_t tiles_emitted, growth_stats& growth) {
-  if (growth.mode != runtime::growth_mode::bucketed) return;
-  growth.buckets_processed = metrics.buckets_processed;
-  growth.bucket_pruned = metrics.bucket_pruned;
-  growth.tiles_emitted = tiles_emitted;
 }
 
 void finish_solve(const graph::csr_graph& graph,
@@ -200,13 +166,6 @@ steiner_result solve_cold(const graph::csr_graph& graph,
   const runtime::communicator comm(config.num_ranks, config.costs, engine.pool);
   comm.reset_peak_buffer();
 
-  // Phase-1 scheduling: bucketed growth runs phase 1 (and only phase 1) as
-  // bucketed delta-stepping. The landmark oracle's largest upper bound caps
-  // the useful priority range: once every open bucket starts above it,
-  // nothing left can improve any cell and the engines drain-and-stop.
-  const runtime::engine_config phase1 = phase1_config(
-      graph, config, engine, assists.prune_upper_bound, result.growth);
-
   // Step 1: Voronoi cells (Alg. 3 line 12). With assists, the state is
   // pre-seeded from shared fragments (the initial frontier shrinks to the
   // fragment surface) and the admission check drops visitors the landmark
@@ -218,11 +177,9 @@ steiner_result solve_cold(const graph::csr_graph& graph,
   run_phase(result, config, runtime::phase_names::voronoi, [&] {
     assist_stats astats;
     std::atomic<std::uint64_t> pruned{0};
-    std::atomic<std::uint64_t> tiles{0};
     runtime::phase_metrics metrics;
     if (assists.empty()) {
-      metrics = compute_voronoi_cells(dgraph, seed_list, state, phase1,
-                                      voronoi_prune{}, &tiles);
+      metrics = compute_voronoi_cells(dgraph, seed_list, state, engine);
     } else {
       std::vector<voronoi_visitor> initial = inject_fragments(
           graph, assists.fragments, seed_list, state, &astats.preseeded_vertices);
@@ -233,11 +190,9 @@ steiner_result solve_cold(const graph::csr_graph& graph,
       }
       astats.frontier_visitors = initial.size();
       const voronoi_prune prune{assists.prune_upper_bound, &pruned};
-      metrics = repair_voronoi_cells(dgraph, std::move(initial), state, phase1,
-                                     prune, &tiles);
+      metrics = repair_voronoi_cells(dgraph, std::move(initial), state, engine,
+                                     prune);
     }
-    record_phase1(metrics, tiles.load(std::memory_order_relaxed),
-                  result.growth);
     astats.pruned_visitors = pruned.load(std::memory_order_relaxed);
     if (assist_out != nullptr) *assist_out = astats;
     if (config.trace != nullptr && !assists.empty()) {
@@ -316,8 +271,6 @@ obs::query_features extract_query_features(graph::vertex_id num_vertices,
   f.x[qf::k_threaded] = threaded ? 1.0 : 0.0;
   f.x[qf::k_inv_threads] =
       1.0 / static_cast<double>(std::max<std::size_t>(1, workers));
-  f.x[qf::k_bucketed] =
-      config.growth == runtime::growth_mode::bucketed ? 1.0 : 0.0;
   return f;
 }
 

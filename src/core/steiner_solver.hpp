@@ -33,6 +33,13 @@ namespace dsteiner::obs {
 class query_trace;
 }  // namespace dsteiner::obs
 
+namespace dsteiner::runtime {
+
+/// Phase-1 schedule: strict lowest-distance-first order is the only one.
+enum class growth_mode : std::uint8_t { strict_order };
+
+}  // namespace dsteiner::runtime
+
 namespace dsteiner::core {
 
 struct solve_artifacts;
@@ -54,18 +61,9 @@ struct solver_config {
   std::size_t num_threads = 0;
   runtime::cost_model costs{};
 
-  /// Phase-1 scheduling: strict priority order (default; bit-identical
-  /// metrics across engines/thread counts) or delta-stepping buckets
-  /// (faster cold solves, same output tree, schedule-dependent metrics).
-  /// Only phase 1 is ever bucketed; all other phases stay strict.
+  /// Phase 1 always runs in strict priority order; this single-value field
+  /// only keeps callers that pin `growth_mode::strict_order` compiling.
   runtime::growth_mode growth = runtime::growth_mode::strict_order;
-  /// Bucket width for bucketed growth; 0 resolves to graph::heuristic_delta
-  /// (average arc weight) at solve time.
-  std::uint64_t bucket_delta = 0;
-  /// Degree threshold above which bucketed growth splits a non-delegate
-  /// vertex's scatter into edge tiles of this width; 0 resolves to
-  /// max(64, 4 * average degree) at solve time.
-  std::uint64_t tile_threshold = 0;
 
   /// Distance-graph reduction: sparse map merge (default) or the paper's
   /// dense (|S| choose 2) buffer; either path optionally chunked (§V-F).
@@ -107,17 +105,6 @@ struct solver_config {
   obs::query_trace* trace = nullptr;
 };
 
-/// How phase 1 actually ran: the resolved growth knobs and the bucket/tile
-/// work they produced. All zeros under strict order.
-struct growth_stats {
-  runtime::growth_mode mode = runtime::growth_mode::strict_order;
-  std::uint64_t delta = 0;            ///< resolved bucket width
-  std::uint64_t tile_threshold = 0;   ///< resolved tile width
-  std::uint64_t buckets_processed = 0;
-  std::uint64_t tiles_emitted = 0;
-  std::uint64_t bucket_pruned = 0;    ///< visitors dropped by bucket pruning
-};
-
 struct steiner_result {
   std::vector<graph::weighted_edge> tree_edges;  ///< GS, canonical u < v per edge
   graph::weight_t total_distance = 0;            ///< D(GS)
@@ -129,7 +116,6 @@ struct steiner_result {
 
   std::size_t distance_graph_edges = 0;  ///< |E'1|
   std::uint64_t delegate_count = 0;      ///< high-degree vertices split across ranks
-  growth_stats growth;                   ///< phase-1 scheduling telemetry
 
   [[nodiscard]] double wall_seconds() const { return phases.total().wall_seconds; }
   [[nodiscard]] std::uint64_t total_messages() const {

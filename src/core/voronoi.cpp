@@ -9,21 +9,20 @@ namespace dsteiner::core {
 runtime::phase_metrics compute_voronoi_cells(
     const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
     steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune, std::atomic<std::uint64_t>* tiles) {
+    const voronoi_prune& prune) {
   std::vector<voronoi_visitor> initial;
   initial.reserve(seeds.size());
   for (const graph::vertex_id s : seeds) {
     initial.push_back(voronoi_visitor{s, s, s, 0});
   }
-  return repair_voronoi_cells(dgraph, std::move(initial), state, config, prune,
-                              tiles);
+  return repair_voronoi_cells(dgraph, std::move(initial), state, config, prune);
 }
 
 runtime::phase_metrics repair_voronoi_cells(
     const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
     steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune, std::atomic<std::uint64_t>* tiles) {
-  voronoi_handler handler(dgraph, state, config, prune, tiles);
+    const voronoi_prune& prune) {
+  voronoi_handler handler(dgraph, state, prune);
   return runtime::run_visitors(dgraph.parts(), handler, std::move(initial),
                                config);
 }

@@ -32,20 +32,15 @@
 namespace dsteiner::core {
 
 /// The VORONOI_CELL_VISITOR of Alg. 4 (lines 14-18), extended with a relay
-/// kind for delegate scatter and a tile kind for bucketed edge tiling.
+/// kind for delegate scatter.
 struct voronoi_visitor {
   graph::vertex_id vj = 0;  ///< vertex being visited
   graph::vertex_id vp = 0;  ///< vertex that sent the visitor (pred candidate)
   graph::vertex_id t = 0;   ///< seed owning vp's cell
   graph::weight_t r = 0;    ///< proposed distance d1(t, vj)
 
-  /// tile: one contiguous arc-range of a high-degree vertex's scatter
-  /// (bucketed growth only; katana's deltaTile). Like a relay it carries its
-  /// label and never touches vertex state — it may run on any rank, and a
-  /// stale tile's emissions are dominated at admission.
-  enum class kind_t : std::uint8_t { normal, relay, tile };
+  enum class kind_t : std::uint8_t { normal, relay };
   kind_t kind = kind_t::normal;
-  std::uint32_t tile = 0;  ///< tile index (arc range [tile*T, (tile+1)*T))
 
   [[nodiscard]] graph::vertex_id target() const noexcept { return vj; }
   [[nodiscard]] std::uint64_t priority() const noexcept { return r; }
@@ -74,23 +69,11 @@ struct voronoi_prune {
 /// in-process, net::superstep_engine runs it per rank over wire frames.
 class voronoi_handler {
  public:
-  /// Under bucketed growth a non-zero `config.tile_threshold` T splits
-  /// non-delegate vertices of degree > T into ceil(degree / T) edge tiles
-  /// spread round-robin over ranks. Strict order never tiles: its priority
-  /// queue already interleaves hubs' scatters, and extra tile messages would
-  /// change the bit-identical schedule. `tiles`, when non-null, counts the
-  /// tiles emitted (relaxed-atomic: workers emit concurrently).
   voronoi_handler(const runtime::dist_graph& dgraph, steiner_state& state,
-                  const runtime::engine_config& config,
-                  const voronoi_prune& prune = {},
-                  std::atomic<std::uint64_t>* tiles = nullptr)
+                  const voronoi_prune& prune = {})
       : dgraph_(&dgraph),
         state_(&state),
         prune_(prune),
-        tile_width_(config.growth == runtime::growth_mode::bucketed
-                        ? config.tile_threshold
-                        : 0),
-        tiles_(tiles),
         sent_(static_cast<std::size_t>(dgraph.num_ranks())) {}
 
   /// Fig. 8 accounting for the dominance filter: `rows` ranks' rows of one
@@ -116,9 +99,9 @@ class voronoi_handler {
   // counter is relaxed-atomic because the threaded engine runs pre_visit
   // concurrently across workers.
   bool pre_visit(const voronoi_visitor& v, int rank) {
-    // Relays and tiles carry their own label, run on arbitrary ranks and
-    // never touch vertex state — admit unconditionally.
-    if (v.kind != voronoi_visitor::kind_t::normal) return true;
+    // Relays carry their own label, run on arbitrary ranks and never touch
+    // vertex state — admit unconditionally.
+    if (v.kind == voronoi_visitor::kind_t::relay) return true;
     assert(dgraph_->owner(v.vj) == rank);
     (void)rank;
     if (!prune_.upper_bound.empty() && v.r > prune_.upper_bound[v.vj]) {
@@ -140,20 +123,6 @@ class voronoi_handler {
           });
       return true;
     }
-    if (v.kind == voronoi_visitor::kind_t::tile) {
-      // One contiguous arc range of a hub's scatter. Like a relay the tile
-      // scatters the label it carries; if the hub was relabelled since, the
-      // improving update emitted fresh tiles and these emissions lose at
-      // admission — no state read, so tiles are safe on any rank/thread.
-      const std::uint64_t begin =
-          static_cast<std::uint64_t>(v.tile) * tile_width_;
-      dgraph_->for_each_arc_in_range(
-          v.vj, begin, begin + tile_width_,
-          [&](graph::vertex_id vi, graph::weight_t w) {
-            emit(voronoi_visitor{vi, v.vj, v.t, v.r + w}, rank, out);
-          });
-      return true;
-    }
     // Alg. 4 lines 5-9: relax at processing time; skip if superseded.
     if (std::tuple{v.r, v.t, v.vp} >= state_->tuple_of(v.vj)) return false;
     state_->distance[v.vj] = v.r;
@@ -166,24 +135,6 @@ class voronoi_handler {
         voronoi_visitor relay{v.vj, v.vp, v.t, v.r,
                               voronoi_visitor::kind_t::relay};
         out.to_rank(q, relay);
-      }
-      return true;
-    }
-    const std::uint64_t degree = dgraph_->graph().degree(v.vj);
-    if (tile_width_ != 0 && degree > tile_width_) {
-      // Edge tiling (katana deltaTile): split the hub's scatter into
-      // independent arc-range work items spread round-robin over ranks so
-      // one hub cannot serialize a bucket on its owner.
-      const auto p = static_cast<std::uint64_t>(dgraph_->num_ranks());
-      const std::uint64_t ntiles = (degree + tile_width_ - 1) / tile_width_;
-      for (std::uint64_t i = 0; i < ntiles; ++i) {
-        voronoi_visitor tv{v.vj, v.vp, v.t, v.r,
-                           voronoi_visitor::kind_t::tile};
-        tv.tile = static_cast<std::uint32_t>(i);
-        out.to_rank(static_cast<int>(i % p), tv);
-      }
-      if (tiles_ != nullptr) {
-        tiles_->fetch_add(ntiles, std::memory_order_relaxed);
       }
       return true;
     }
@@ -206,14 +157,13 @@ class voronoi_handler {
   //     before y;
   //   - state only decreases, so once x is through, y's tuple is dominated:
   //     y could only ever be a pre_visit rejection or a skipped visit;
-  //   - the oracle and bucket prunes drop y whenever they drop x.
+  //   - the oracle prune drops y whenever it drops x.
   // Ties pass, because the (src, pred) tie-break may still need them. Local
   // targets skip the row and meet pre_visit at once, exactly as before.
-  // Relays and tiles (to_rank) never come here: they carry a label to
-  // scatter, not a label for their target. A dropped product is not a
-  // message: no messages_* count and no send_cost. Rows are allocated on a
-  // rank's first remote emission and touched only by the worker running
-  // that rank.
+  // Relays (to_rank) never come here: they carry a label to scatter, not a
+  // label for their target. A dropped product is not a message: no
+  // messages_* count and no send_cost. Rows are allocated on a rank's first
+  // remote emission and touched only by the worker running that rank.
   template <typename Emitter>
   void emit(const voronoi_visitor& v, int rank, Emitter& out) {
     const int to = dgraph_->owner(v.vj);
@@ -231,20 +181,17 @@ class voronoi_handler {
   const runtime::dist_graph* dgraph_;
   steiner_state* state_;
   voronoi_prune prune_;
-  std::uint64_t tile_width_ = 0;  ///< 0 = tiling off
-  std::atomic<std::uint64_t>* tiles_ = nullptr;
   std::vector<std::vector<graph::weight_t>> sent_;  ///< per rank; see emit
 };
 
 
 /// Runs Alg. 4 to quiescence, filling `state`. Seeds bootstrap themselves:
 /// each s in S receives (r=0, t=s, vp=s). `prune` adds oracle pruning (see
-/// voronoi_prune); `tiles` counts the edge tiles of bucketed growth.
+/// voronoi_prune).
 [[nodiscard]] runtime::phase_metrics compute_voronoi_cells(
     const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
     steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune = {},
-    std::atomic<std::uint64_t>* tiles = nullptr);
+    const voronoi_prune& prune = {});
 
 /// Warm-start repair: re-runs Alg. 4 to quiescence from caller-chosen initial
 /// visitors over an existing (partially valid) `state`. Used after a seed-set
@@ -257,8 +204,7 @@ class voronoi_handler {
 [[nodiscard]] runtime::phase_metrics repair_voronoi_cells(
     const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
     steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune = {},
-    std::atomic<std::uint64_t>* tiles = nullptr);
+    const voronoi_prune& prune = {});
 
 /// Fragment-injection entry point — the cross-query analogue of warm-start
 /// frontier injection. Pre-seeds a fresh `state` with the lexicographic

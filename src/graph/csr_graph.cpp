@@ -19,8 +19,8 @@ csr_graph csr_graph::from_sorted_parts(std::vector<std::uint64_t> offsets,
   for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
     assert(offsets[v] <= offsets[v + 1]);
     for (std::uint64_t i = offsets[v] + 1; i < offsets[v + 1]; ++i) {
-      assert(std::pair{targets[i - 1], weights[i - 1]} <=
-             std::pair{targets[i], weights[i]});
+      assert((std::pair{targets[i - 1], weights[i - 1]} <=
+              std::pair{targets[i], weights[i]}));
     }
   }
 #endif

@@ -1,13 +1,27 @@
 #include "graph/edge_list.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 namespace dsteiner::graph {
+
+namespace {
+
+/// Parses `token` as a whole unsigned decimal; false on a sign, any other
+/// non-digit, or overflow.
+bool parse_field(const std::string& token, std::uint64_t& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
 
 void edge_list::add_edge(vertex_id u, vertex_id v, weight_t w) {
   edges_.push_back({u, v, w});
@@ -51,12 +65,18 @@ edge_list edge_list::from_stream(std::istream& in) {
   while (std::getline(in, line)) {
     if (line.empty() || line.front() == '#') continue;
     std::istringstream fields(line);
+    const std::vector<std::string> token{
+        std::istream_iterator<std::string>(fields), {}};
     vertex_id u = 0, v = 0;
-    weight_t w = 1;
-    if (!(fields >> u >> v)) {
+    weight_t w = 1;  // the weight column is optional
+    // Ids stop below k_no_vertex - 1 so the vertex count (max id + 1) and
+    // the CSR offsets array (count + 1 entries) stay representable.
+    if (token.size() < 2 || token.size() > 3 || !parse_field(token[0], u) ||
+        !parse_field(token[1], v) ||
+        (token.size() == 3 && !parse_field(token[2], w)) ||
+        std::max(u, v) >= k_no_vertex - 1) {
       throw std::runtime_error("edge_list: malformed line: " + line);
     }
-    fields >> w;  // weight column is optional; defaults to 1
     result.add_edge(u, v, w);
   }
   return result;

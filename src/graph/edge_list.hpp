@@ -41,7 +41,10 @@ class edge_list {
   }
   [[nodiscard]] std::vector<weighted_edge>& edges() noexcept { return edges_; }
 
-  /// Text format: one "u v w" triple per line; '#' comments allowed.
+  /// Text format: one "u v [w]" line per edge (w defaults to 1); lines
+  /// starting with '#' are comments. Throws std::runtime_error on a field
+  /// that is not an unsigned decimal, an extra field, or a vertex id of
+  /// k_no_vertex - 1 or above.
   static edge_list from_stream(std::istream& in);
   void to_stream(std::ostream& out) const;
 

@@ -1,5 +1,6 @@
 #include "graph/graph_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -31,13 +32,22 @@ T read_pod(std::istream& in) {
   return value;
 }
 
+/// Reads a count-prefixed array. The count comes from the file, so memory
+/// grows one bounded chunk at a time as the stream actually supplies data:
+/// a corrupt count ends in "truncated stream", not a huge allocation.
 template <typename T>
 std::vector<T> read_vector(std::istream& in) {
+  constexpr std::uint64_t k_chunk = 1 << 16;
   const auto count = read_pod<std::uint64_t>(in);
-  std::vector<T> values(count);
-  in.read(reinterpret_cast<char*>(values.data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  if (!in) throw std::runtime_error("binary graph: truncated stream");
+  std::vector<T> values;
+  while (values.size() < count) {
+    const std::size_t done = values.size();
+    const auto n = static_cast<std::size_t>(std::min(k_chunk, count - done));
+    values.resize(done + n);
+    in.read(reinterpret_cast<char*>(values.data() + done),
+            static_cast<std::streamsize>(n * sizeof(T)));
+    if (!in) throw std::runtime_error("binary graph: truncated stream");
+  }
   return values;
 }
 
@@ -62,20 +72,25 @@ csr_graph load_binary_graph(std::istream& in) {
   const auto offsets = read_vector<std::uint64_t>(in);
   const auto targets = read_vector<vertex_id>(in);
   const auto weights = read_vector<weight_t>(in);
-  if (offsets.empty() || targets.size() != weights.size() ||
-      offsets.back() != targets.size()) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      !std::is_sorted(offsets.begin(), offsets.end()) ||
+      targets.size() != weights.size() || offsets.back() != targets.size()) {
     throw std::runtime_error("binary graph: inconsistent arrays");
+  }
+  const vertex_id n = offsets.size() - 1;
+  if (std::any_of(targets.begin(), targets.end(),
+                  [n](vertex_id t) { return t >= n; })) {
+    throw std::runtime_error("binary graph: arc target out of range");
   }
   // Rebuild through the edge list so the class invariants (sorted rows) are
   // re-established by construction rather than trusted from the file.
-  edge_list list(static_cast<vertex_id>(offsets.size() - 1));
+  edge_list list(n);
   list.edges().reserve(targets.size());
-  for (vertex_id v = 0; v + 1 < offsets.size(); ++v) {
+  for (vertex_id v = 0; v < n; ++v) {
     for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
       list.edges().push_back({v, targets[i], weights[i]});
     }
   }
-  list.set_num_vertices(static_cast<vertex_id>(offsets.size() - 1));
   return csr_graph(list);
 }
 

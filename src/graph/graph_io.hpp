@@ -18,7 +18,9 @@ inline constexpr std::uint64_t k_binary_graph_magic = 0x445354454e455231ULL;
 void save_binary_graph(std::ostream& out, const csr_graph& graph);
 void save_binary_graph_file(const std::string& path, const csr_graph& graph);
 
-/// Throws std::runtime_error on bad magic/version/truncation.
+/// Throws std::runtime_error on bad magic/version/truncation and on arrays
+/// that do not form a CSR graph (offsets not starting at 0, decreasing, or
+/// not ending at the arc count; a target outside the vertex range).
 [[nodiscard]] csr_graph load_binary_graph(std::istream& in);
 [[nodiscard]] csr_graph load_binary_graph_file(const std::string& path);
 

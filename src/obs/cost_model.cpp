@@ -18,7 +18,6 @@ const char* query_features::name(std::size_t i) noexcept {
     case k_fragments: return "fragment_fraction";
     case k_threaded: return "threaded_engine";
     case k_inv_threads: return "inv_threads";
-    case k_bucketed: return "bucketed_growth";
     default: return "unknown";
   }
 }
@@ -28,6 +27,10 @@ cost_model::cost_model(cost_model_config cfg) : config_(cfg) {
     config_.forgetting = 1.0;
   }
   if (!(config_.prior_variance > 0.0)) config_.prior_variance = 100.0;
+  reset_covariance();
+}
+
+void cost_model::reset_covariance() {
   for (std::size_t i = 0; i < k_d; ++i) {
     p_[i].fill(0.0);
     p_[i][i] = config_.prior_variance;
@@ -65,15 +68,25 @@ void cost_model::observe(const query_features& f, double solve_seconds) {
   //   e     = y - w' x
   //   w    += k e
   //   P     = (P - k px') / lambda
+  //
+  // Directions the features never excite (a constant column, an always-zero
+  // one) are divided by lambda every step and never shrunk, so P grows
+  // without bound until x' P x cancels to <= 0. Then P is restarted from the
+  // prior, keeping w, and the update retried once.
   const double lambda = config_.forgetting;
   std::array<double, k_d> px{};
-  for (std::size_t i = 0; i < k_d; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < k_d; ++j) acc += p_[i][j] * f.x[j];
-    px[i] = acc;
+  double denom = 0.0;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    for (std::size_t i = 0; i < k_d; ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < k_d; ++j) acc += p_[i][j] * f.x[j];
+      px[i] = acc;
+    }
+    denom = lambda;
+    for (std::size_t i = 0; i < k_d; ++i) denom += f.x[i] * px[i];
+    if (denom > 0.0 && std::isfinite(denom)) break;
+    reset_covariance();
   }
-  double denom = lambda;
-  for (std::size_t i = 0; i < k_d; ++i) denom += f.x[i] * px[i];
   if (!(denom > 0.0) || !std::isfinite(denom)) return;
 
   double predicted = 0.0;

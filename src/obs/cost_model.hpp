@@ -18,7 +18,7 @@
 //     drift (graph mutations, cache temperature, hardware contention)
 //     instead of averaging over a stale past.
 //
-// The RLS update is O(d^2) on a d=13 feature vector behind one mutex —
+// The RLS update is O(d^2) on a d=12 feature vector behind one mutex —
 // nanoseconds against a solve, and admission-rate cheap. Observability is
 // first-class: snapshot() exposes the coefficient vector, sample count and
 // a residual EMA for /statusz and the Prometheus exposition, so the
@@ -35,7 +35,7 @@ namespace dsteiner::obs {
 /// The admission feature vector. Indices are named so the service, the core
 /// extractor and /statusz agree on what each coefficient means.
 struct query_features {
-  static constexpr std::size_t k_dim = 13;
+  static constexpr std::size_t k_dim = 12;
 
   enum index : std::size_t {
     k_bias = 0,         ///< always 1
@@ -50,7 +50,6 @@ struct query_features {
     k_fragments = 9,    ///< fraction of seeds with a borrowable fragment
     k_threaded = 10,    ///< 1 when the threaded engine runs the solve
     k_inv_threads = 11, ///< 1 / engine worker count (1 for sequential)
-    k_bucketed = 12,    ///< 1 when phase 1 runs bucketed (relaxed) growth
   };
 
   std::array<double, k_dim> x{};
@@ -106,6 +105,9 @@ class cost_model {
 
  private:
   static constexpr std::size_t k_d = query_features::k_dim;
+
+  /// P = prior_variance * I.
+  void reset_covariance();
 
   cost_model_config config_;
   mutable std::mutex mu_;

@@ -37,11 +37,6 @@ struct superstep_sample {
   float compute_seconds = 0.0F;   ///< wall time computing (aggregate rows)
   float barrier_wait_seconds = 0.0F;  ///< wall time stalled at barriers
   double end_offset_seconds = 0.0;    ///< stamp vs the trace origin (record())
-  // Bucketed (delta-stepping) growth only; UINT64_MAX marks a strict-order
-  // sample so the exporter can omit the fields.
-  std::uint64_t bucket = UINT64_MAX;  ///< bucket drained this superstep
-  std::uint32_t light = 0;  ///< relaxations into the current bucket
-  std::uint32_t heavy = 0;  ///< relaxations into later buckets
 };
 
 class engine_probe {

@@ -204,21 +204,10 @@ std::string query_trace::to_chrome_json() const {
         const double barrier = s.barrier_wait_seconds;
         const double compute = s.compute_seconds;
         char args[256];
-        if (s.bucket != UINT64_MAX) {
-          // Bucketed growth: expose the bucket index and the light/heavy
-          // relaxation split so delta tuning is visible in Perfetto.
-          std::snprintf(args, sizeof(args),
-                        "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u,"
-                        "\"drained\":%u,\"bucket\":%" PRIu64
-                        ",\"light\":%u,\"heavy\":%u}",
-                        s.superstep, s.visitors, s.sent, s.drained, s.bucket,
-                        s.light, s.heavy);
-        } else {
-          std::snprintf(args, sizeof(args),
-                        "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u,"
-                        "\"drained\":%u}",
-                        s.superstep, s.visitors, s.sent, s.drained);
-        }
+        std::snprintf(args, sizeof(args),
+                      "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u,"
+                      "\"drained\":%u}",
+                      s.superstep, s.visitors, s.sent, s.drained);
         // The sample is stamped at superstep end: compute ran first, then
         // the barrier wait. Lay the slices back-to-back ending at the stamp.
         append_complete(out, s.phase, "superstep",

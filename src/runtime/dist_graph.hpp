@@ -14,7 +14,6 @@
 // slice discipline.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -70,19 +69,6 @@ class dist_graph {
     for (std::size_t i = static_cast<std::size_t>(rank); i < nbrs.size(); i += p) {
       fn(nbrs[i], wts[i]);
     }
-  }
-
-  /// Applies fn(target, weight) to the arcs of v at positions [begin, end)
-  /// (end clamped to the degree). Used by bucketed growth's edge tiles: one
-  /// tile is one contiguous arc range of a high-degree vertex, so a hub's
-  /// scatter splits into independent work items spread over ranks.
-  template <typename Fn>
-  void for_each_arc_in_range(graph::vertex_id v, std::uint64_t begin,
-                             std::uint64_t end, Fn&& fn) const {
-    const auto nbrs = graph_->neighbors(v);
-    const auto wts = graph_->weights(v);
-    const std::size_t hi = std::min<std::size_t>(end, nbrs.size());
-    for (std::size_t i = begin; i < hi; ++i) fn(nbrs[i], wts[i]);
   }
 
   /// Number of ranks holding a non-empty slice of v's adjacency.

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 
 #include "runtime/mailbox.hpp"
@@ -34,21 +33,6 @@ enum class execution_mode {
   parallel_threads,
 };
 
-/// How visitors are ordered inside a phase-1 run.
-enum class growth_mode {
-  /// Strict lowest-priority-first order (the paper's optimization). The
-  /// schedule — and therefore every metric — is bit-identical across
-  /// engines and thread counts. Default everywhere.
-  strict_order,
-  /// Delta-stepping buckets: visitors are grouped into buckets of width
-  /// `bucket_delta` and a whole bucket is drained per round/superstep, in
-  /// any order inside the bucket. The output *tree* is still identical (the
-  /// lexicographic (distance, seed, pred) admission has a unique fixed
-  /// point) but the schedule, and so round counts and message tallies, are
-  /// not. Fewer barriers per solve — the cold-solve p50 lever.
-  bucketed,
-};
-
 struct engine_config {
   queue_policy policy = queue_policy::priority;
   execution_mode mode = execution_mode::async;
@@ -60,26 +44,6 @@ struct engine_config {
   /// over workers (rank r runs on worker r % num_threads), so any thread
   /// count between 1 and num_ranks is valid.
   std::size_t num_threads = 0;
-
-  /// Phase-1 scheduling: strict priority order (default) or delta-stepping
-  /// buckets. Only the solver's phase-1 run ever sets `bucketed`; all other
-  /// phases are strict by construction.
-  growth_mode growth = growth_mode::strict_order;
-
-  /// Bucket width for `growth_mode::bucketed`. Must be > 0 when bucketed
-  /// (the solver resolves 0 to graph::heuristic_delta before the run).
-  std::uint64_t bucket_delta = 0;
-
-  /// bucketed only: vertices with degree above this threshold scatter via
-  /// edge-tile work items spread round-robin over ranks instead of one
-  /// monolithic visit, so power-law hubs cannot serialize a bucket.
-  /// 0 disables tiling.
-  std::uint64_t tile_threshold = 0;
-
-  /// bucketed only: buckets whose start priority exceeds this bound cannot
-  /// improve any vertex (landmark-oracle upper bounds) and are dropped
-  /// wholesale, ending the run early. UINT64_MAX disables the prune.
-  std::uint64_t priority_limit = UINT64_MAX;
 
   /// parallel_threads only: borrowed persistent worker pool. When null the
   /// engine spins up (and joins) a transient pool for the run; the solver
@@ -102,7 +66,7 @@ struct engine_config {
 
 /// The send interface every engine hands to Handler::visit: to_vertex
 /// routes a visitor to the owner of its target(), to_rank to an explicit
-/// rank (delegate relays, edge tiles). Delivery is the engine's
+/// rank (delegate relays). Delivery is the engine's
 /// `send(visitor, from_rank, to_rank)`.
 template <typename Engine, typename Visitor>
 class engine_emitter {

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <vector>
 
 namespace dsteiner::runtime {
@@ -21,47 +20,27 @@ enum class queue_policy {
   priority,  ///< paper's optimization: lowest Visitor::priority() first
 };
 
-/// `mailbox::min_bucket()` when the box is empty (also the min-fold identity
-/// for the barrier's bucket aggregation).
-inline constexpr std::uint64_t k_no_bucket = UINT64_MAX;
-
 /// Single-rank mailbox. `Visitor` must expose `std::uint64_t priority()
 /// const`. Priority ties are broken by arrival order (stable), keeping runs
 /// deterministic.
 ///
-/// A non-zero `bucket_delta` switches the box into delta-stepping bucket
-/// mode (overriding `policy`): visitors are grouped by `priority() / delta`
-/// into FIFO buckets and popped from the lowest non-empty bucket. Cheaper
-/// than the heap (amortized O(1) per push/pop within a bucket) and exposes
-/// `min_bucket()` so the engines can drain exactly one bucket per round.
+/// Aligned to 128 bytes (a pair of cache lines, the unit the adjacent-line
+/// prefetcher moves): the threaded engine keeps one box per rank in a
+/// vector, neighbouring ranks run on different workers, and every push and
+/// pop writes the box's header.
 template <typename Visitor>
-class mailbox {
+class alignas(128) mailbox {
  public:
-  explicit mailbox(queue_policy policy = queue_policy::priority,
-                   std::uint64_t bucket_delta = 0)
-      : policy_(policy), delta_(bucket_delta) {}
+  explicit mailbox(queue_policy policy = queue_policy::priority)
+      : policy_(policy) {}
 
   [[nodiscard]] queue_policy policy() const noexcept { return policy_; }
-  [[nodiscard]] bool bucketed() const noexcept { return delta_ != 0; }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] std::size_t size() const noexcept {
-    if (delta_ != 0) return bucket_count_;
     return policy_ == queue_policy::fifo ? fifo_.size() : heap_.size();
   }
 
-  /// Bucket index of the lowest-priority queued visitor; k_no_bucket when
-  /// empty or not in bucket mode.
-  [[nodiscard]] std::uint64_t min_bucket() const noexcept {
-    if (delta_ == 0 || buckets_.empty()) return k_no_bucket;
-    return buckets_.begin()->first;
-  }
-
   void push(const Visitor& v) {
-    if (delta_ != 0) {
-      buckets_[v.priority() / delta_].push_back(v);
-      ++bucket_count_;
-      return;
-    }
     if (policy_ == queue_policy::fifo) {
       fifo_.push_back(v);
       return;
@@ -71,14 +50,6 @@ class mailbox {
   }
 
   [[nodiscard]] Visitor pop() {
-    if (delta_ != 0) {
-      auto it = buckets_.begin();
-      Visitor v = std::move(it->second.front());
-      it->second.pop_front();
-      if (it->second.empty()) buckets_.erase(it);
-      --bucket_count_;
-      return v;
-    }
     if (policy_ == queue_policy::fifo) {
       Visitor v = std::move(fifo_.front());
       fifo_.pop_front();
@@ -93,8 +64,6 @@ class mailbox {
   void clear() {
     fifo_.clear();
     heap_.clear();
-    buckets_.clear();
-    bucket_count_ = 0;
   }
 
  private:
@@ -114,15 +83,9 @@ class mailbox {
   };
 
   queue_policy policy_;
-  std::uint64_t delta_;  ///< bucket width; 0 = not in bucket mode
   std::deque<Visitor> fifo_;
   std::vector<heap_entry> heap_;
   std::uint64_t next_sequence_ = 0;
-  // Bucket mode: ordered map keeps the lowest bucket at begin(); each bucket
-  // is FIFO so intra-bucket order is arrival order (deterministic per
-  // engine/thread-count, though not across them — that's the point).
-  std::map<std::uint64_t, std::deque<Visitor>> buckets_;
-  std::size_t bucket_count_ = 0;
 };
 
 }  // namespace dsteiner::runtime

@@ -1,7 +1,6 @@
 #include "runtime/net/dist_solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -206,18 +205,13 @@ void solve_phases(const graph::csr_graph& graph,
       core::voronoi_handler::filter_bytes(dgraph, 1);
 
   core::detail::run_phase(result, config, phase_names::voronoi, [&] {
-    const runtime::engine_config phase1 =
-        core::detail::phase1_config(graph, config, engine, {}, result.growth);
-    std::atomic<std::uint64_t> tiles{0};
-    core::voronoi_handler handler(dgraph, state, phase1, {}, &tiles);
+    core::voronoi_handler handler(dgraph, state);
     superstep_engine<core::voronoi_visitor, core::voronoi_handler> cells(
-        ctx, dgraph.parts(), handler, phase1, telemetry_phase::voronoi);
+        ctx, dgraph.parts(), handler, engine, telemetry_phase::voronoi);
     for (const graph::vertex_id s : seed_list) {
       cells.seed(core::voronoi_visitor{s, s, s, 0});
     }
-    const phase_metrics metrics = cells.run();
-    core::detail::record_phase1(metrics, tiles.load(), result.growth);
-    return metrics;
+    return cells.run();
   });
 
   core::cross_edge_map local_en;

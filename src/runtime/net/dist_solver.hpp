@@ -4,8 +4,8 @@
 //
 // Net solves run core's code, not a copy. Phases 1 and 6 are core's
 // voronoi_handler and tree_edge_handler on superstep_engine (the Handler
-// contract over frames), so vertex delegates, bucketed growth's edge tiling
-// and the queue policy apply as in-process; phases 3-6 and result assembly
+// contract over frames), so vertex delegates and the queue policy apply as
+// in-process; phases 3-6 and result assembly
 // (MST, pruning, validation) are core's shared tail. Output contract: the
 // tree is bit-identical to core::solve_steiner_tree for any world size and
 // backend — the lexicographic (distance, src, pred) labelling has a unique

@@ -10,8 +10,8 @@ namespace {
 
 using visitor_kind = core::voronoi_visitor::kind_t;
 
-/// Top bit of a visitor record's second word: set, the word is a relay or
-/// tile tag instead of a pred id (see encode_visitor_batch).
+/// Top bit of a visitor record's second word: set, the word is a relay tag
+/// instead of a pred id (see encode_visitor_batch).
 constexpr std::uint64_t k_kind_tag = 1ull << 63;
 
 /// Little-endian store and load of an unsigned integer of any width.
@@ -216,7 +216,7 @@ void append_visitor(std::vector<std::uint8_t>& payload,
                     const core::voronoi_visitor& v) {
   std::uint64_t second = v.vp;
   if (v.kind != visitor_kind::normal) {
-    second = k_kind_tag | (static_cast<std::uint64_t>(v.kind) << 32) | v.tile;
+    second = k_kind_tag | (static_cast<std::uint64_t>(v.kind) << 32);
   } else if ((v.vp & k_kind_tag) != 0 && v.vp != graph::k_no_vertex) {
     throw wire_error("visitor_batch: pred id outside the wire range");
   }
@@ -251,16 +251,14 @@ std::vector<core::voronoi_visitor> decode_visitor_batch(const frame& f) {
       continue;
     }
     const std::uint64_t kind = (second & ~k_kind_tag) >> 32;
-    if (kind != static_cast<std::uint64_t>(visitor_kind::relay) &&
-        kind != static_cast<std::uint64_t>(visitor_kind::tile)) {
+    if (kind != static_cast<std::uint64_t>(visitor_kind::relay)) {
       throw wire_error("visitor_batch: unknown visitor kind " +
                        std::to_string(kind));
     }
-    v.kind = static_cast<visitor_kind>(kind);
-    v.tile = static_cast<std::uint32_t>(second);
-    if (v.kind == visitor_kind::relay && v.tile != 0) {
-      throw wire_error("visitor_batch: relay visitor with a tile index");
+    if (static_cast<std::uint32_t>(second) != 0) {
+      throw wire_error("visitor_batch: relay tag with a nonzero low word");
     }
+    v.kind = visitor_kind::relay;
   }
   return out;
 }
@@ -360,25 +358,23 @@ std::vector<graph::weighted_edge> decode_edge_batch(const frame& f) {
   return out;
 }
 
-frame encode_vote(const bucket_vote& vote, bool confirm) {
-  wire_writer w(29);
+frame encode_vote(const superstep_vote& vote, bool confirm) {
+  wire_writer w(21);
   w.u64(vote.outstanding);
-  w.u64(vote.min_bucket);
   w.u32(vote.superstep);
   w.u8(vote.cancel);
   w.u64(std::bit_cast<std::uint64_t>(vote.max_work));
   return frame{confirm ? frame_type::vote_confirm : frame_type::vote, w.take()};
 }
 
-bucket_vote decode_vote(const frame& f) {
+superstep_vote decode_vote(const frame& f) {
   if (f.type != frame_type::vote && f.type != frame_type::vote_confirm) {
     throw wire_error(std::string("vote: unexpected frame type ") +
                      to_string(f.type));
   }
   wire_reader r(f.payload);
-  bucket_vote v;
+  superstep_vote v;
   v.outstanding = r.u64();
-  v.min_bucket = r.u64();
   v.superstep = r.u32();
   v.cancel = r.u8();
   v.max_work = std::bit_cast<double>(r.u64());
@@ -401,12 +397,11 @@ std::uint32_t decode_marker(const frame& f) {
 }
 
 frame encode_telemetry(const rank_telemetry& sample) {
-  wire_writer w(69 + sample.peers.size() * 24);
+  wire_writer w(61 + sample.peers.size() * 24);
   w.u32(static_cast<std::uint32_t>(sample.rank));
   w.u8(sample.phase);
   w.u32(sample.superstep);
   w.u64(sample.visitors);
-  w.u64(sample.min_bucket);
   w.u64(sample.ghost_labels);
   w.u64(sample.compute_nanos);
   w.u64(sample.send_flush_nanos);
@@ -430,7 +425,6 @@ rank_telemetry decode_telemetry(const frame& f) {
   sample.phase = r.u8();
   sample.superstep = r.u32();
   sample.visitors = r.u64();
-  sample.min_bucket = r.u64();
   sample.ghost_labels = r.u64();
   sample.compute_nanos = r.u64();
   sample.send_flush_nanos = r.u64();

@@ -12,8 +12,8 @@
 // desynchronised stream fails loudly at the first frame boundary.
 //
 // The typed payload codecs below carry exactly the state the engines already
-// exchange in-process: core's Voronoi visitors (Alg. 4 relaxations, delegate
-// relays and edge tiles crossing partitions), tree-edge walk batches
+// exchange in-process: core's Voronoi visitors (Alg. 4 relaxations and
+// delegate relays crossing partitions), tree-edge walk batches
 // (Alg. 6), ghost boundary labels, cross-cell EN entries (Alg. 5), result
 // tree edges, and the two-phase termination votes folding the superstep
 // barrier's aggregate payload.
@@ -101,17 +101,16 @@ struct ghost_label {
 
 /// One rank's contribution to a termination round — the same payload the
 /// threaded engine folds through parallel::superstep_barrier::aggregate:
-/// outstanding backlog (summed), cooperative-stop flag (OR-folded), the
-/// lowest open delta-stepping bucket (min-folded; UINT64_MAX = none) and the
+/// outstanding backlog (summed), cooperative-stop flag (OR-folded) and the
 /// superstep's simulated work (max-folded: the critical path).
-struct bucket_vote {
+struct superstep_vote {
   std::uint64_t outstanding = 0;
-  std::uint64_t min_bucket = UINT64_MAX;
   std::uint32_t superstep = 0;
   std::uint8_t cancel = 0;
   double max_work = 0.0;  ///< cost-model units; travels as its IEEE-754 bits
 
-  friend bool operator==(const bucket_vote&, const bucket_vote&) = default;
+  friend bool operator==(const superstep_vote&,
+                         const superstep_vote&) = default;
 };
 
 /// One EN entry on the wire: canonical seed pair + its best bridge.
@@ -130,10 +129,10 @@ struct wire_en_entry {
 void decode_hello(const frame& f, int& rank, int& world);
 
 /// core::voronoi_visitor records of 32 bytes: {vj, vp or tag, t, r}. Relay
-/// and tile visitors never read vp, so that word carries their tag instead:
-/// top bit set, kind in bits 32-62, tile index in bits 0-31. A normal
-/// visitor's vp is sent as is; it must be below 2^63 or k_no_vertex. An
-/// unknown kind, or a relay with a tile index, is a wire_error.
+/// visitors never read vp, so that word carries their tag instead: top bit
+/// set, kind in bits 32-62, bits 0-31 zero. A normal visitor's vp is sent as
+/// is; it must be below 2^63 or k_no_vertex. An unknown kind, or a relay tag
+/// with a nonzero low word, is a wire_error.
 [[nodiscard]] frame encode_visitor_batch(
     std::span<const core::voronoi_visitor> items);
 /// One record of encode_visitor_batch, appended to a visitor_batch payload —
@@ -159,8 +158,8 @@ void append_walk(std::vector<std::uint8_t>& payload, graph::vertex_id v);
 [[nodiscard]] std::vector<graph::weighted_edge> decode_edge_batch(
     const frame& f);
 
-[[nodiscard]] frame encode_vote(const bucket_vote& vote, bool confirm);
-[[nodiscard]] bucket_vote decode_vote(const frame& f);
+[[nodiscard]] frame encode_vote(const superstep_vote& vote, bool confirm);
+[[nodiscard]] superstep_vote decode_vote(const frame& f);
 
 [[nodiscard]] frame make_marker(std::uint32_t superstep);
 [[nodiscard]] std::uint32_t decode_marker(const frame& f);
@@ -171,7 +170,7 @@ void append_walk(std::vector<std::uint8_t>& payload, graph::vertex_id v);
 /// Ordered by pipeline position so sorting by (phase, superstep, rank) yields
 /// the execution order of the whole solve.
 enum class telemetry_phase : std::uint8_t {
-  voronoi = 1,     ///< bucketed Voronoi growth supersteps (Alg. 4)
+  voronoi = 1,     ///< Voronoi growth supersteps (Alg. 4)
   ghost_sync = 2,  ///< boundary-label exchange (one-shot)
   en_reduce = 3,   ///< all-to-all EN reduction (one-shot, Alg. 5)
   tree_walk = 4,   ///< tree-edge walk-back supersteps (Alg. 6)
@@ -203,7 +202,6 @@ struct rank_telemetry {
   std::uint8_t phase = 0;  ///< a telemetry_phase value
   std::uint32_t superstep = 0;
   std::uint64_t visitors = 0;      ///< visitors/walks drained this window
-  std::uint64_t min_bucket = UINT64_MAX;  ///< open delta bucket (none = max)
   std::uint64_t ghost_labels = 0;  ///< boundary labels pushed (ghost phase)
   /// Local drain/relax work; includes streaming out frames that fill
   /// during the drain.

@@ -1,14 +1,14 @@
 // The superstep engine: core's Handler/Visitor contract (see
 // runtime/visitor_engine.hpp) run by one rank of a comm_backend mesh, the
 // third transport beside the cooperative and threaded engines. A superstep:
-//   1. drain the mailbox (engine_config::policy) to a local fixed point, or
-//      only the voted bucket under bucketed growth. Emissions to this rank
-//      pass pre_visit at once; emissions to other ranks are encoded straight
-//      into a per-owner frame, sent whenever it fills;
+//   1. drain the mailbox (engine_config::policy) to a local fixed point.
+//      Emissions to this rank pass pre_visit at once; emissions to other
+//      ranks are encoded straight into a per-owner frame, sent whenever it
+//      fills;
 //   2. send the partial frames and a marker; every peer's visitors up to
 //      its marker pass pre_visit into the mailbox;
 //   3. rank_context::end_superstep: the termination vote (outstanding sum,
-//      cancel OR, min bucket, max work), telemetry and traffic samples.
+//      cancel OR, max work), telemetry and traffic samples.
 // Simulated work uses the threaded engine's charges, derived from the
 // counters once per superstep; the vote's max-fold adds the critical path to
 // sim_units. Every other phase_metrics counter is this rank's own.
@@ -151,7 +151,7 @@ class rank_context {
   /// Closes a one-shot exchange's telemetry window (no vote ran).
   void emit_phase_telemetry(telemetry_phase phase,
                             std::uint64_t ghost_labels = 0) {
-    emit_telemetry(phase, 0, UINT64_MAX, ghost_labels, 0.0, 0);
+    emit_telemetry(phase, 0, ghost_labels, 0.0, 0);
   }
 
   /// Records one (measured, modelled) traffic sample: wire bytes sent since
@@ -173,15 +173,14 @@ class rank_context {
   /// all ranks' unwinding in lockstep.
   vote_decision end_superstep(telemetry_phase phase, std::uint32_t superstep,
                               std::uint64_t outstanding,
-                              std::uint64_t min_bucket,
                               std::uint64_t sent_before, double work) {
     const util::timer vote_timer;
     const vote_decision decision = vote_.round(
         outstanding, config.budget != nullptr && config.budget->stop_requested(),
-        min_bucket, superstep, work);
+        superstep, work);
     const double vote_seconds = vote_timer.seconds();
     ++report.supersteps;
-    emit_telemetry(phase, superstep, min_bucket, 0, vote_seconds, outstanding);
+    emit_telemetry(phase, superstep, 0, vote_seconds, outstanding);
     record_traffic(superstep, sent_before);
     if (decision.cancel) {
       // Our own budget's reason if it tripped; otherwise another rank
@@ -219,8 +218,8 @@ class rank_context {
   /// mirrors an aggregate row into the rank-0 engine probe, which is what
   /// puts distributed solves into /tracez and the slow-query log.
   void emit_telemetry(telemetry_phase phase, std::uint32_t superstep,
-                      std::uint64_t min_bucket, std::uint64_t ghost_labels,
-                      double vote_seconds, std::uint64_t backlog) {
+                      std::uint64_t ghost_labels, double vote_seconds,
+                      std::uint64_t backlog) {
     if (config.trace != nullptr) {
       obs::superstep_sample probe_sample;
       probe_sample.superstep = superstep;
@@ -231,7 +230,6 @@ class rank_context {
       probe_sample.compute_seconds = static_cast<float>(scratch.compute_seconds);
       probe_sample.barrier_wait_seconds =
           static_cast<float>(scratch.recv_wait_seconds + vote_seconds);
-      probe_sample.bucket = min_bucket;
       config.trace->probe().record(0, probe_sample);
     }
     if (!telemetry_on_) return;
@@ -240,7 +238,6 @@ class rank_context {
     t.phase = static_cast<std::uint8_t>(phase);
     t.superstep = superstep;
     t.visitors = scratch.visitors;
-    t.min_bucket = min_bucket;
     t.ghost_labels = ghost_labels;
     t.compute_nanos = to_nanos(scratch.compute_seconds);
     t.send_flush_nanos = to_nanos(scratch.send_flush_seconds);
@@ -314,10 +311,8 @@ class superstep_engine {
         handler_(handler),
         costs_(config.costs),
         phase_(phase),
-        bucketed_(config.growth == growth_mode::bucketed &&
-                  config.bucket_delta > 0),
         rank_(ctx.rank()),
-        box_(config.policy, bucketed_ ? config.bucket_delta : 0),
+        box_(config.policy),
         outbox_(static_cast<std::size_t>(ctx.world()), frame{codec::type, {}}) {}
 
   using emitter = engine_emitter<superstep_engine, Visitor>;
@@ -334,17 +329,11 @@ class superstep_engine {
   /// the vote folds a cancel bit, and wire_error if the mesh dies.
   [[nodiscard]] phase_metrics run() {
     const util::timer wall;
-    std::uint64_t bucket = 0;  // the seeds' bucket; later ones come from votes
-    std::uint64_t last_bucket = k_no_bucket;
     for (std::uint32_t superstep = 0;; ++superstep) {
       const std::uint64_t sent_before = ctx_.begin_window();
       const double work_before = work();
-      if (bucketed_ && bucket != last_bucket) {
-        ++metrics_.buckets_processed;
-        last_bucket = bucket;
-      }
       const util::timer compute_timer;
-      while (!box_.empty() && (!bucketed_ || box_.min_bucket() == bucket)) {
+      while (!box_.empty()) {
         const Visitor v = box_.pop();
         emitter out(*this, parts_, rank_);
         ++ctx_.scratch.visitors;
@@ -373,11 +362,10 @@ class superstep_engine {
       ++metrics_.rounds;
 
       const vote_decision decision =
-          ctx_.end_superstep(phase_, superstep, box_.size(), box_.min_bucket(),
-                             sent_before, work() - work_before);
+          ctx_.end_superstep(phase_, superstep, box_.size(), sent_before,
+                             work() - work_before);
       metrics_.sim_units += decision.max_work;
       if (decision.stop) break;
-      bucket = decision.min_bucket;
     }
     metrics_.queue_peak_bytes = metrics_.queue_peak_items * sizeof(Visitor);
     metrics_.wall_seconds = wall.seconds();
@@ -433,7 +421,6 @@ class superstep_engine {
   Handler& handler_;
   cost_model costs_;
   telemetry_phase phase_;
-  bool bucketed_;
   int rank_;
   mailbox<Visitor> box_;
   /// Per destination rank, the data frame being filled. Full frames go out

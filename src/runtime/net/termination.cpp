@@ -50,8 +50,8 @@ std::uint32_t peer_channels::until_marker(
 
 termination_vote::termination_vote(peer_channels& chans) : chans_(chans) {}
 
-bucket_vote termination_vote::fold_once(const bucket_vote& mine,
-                                        bool confirm) {
+superstep_vote termination_vote::fold_once(const superstep_vote& mine,
+                                           bool confirm) {
   ++rounds_;
   comm_backend& net = chans_.backend();
   const frame f = encode_vote(mine, confirm);
@@ -60,10 +60,10 @@ bucket_vote termination_vote::fold_once(const bucket_vote& mine,
   for (int peer = 0; peer < net.world_size(); ++peer) {
     if (peer != net.rank()) net.send(peer, f);
   }
-  bucket_vote folded = mine;
+  superstep_vote folded = mine;
   for (int peer = 0; peer < net.world_size(); ++peer) {
     if (peer == net.rank()) continue;
-    const bucket_vote theirs = decode_vote(chans_.expect(peer, want));
+    const superstep_vote theirs = decode_vote(chans_.expect(peer, want));
     if (theirs.superstep != mine.superstep) {
       throw wire_error("vote superstep mismatch: mine " +
                        std::to_string(mine.superstep) + ", rank " +
@@ -71,7 +71,6 @@ bucket_vote termination_vote::fold_once(const bucket_vote& mine,
                        std::to_string(theirs.superstep));
     }
     folded.outstanding += theirs.outstanding;
-    folded.min_bucket = std::min(folded.min_bucket, theirs.min_bucket);
     folded.cancel = folded.cancel | theirs.cancel;
     folded.max_work = std::max(folded.max_work, theirs.max_work);
   }
@@ -79,20 +78,16 @@ bucket_vote termination_vote::fold_once(const bucket_vote& mine,
 }
 
 vote_decision termination_vote::round(std::uint64_t outstanding, bool cancel,
-                                      std::uint64_t min_bucket,
-                                      std::uint32_t superstep,
-                                      double work) {
-  bucket_vote mine;
+                                      std::uint32_t superstep, double work) {
+  superstep_vote mine;
   mine.outstanding = outstanding;
-  mine.min_bucket = min_bucket;
   mine.superstep = superstep;
   mine.cancel = cancel ? 1 : 0;
   mine.max_work = work;
 
-  const bucket_vote proposed = fold_once(mine, /*confirm=*/false);
+  const superstep_vote proposed = fold_once(mine, /*confirm=*/false);
   vote_decision decision;
   decision.cancel = proposed.cancel != 0;
-  decision.min_bucket = proposed.min_bucket;
   decision.max_work = proposed.max_work;
   if (proposed.cancel != 0) {
     decision.stop = true;  // cancellation stops everyone immediately
@@ -105,9 +100,8 @@ vote_decision termination_vote::round(std::uint64_t outstanding, bool cancel,
   // and per-peer FIFO means any such frame would precede the vote we already
   // consumed. The confirm round re-affirms under that quiesced state and
   // keeps all ranks in lockstep on the same final superstep count.
-  const bucket_vote confirmed = fold_once(mine, /*confirm=*/true);
+  const superstep_vote confirmed = fold_once(mine, /*confirm=*/true);
   decision.cancel = confirmed.cancel != 0;
-  decision.min_bucket = confirmed.min_bucket;
   decision.stop = confirmed.cancel != 0 || confirmed.outstanding == 0;
   return decision;
 }

@@ -11,8 +11,7 @@
 //
 // `termination_vote` folds the same aggregate the threaded engine's
 // superstep_barrier carries — outstanding work (sum), cooperative cancel
-// (OR), next delta-stepping bucket (min), simulated work (max) — across
-// ranks with an all-to-all exchange, then confirms an all-idle result with a
+// (OR), simulated work (max) — across ranks with an all-to-all exchange, then confirms an all-idle result with a
 // second round. The confirmation round is what makes termination sound: a
 // rank can vote idle and then receive late visitors sent before the vote, so
 // "everyone idle once" is only a hypothesis until everyone re-affirms it with
@@ -68,7 +67,6 @@ class peer_channels {
 struct vote_decision {
   bool stop = false;            ///< all ranks idle, confirmed — leave the loop
   bool cancel = false;          ///< some rank requested cooperative cancel
-  std::uint64_t min_bucket = 0; ///< global min pending bucket (UINT64_MAX if none)
   double max_work = 0.0;        ///< largest per-rank simulated work this step
 };
 
@@ -78,18 +76,16 @@ class termination_vote {
   explicit termination_vote(peer_channels& chans);
 
   /// Runs one vote at the end of superstep `superstep`. `outstanding` is this
-  /// rank's pending-work count, `cancel` its cooperative-stop flag,
-  /// `min_bucket` its smallest pending bucket (UINT64_MAX when none), `work`
+  /// rank's pending-work count, `cancel` its cooperative-stop flag, `work`
   /// its simulated work this superstep (cost-model units).
   vote_decision round(std::uint64_t outstanding, bool cancel,
-                      std::uint64_t min_bucket, std::uint32_t superstep,
-                      double work = 0.0);
+                      std::uint32_t superstep, double work = 0.0);
 
   /// Total vote rounds executed (confirmation rounds included).
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
 
  private:
-  bucket_vote fold_once(const bucket_vote& mine, bool confirm);
+  superstep_vote fold_once(const superstep_vote& mine, bool confirm);
 
   peer_channels& chans_;
   std::uint64_t rounds_ = 0;

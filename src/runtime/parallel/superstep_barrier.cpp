@@ -17,13 +17,11 @@ std::uint64_t superstep_barrier::epoch() const {
 }
 
 superstep_barrier::aggregate superstep_barrier::arrive_and_wait(
-    std::uint64_t outstanding, double work, bool cancel,
-    std::uint64_t min_bucket) {
+    std::uint64_t outstanding, double work, bool cancel) {
   std::unique_lock<std::mutex> lock(mutex_);
   pending_.outstanding += outstanding;
   pending_.max_work = std::max(pending_.max_work, work);
   pending_.cancel = pending_.cancel || cancel;
-  pending_.min_bucket = std::min(pending_.min_bucket, min_bucket);
   if (++arrived_ == parties_) {
     result_ = pending_;
     pending_ = {};

@@ -32,11 +32,6 @@ class superstep_barrier {
     /// party sees the same flag and exits the same superstep (no worker left
     /// waiting on a barrier its peers abandoned).
     bool cancel = false;
-    /// Lowest mailbox bucket over all parties, min-folded (bucketed growth
-    /// only; UINT64_MAX is both "no bucket" and the fold identity, so the
-    /// default-constructed reset between epochs is already correct). Lets
-    /// every worker agree on the bucket to drain in the next phase.
-    std::uint64_t min_bucket = UINT64_MAX;
   };
 
   explicit superstep_barrier(std::size_t parties);
@@ -44,8 +39,7 @@ class superstep_barrier {
   /// Contributes to the current epoch and blocks until all parties arrive.
   /// Returns the epoch's aggregate.
   aggregate arrive_and_wait(std::uint64_t outstanding, double work,
-                            bool cancel = false,
-                            std::uint64_t min_bucket = UINT64_MAX);
+                            bool cancel = false);
 
   [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
   [[nodiscard]] std::uint64_t epoch() const;

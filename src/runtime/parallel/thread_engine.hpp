@@ -38,23 +38,11 @@
 // engine: remote-message delivery work is charged to the receiving rank at
 // drain time (the following superstep) instead of at send time.
 //
-// growth_mode::bucketed swaps the phase-B batch for delta-stepping: the
-// phase-A barrier min-folds every rank's lowest mailbox bucket, so all
-// workers agree on the current bucket, and phase B drains that *whole*
-// bucket per rank (no batch cap — far fewer barriers per solve, which is
-// the perf win on power-law graphs). Relaxed priorities never fall below
-// the bucket being drained, so the drain terminates; the output tree is
-// still the unique lexicographic fixed point, but the schedule — and the
-// metrics — depend on bucket widths rather than being bit-identical to
-// strict order. When the landmark oracle caps useful priorities
-// (priority_limit), a current bucket past the cap proves every remaining
-// visitor useless: all mailboxes are cleared and the run terminates early.
-//
-// batch_size == 0 opts into adaptive batching (strict order only): worker 0
-// measures its phase-B compute vs barrier-B wait each superstep and grows
-// the shared batch when the barrier dominates (amortize synchronization) or
-// shrinks it when compute dominates (bound priority inversion). By design
-// this trades the metrics' bit-identity for self-tuning throughput.
+// batch_size == 0 opts into adaptive batching: worker 0 measures its phase-B
+// compute vs barrier-B wait each superstep and grows the shared batch when
+// the barrier dominates (amortize synchronization) or shrinks it when
+// compute dominates (bound priority inversion). By design this trades the
+// metrics' bit-identity for self-tuning throughput.
 #pragma once
 
 #include <algorithm>
@@ -83,16 +71,10 @@ class thread_engine {
   thread_engine(const partitioner& parts, Handler& handler,
                 engine_config config)
       : parts_(parts), handler_(&handler), config_(config) {
-    bucketed_ = config_.growth == growth_mode::bucketed &&
-                config_.bucket_delta > 0;
-    adaptive_ = !bucketed_ && config_.batch_size == 0;
+    adaptive_ = config_.batch_size == 0;
     if (config_.batch_size == 0) config_.batch_size = 64;
     const auto p = static_cast<std::size_t>(parts.num_ranks());
-    mailboxes_.reserve(p);
-    for (std::size_t r = 0; r < p; ++r) {
-      mailboxes_.emplace_back(config.policy,
-                              bucketed_ ? config_.bucket_delta : 0);
-    }
+    mailboxes_.assign(p, mailbox<Visitor>(config.policy));
     channels_.reserve(p * p);
     for (std::size_t i = 0; i < p * p; ++i) {
       channels_.push_back(std::make_unique<spsc_channel<Visitor>>());
@@ -154,7 +136,6 @@ class thread_engine {
       metrics_.previsit_rejections += st.previsit_rejections;
       metrics_.messages_local += st.messages_local;
       metrics_.messages_remote += st.messages_remote;
-      metrics_.bucket_pruned += st.bucket_pruned;
     }
     metrics_.wall_seconds = wall.seconds();
     return metrics_;
@@ -167,9 +148,10 @@ class thread_engine {
  private:
   friend emitter;
 
-  /// Per-rank accounting, touched only by the rank's worker; padded so
-  /// neighbouring ranks on different workers do not false-share.
-  struct alignas(64) rank_stats {
+  /// Per-rank accounting, touched only by the rank's worker; padded to a
+  /// cache-line pair (as mailbox is) so neighbouring ranks on different
+  /// workers do not false-share.
+  struct alignas(128) rank_stats {
     double work = 0.0;  ///< simulated work this superstep, reset at barrier B
     std::uint64_t processed = 0;
     std::uint64_t skipped = 0;
@@ -177,18 +159,11 @@ class thread_engine {
     std::uint64_t messages_local = 0;
     std::uint64_t messages_remote = 0;
     std::uint64_t sent_remote_step = 0;  ///< channel emissions this superstep
-    std::uint64_t bucket_pruned = 0;     ///< visitors dropped by bucket prune
-    /// Bucket this rank is draining in the current phase B; written by the
-    /// owning worker before its visits, read by the same worker's send()
-    /// for light/heavy classification — never shared across threads.
-    std::uint64_t current_bucket = UINT64_MAX;
     // Tracing deltas, reset after each sample. Maintained unconditionally
     // (one add on paths that already touch this cache line) so the compute
     // loop stays branch-free; they are only *read* when a probe is attached.
     std::uint32_t visits_step = 0;   ///< visit dispatches this superstep
     std::uint32_t drained_step = 0;  ///< channel admissions this superstep
-    std::uint32_t light_step = 0;    ///< relaxations into the current bucket
-    std::uint32_t heavy_step = 0;    ///< relaxations into later buckets
   };
 
   [[nodiscard]] spsc_channel<Visitor>& channel(int from, int to) noexcept {
@@ -207,7 +182,6 @@ class thread_engine {
     // Timed when tracing, or on worker 0 when adaptive batching needs the
     // compute/barrier-wait ratio.
     const bool timed = probe != nullptr || (adaptive_ && w == 0);
-    std::uint64_t last_bucket = k_no_bucket;  // worker 0: transition counter
     util::timer step_timer;  // read only when `timed`
     for (;;) {
       // Phase A: admit everything the previous superstep (or seeding) put
@@ -218,35 +192,8 @@ class thread_engine {
         drain_channels(static_cast<int>(r), static_cast<int>(p));
       }
       const double t_drained = timed ? step_timer.seconds() : 0.0;
-      // Bucketed: fold this worker's lowest mailbox bucket through the
-      // barrier so phase B agrees on one global bucket to drain. After the
-      // phase-A drain every in-flight visitor sits in a mailbox, so the
-      // fold sees *all* remaining work — the minimum is exact.
-      std::uint64_t my_min = k_no_bucket;
-      if (bucketed_) {
-        for (std::size_t r = w; r < p; r += workers) {
-          my_min = std::min(my_min, mailboxes_[r].min_bucket());
-        }
-      }
-      const auto agg_a = barrier.arrive_and_wait(0, 0.0, false, my_min);
-      const std::uint64_t bucket = agg_a.min_bucket;
+      barrier.arrive_and_wait(0, 0.0);
       const double t_computing = timed ? step_timer.seconds() : 0.0;
-
-      if (bucketed_ && bucket != k_no_bucket &&
-          bucket * config_.bucket_delta > config_.priority_limit) {
-        // Every remaining visitor has priority >= bucket * delta, beyond
-        // the best landmark upper bound: none can improve a cell. Drop
-        // them all; the next barrier sees zero outstanding and terminates.
-        for (std::size_t r = w; r < p; r += workers) {
-          stats_[r].bucket_pruned += mailboxes_[r].size();
-          mailboxes_[r].clear();
-        }
-      }
-      if (w == 0 && bucketed_ && bucket != k_no_bucket &&
-          bucket != last_bucket) {
-        ++metrics_.buckets_processed;
-        last_bucket = bucket;
-      }
 
       // Phase B: compute. Local emissions are consumable this superstep;
       // remote emissions wait in channels for the next phase A.
@@ -255,14 +202,8 @@ class thread_engine {
       std::uint32_t visits_sum = 0;
       std::uint32_t sent_sum = 0;
       std::uint32_t drained_sum = 0;
-      std::uint32_t light_sum = 0;
-      std::uint32_t heavy_sum = 0;
       for (std::size_t r = w; r < p; r += workers) {
-        if (bucketed_) {
-          process_bucket(static_cast<int>(r), bucket);
-        } else {
-          process_batch(static_cast<int>(r));
-        }
+        process_batch(static_cast<int>(r));
         rank_stats& st = stats_[r];
         outstanding += mailboxes_[r].size() + st.sent_remote_step;
         work_max = std::max(work_max, st.work);
@@ -272,8 +213,6 @@ class thread_engine {
           visits_sum += st.visits_step;
           sent_sum += static_cast<std::uint32_t>(st.sent_remote_step);
           drained_sum += st.drained_step;
-          light_sum += st.light_step;
-          heavy_sum += st.heavy_step;
           const std::size_t backlog = mailboxes_[r].size();
           if (st.visits_step != 0 || st.drained_step != 0 ||
               st.sent_remote_step != 0 || backlog != 0) {
@@ -293,8 +232,6 @@ class thread_engine {
         st.sent_remote_step = 0;
         st.visits_step = 0;
         st.drained_step = 0;
-        st.light_step = 0;
-        st.heavy_step = 0;
       }
       // Cancellation checkpoint: each worker votes with its own observation
       // and the barrier's OR-fold makes the stop decision unanimous.
@@ -316,11 +253,6 @@ class thread_engine {
             static_cast<float>(t_drained + (t_computed - t_computing));
         s.barrier_wait_seconds = static_cast<float>(
             (t_computing - t_drained) + (step_timer.seconds() - t_computed));
-        if (bucketed_) {
-          s.bucket = bucket;
-          s.light = light_sum;
-          s.heavy = heavy_sum;
-        }
         probe->record(w, s);
       }
       if (adaptive_ && w == 0) {
@@ -396,38 +328,9 @@ class thread_engine {
     }
   }
 
-  /// Bucketed phase B: drain the rank's *entire* current bucket. Same-rank
-  /// relaxations can only land in this bucket or later (priorities are
-  /// monotone under relaxation), so the loop terminates; later buckets wait
-  /// for the next superstep's global minimum.
-  void process_bucket(int r, std::uint64_t bucket) {
-    rank_stats& st = stats_[static_cast<std::size_t>(r)];
-    st.current_bucket = bucket;
-    auto& box = mailboxes_[static_cast<std::size_t>(r)];
-    emitter out(*this, parts_, r);
-    while (!box.empty() && box.min_bucket() == bucket) {
-      Visitor v = box.pop();
-      ++st.visits_step;
-      if (handler_->visit(v, r, out)) {
-        ++st.processed;
-        st.work += config_.costs.visit_cost;
-      } else {
-        ++st.skipped;
-        st.work += config_.costs.reject_cost;
-      }
-    }
-  }
-
   void send(Visitor v, int from_rank, int to_rank) {
     rank_stats& st = stats_[static_cast<std::size_t>(from_rank)];
     st.work += config_.costs.send_cost;
-    if (bucketed_) {
-      if (v.priority() / config_.bucket_delta == st.current_bucket) {
-        ++st.light_step;
-      } else {
-        ++st.heavy_step;
-      }
-    }
     if (to_rank == from_rank) {
       // Same-rank delivery stays on this worker: admit immediately so the
       // visitor is consumable within this superstep's batch, mirroring the
@@ -449,8 +352,7 @@ class thread_engine {
   partitioner parts_;
   Handler* handler_;
   engine_config config_;
-  bool bucketed_ = false;
-  bool adaptive_ = false;  ///< batch_size == 0: self-tuning batch (strict only)
+  bool adaptive_ = false;  ///< batch_size == 0: self-tuning batch
   std::atomic<std::size_t> auto_batch_{64};
   std::vector<mailbox<Visitor>> mailboxes_;
   std::vector<std::unique_ptr<spsc_channel<Visitor>>> channels_;  // [from*p+to]

@@ -17,8 +17,6 @@ void phase_metrics::merge(const phase_metrics& other) noexcept {
   collective_bytes += other.collective_bytes;
   queue_peak_items = std::max(queue_peak_items, other.queue_peak_items);
   queue_peak_bytes = std::max(queue_peak_bytes, other.queue_peak_bytes);
-  buckets_processed += other.buckets_processed;
-  bucket_pruned += other.bucket_pruned;
 }
 
 phase_metrics& phase_breakdown::phase(const std::string& name) {

@@ -51,10 +51,6 @@ struct phase_metrics {
   std::uint64_t collective_bytes = 0;
   std::uint64_t queue_peak_items = 0;    ///< max simultaneously queued visitors
   std::uint64_t queue_peak_bytes = 0;
-  // Bucketed (delta-stepping) growth only; both stay 0 in strict order, so
-  // strict-mode bit-identity across engines/thread counts is unaffected.
-  std::uint64_t buckets_processed = 0;   ///< distinct buckets drained
-  std::uint64_t bucket_pruned = 0;       ///< visitors dropped by the bucket prune
 
   [[nodiscard]] std::uint64_t messages_total() const noexcept {
     return messages_local + messages_remote;

@@ -58,13 +58,8 @@ class visitor_engine {
     // cooperative engine has no barrier to adapt against, so it just runs
     // the default.
     if (config_.batch_size == 0) config_.batch_size = 64;
-    bucketed_ = config_.growth == growth_mode::bucketed &&
-                config_.bucket_delta > 0;
-    mailboxes_.reserve(static_cast<std::size_t>(parts.num_ranks()));
-    for (int r = 0; r < parts.num_ranks(); ++r) {
-      mailboxes_.emplace_back(config.policy,
-                              bucketed_ ? config_.bucket_delta : 0);
-    }
+    mailboxes_.assign(static_cast<std::size_t>(parts.num_ranks()),
+                      mailbox<Visitor>(config.policy));
     round_work_.assign(static_cast<std::size_t>(parts.num_ranks()), 0.0);
   }
 
@@ -95,47 +90,10 @@ class visitor_engine {
       const double round_wall0 = sampling ? wall.seconds() : 0.0;
       ++metrics_.rounds;
       std::fill(round_work_.begin(), round_work_.end(), 0.0);
-      round_light_ = round_heavy_ = 0;
-      std::uint64_t round_bucket = k_no_bucket;
-      if (bucketed_) {
-        // The round drains the globally lowest bucket. The prune decision
-        // additionally folds BSP-staged priorities so a staged lower-bucket
-        // visitor is never dropped by mistake.
-        for (const auto& box : mailboxes_) {
-          round_bucket = std::min(round_bucket, box.min_bucket());
-        }
-        std::uint64_t min_all = round_bucket;
-        for (const auto& [to, v] : staged_) {
-          min_all = std::min(min_all, v.priority() / config_.bucket_delta);
-        }
-        if (min_all != k_no_bucket &&
-            min_all * config_.bucket_delta > config_.priority_limit) {
-          // Every remaining visitor has priority >= min_all * delta, beyond
-          // the best landmark upper bound: nothing left can improve a cell,
-          // so drop it all and terminate.
-          metrics_.bucket_pruned += pending_ + staged_.size();
-          for (auto& box : mailboxes_) box.clear();
-          staged_.clear();
-          pending_ = 0;
-          break;
-        }
-        if (round_bucket != k_no_bucket && round_bucket != last_bucket_) {
-          ++metrics_.buckets_processed;
-          last_bucket_ = round_bucket;
-        }
-        current_bucket_ = round_bucket;
-      }
       for (int r = 0; r < p; ++r) {
         auto& box = mailboxes_[static_cast<std::size_t>(r)];
-        // Bucketed: drain the whole current bucket (relaxations only ever
-        // land in this bucket or later, so the loop terminates). Strict:
-        // batch_size visitors in priority order.
-        for (std::size_t step = 0; !box.empty(); ++step) {
-          if (bucketed_) {
-            if (box.min_bucket() != round_bucket) break;
-          } else if (step >= config_.batch_size) {
-            break;
-          }
+        for (std::size_t step = 0; step < config_.batch_size && !box.empty();
+             ++step) {
           Visitor v = box.pop();
           --pending_;
           emitter out(*this, parts_, r);
@@ -173,11 +131,6 @@ class visitor_engine {
         agg.work_units = static_cast<float>(round_max);
         agg.compute_seconds =
             static_cast<float>(wall.seconds() - round_wall0);
-        if (bucketed_) {
-          agg.bucket = current_bucket_;
-          agg.light = round_light_;
-          agg.heavy = round_heavy_;
-        }
         config_.probe->record(0, agg);
         for (int r = 0; r < p; ++r) {
           const double work = round_work_[static_cast<std::size_t>(r)];
@@ -208,16 +161,6 @@ class visitor_engine {
     // this is what makes a high-degree scatter expensive on its home rank
     // and what vertex delegates spread out.
     round_work_[static_cast<std::size_t>(from_rank)] += config_.costs.send_cost;
-    if (bucketed_) {
-      // Delta-stepping nomenclature: a relaxation landing in the bucket
-      // currently being drained is "light" (re-examined this round), one
-      // landing in a later bucket is "heavy" (settled once).
-      if (v.priority() / config_.bucket_delta == current_bucket_) {
-        ++round_light_;
-      } else {
-        ++round_heavy_;
-      }
-    }
     if (to_rank == from_rank) {
       ++metrics_.messages_local;
     } else {
@@ -255,15 +198,10 @@ class visitor_engine {
   partitioner parts_;
   Handler* handler_;
   engine_config config_;
-  bool bucketed_ = false;
   std::vector<mailbox<Visitor>> mailboxes_;
   std::vector<std::pair<int, Visitor>> staged_;  // BSP-deferred deliveries
   std::vector<double> round_work_;
   std::uint64_t pending_ = 0;
-  std::uint64_t current_bucket_ = k_no_bucket;  // bucket being drained
-  std::uint64_t last_bucket_ = k_no_bucket;     // for buckets_processed
-  std::uint32_t round_light_ = 0;
-  std::uint32_t round_heavy_ = 0;
   phase_metrics metrics_;
 };
 

@@ -75,13 +75,6 @@ std::string debug_endpoint::render_statusz() const {
        s.fragments.fragments, s.fragments.bytes_in_use, s.fragment_assisted,
        s.oracle_builds);
   line(out,
-       "growth: bucketed_solves=%" PRIu64 " buckets=%" PRIu64 " tiles=%" PRIu64
-       " bucket_pruned=%" PRIu64 " last_delta=%" PRIu64
-       " last_tile_threshold=%" PRIu64,
-       s.bucketed_solves, s.growth_buckets_processed, s.growth_tiles,
-       s.growth_bucket_pruned, s.growth_last_delta,
-       s.growth_last_tile_threshold);
-  line(out,
        "net: solves=%" PRIu64 " bytes_sent=%" PRIu64 " bytes_modelled=%" PRIu64
        " frames=%" PRIu64 " supersteps=%" PRIu64 " votes=%" PRIu64
        " ghost_labels=%" PRIu64,

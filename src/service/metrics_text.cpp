@@ -144,24 +144,6 @@ std::string render_metrics_text(const service_snapshot& snap,
             "numerator; divide by engine visitors)", s.oracle_pruned_visitors);
   w.counter("oracle_builds_total", "Landmark table (re)builds",
             s.oracle_builds);
-  w.counter("bucketed_solves_total",
-            "Cold solves that ran phase 1 as bucketed delta-stepping "
-            "(relaxed-determinism requests)", s.bucketed_solves);
-  w.counter("growth_buckets_processed_total",
-            "Delta-stepping buckets drained by bucketed phase-1 runs",
-            s.growth_buckets_processed);
-  w.counter("growth_tiles_emitted_total",
-            "Edge tiles emitted for high-degree vertices under bucketed growth",
-            s.growth_tiles);
-  w.counter("growth_bucket_pruned_total",
-            "Visitors dropped when the landmark bound closed all remaining "
-            "buckets", s.growth_bucket_pruned);
-  w.gauge("growth_last_bucket_delta",
-          "Resolved delta-stepping bucket width of the most recent bucketed "
-          "solve", s.growth_last_delta);
-  w.gauge("growth_last_tile_threshold",
-          "Resolved edge-tiling degree threshold of the most recent bucketed "
-          "solve", s.growth_last_tile_threshold);
   w.counter("net_solves_total",
             "Cold solves executed on the distributed comm_backend mesh",
             s.distributed_solves);

@@ -52,32 +52,6 @@ inline constexpr std::size_t k_priority_classes = 3;
   return i < k_priority_classes ? i : k_priority_classes - 1;
 }
 
-/// Per-request determinism contract.
-///
-/// strict (default): the solve runs in strict priority order — the output
-/// tree AND the simulated metrics are bit-identical across engines, thread
-/// counts and repeat runs, and the result is shared freely with the cache,
-/// warm-start donors and coalesced riders.
-///
-/// relaxed: the service may run phase 1 as bucketed delta-stepping (the
-/// cheaper tier — typically faster cold solves, priced lower by the learned
-/// admission model). The output tree is still exactly the strict tree (the
-/// solver's lexicographic fixed point does not depend on schedule), so
-/// relaxed and strict queries share cache entries and donors; only the
-/// *metrics* (relaxation counts, simulated clock) become schedule-dependent.
-enum class determinism_mode : std::uint8_t {
-  strict = 0,
-  relaxed = 1,
-};
-
-[[nodiscard]] constexpr const char* to_string(determinism_mode d) noexcept {
-  switch (d) {
-    case determinism_mode::strict: return "strict";
-    case determinism_mode::relaxed: return "relaxed";
-  }
-  return "?";
-}
-
 /// A query plus its QoS envelope. The query fields mean exactly what they
 /// mean on `query` (query.hpp).
 struct request {
@@ -94,10 +68,6 @@ struct request {
   /// default token never cancels. One token may be shared by many requests
   /// (cancel a whole session in one call).
   util::cancel_token cancel{};
-  /// Determinism tier (see determinism_mode). strict is the default so the
-  /// bit-identity contract — and every reuse path that leans on it — holds
-  /// unless the caller explicitly opts into the cheaper relaxed tier.
-  determinism_mode determinism = determinism_mode::strict;
 
   request() = default;
   explicit request(query base) : q(std::move(base)) {}

@@ -218,18 +218,14 @@ std::uint64_t steiner_service::config_hash(
   // Deliberate exception #3: `trace` is NOT hashed — tracing is pure
   // observation (traced and untraced solves are bit-identical), so both
   // share one cache entry.
-  // Deliberate exception #4: the growth knobs (growth, bucket_delta,
-  // tile_threshold) are NOT hashed — bucketed growth changes the phase-1
-  // schedule and therefore the metrics, but the output tree is the same
-  // lexicographic fixed point, so strict and relaxed queries deliberately
-  // share one cache entry (the cached tree is always the strict tree).
-  // Deliberate exception #5: `net_telemetry` is NOT hashed — the distributed
+  // Deliberate exception #4: `net_telemetry` is NOT hashed — the distributed
   // telemetry plane is pure observation like `trace` (it moves traffic
   // totals by its own frames but never the output tree), so telemetry-on
-  // and -off runs share one cache entry.
+  // and -off runs share one cache entry. `growth` has a single value, so
+  // there is nothing to hash.
   static_assert(sizeof(runtime::cost_model) == 8 * sizeof(double),
                 "cost_model changed: update config_hash");
-  static_assert(sizeof(core::solver_config) <= 120 + sizeof(runtime::cost_model),
+  static_assert(sizeof(core::solver_config) <= 88 + sizeof(runtime::cost_model),
                 "solver_config changed: update config_hash");
   const auto f64 = [](double value) {
     return std::bit_cast<std::uint64_t>(value);
@@ -282,9 +278,9 @@ void steiner_service::note_stopped(detail::request_state& st,
 }
 
 executor::task steiner_service::make_task(
-    std::shared_ptr<detail::request_state> st, query q, bool relaxed) {
+    std::shared_ptr<detail::request_state> st, query q) {
   util::timer admitted;
-  return [this, st = std::move(st), q = std::move(q), relaxed,
+  return [this, st = std::move(st), q = std::move(q),
           admitted](double queue_wait) mutable {
     // Pickup checkpoint: a request cancelled or expired while it queued
     // resolves here without touching a solver — the worker moves straight on
@@ -300,8 +296,8 @@ executor::task steiner_service::make_task(
     try {
       query_result out =
           execute(std::move(q), queue_wait, admitted,
-                  exec_context{&st->budget, st->estimates, st->id, st->priority,
-                               relaxed});
+                  exec_context{&st->budget, st->estimates, st->id,
+                               st->priority});
       st->status.store(request_status::done, std::memory_order_release);
       st->promise.set_value(std::move(out));
     } catch (const util::operation_cancelled& stopped) {
@@ -379,8 +375,7 @@ void steiner_service::dispatch(request r,
     }
   };
 
-  executor::task t = make_task(
-      st, std::move(r.q), r.determinism == determinism_mode::relaxed);
+  executor::task t = make_task(st, std::move(r.q));
   if (!exec_.try_post(std::move(t), std::move(opts))) {
     reject(reject_reason::queue_full);
     return;
@@ -588,12 +583,6 @@ admission_estimates steiner_service::estimate_completion_seconds(
   }
   core::solver_config solver_config = r.q.config.value_or(config_.solver);
   grant_worker_budget(solver_config);
-  // Relaxed requests will run (a cold solve) bucketed; apply the override
-  // here too so the learned model prices the tier that will actually run.
-  // The growth knobs are excluded from config_hash, so the key is shared.
-  if (r.determinism == determinism_mode::relaxed) {
-    solver_config.growth = runtime::growth_mode::bucketed;
-  }
   const cache_key key{
       epoch->fingerprint(),
       util::hash_range(canonical.data(), canonical.size(), 0x5eed),
@@ -741,10 +730,6 @@ query_result steiner_service::execute(query q, double queue_wait,
   // QoS plumbing only — budget is deliberately absent from config_hash, so
   // it must be attached after the hash-relevant fields are settled.
   solver_config.budget = budget;
-  // Relaxed-determinism opt-in: a cold solve may run phase 1 bucketed. Like
-  // budget, growth is absent from config_hash (same output tree), so strict
-  // and relaxed queries share cache entries and coalesce with each other.
-  if (ctx.relaxed) solver_config.growth = runtime::growth_mode::bucketed;
 
   // Query-scoped tracing: origin back-dated to admission so the two service
   // spans (admission bookkeeping, queue wait) land before offset "now". Like
@@ -1051,23 +1036,6 @@ query_result steiner_service::execute(query q, double queue_wait,
       }
       out.kind = solve_kind::cold;
       ++cold_solves_;
-      if (out.result.growth.mode == runtime::growth_mode::bucketed) {
-        ++bucketed_solves_;
-        growth_buckets_processed_ += out.result.growth.buckets_processed;
-        growth_tiles_ += out.result.growth.tiles_emitted;
-        growth_bucket_pruned_ += out.result.growth.bucket_pruned;
-        growth_last_delta_.store(out.result.growth.delta,
-                                 std::memory_order_relaxed);
-        growth_last_tile_threshold_.store(out.result.growth.tile_threshold,
-                                          std::memory_order_relaxed);
-        if (trace != nullptr) {
-          trace->add_event("bucketed_buckets",
-                           static_cast<double>(
-                               out.result.growth.buckets_processed));
-          trace->add_event("bucketed_tiles",
-                           static_cast<double>(out.result.growth.tiles_emitted));
-        }
-      }
       // Feed the admission model's spread baseline (only meaningful when
       // the oracle's lower side is usable; seed_spread returns 0 otherwise).
       if (config_.enable_oracle) {
@@ -1172,12 +1140,6 @@ service_stats steiner_service::stats() const {
   s.stale_refreshes_deduped = stale_refreshes_deduped_.load();
   s.leader_abandoned = leader_abandoned_.load();
   s.slow_queries = slow_queries_.load();
-  s.bucketed_solves = bucketed_solves_.load();
-  s.growth_buckets_processed = growth_buckets_processed_.load();
-  s.growth_tiles = growth_tiles_.load();
-  s.growth_bucket_pruned = growth_bucket_pruned_.load();
-  s.growth_last_delta = growth_last_delta_.load();
-  s.growth_last_tile_threshold = growth_last_tile_threshold_.load();
   s.fragment_assisted = fragment_assisted_.load();
   s.fragment_hits = fragment_hits_.load();
   s.preseeded_vertices = preseeded_vertices_.load();

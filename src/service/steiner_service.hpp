@@ -180,14 +180,6 @@ struct service_stats {
   std::uint64_t slo_violations = 0;  ///< completions past their class objective
   std::uint64_t model_admissions = 0;  ///< admissions priced by the learned model
 
-  // Bucketed (relaxed-determinism) growth telemetry.
-  std::uint64_t bucketed_solves = 0;  ///< cold solves run with bucketed phase 1
-  std::uint64_t growth_buckets_processed = 0;  ///< delta-stepping buckets drained
-  std::uint64_t growth_tiles = 0;              ///< edge tiles emitted for hubs
-  std::uint64_t growth_bucket_pruned = 0;  ///< visitors dropped by bucket pruning
-  std::uint64_t growth_last_delta = 0;  ///< resolved bucket width, last solve
-  std::uint64_t growth_last_tile_threshold = 0;  ///< resolved tile width, last
-
   // Distributed runtime traffic (runtime/net/), populated when
   // config.distributed.world >= 2. Bytes are whole-mesh sums over all ranks.
   std::uint64_t distributed_solves = 0;  ///< cold solves run on the net mesh
@@ -401,9 +393,8 @@ class steiner_service {
   /// non-admitted path.
   void dispatch(request r, std::shared_ptr<detail::request_state> st);
   /// The worker-side task: lifecycle transitions around execute().
-  /// `relaxed` carries the request's determinism opt-in into exec_context.
   [[nodiscard]] executor::task make_task(
-      std::shared_ptr<detail::request_state> st, query q, bool relaxed = false);
+      std::shared_ptr<detail::request_state> st, query q);
   /// Terminal bookkeeping for a stopped (cancelled/expired) request.
   void note_stopped(detail::request_state& st, util::cancel_reason why);
   /// Predicted completion seconds (queue drain + solve estimate) for
@@ -427,11 +418,6 @@ class steiner_service {
     admission_estimates estimates{};
     std::uint64_t request_id = 0;
     priority_class priority = priority_class::background;
-    /// Request opted into relaxed determinism: a cold solve may run phase 1
-    /// bucketed. Never set for cache/donor/refresh work — the shared state
-    /// those paths produce keeps the strict contract (the tree is identical
-    /// either way; see determinism_mode).
-    bool relaxed = false;
   };
   [[nodiscard]] query_result execute(query q, double queue_wait,
                                      util::timer admitted, exec_context ctx);
@@ -584,12 +570,6 @@ class steiner_service {
   std::atomic<std::uint64_t> stale_refreshes_{0};
   std::atomic<std::uint64_t> stale_refreshes_deduped_{0};
   std::atomic<std::uint64_t> leader_abandoned_{0};
-  std::atomic<std::uint64_t> bucketed_solves_{0};
-  std::atomic<std::uint64_t> growth_buckets_processed_{0};
-  std::atomic<std::uint64_t> growth_tiles_{0};
-  std::atomic<std::uint64_t> growth_bucket_pruned_{0};
-  std::atomic<std::uint64_t> growth_last_delta_{0};
-  std::atomic<std::uint64_t> growth_last_tile_threshold_{0};
   std::atomic<std::uint64_t> fragment_assisted_{0};
   std::atomic<std::uint64_t> fragment_hits_{0};
   std::atomic<std::uint64_t> preseeded_vertices_{0};

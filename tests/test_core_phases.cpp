@@ -44,16 +44,15 @@ std::vector<vertex_id> pick_seeds(const graph::csr_graph& g, std::size_t count,
 }
 
 // ---- Distributed Voronoi equals the sequential oracle under every
-// combination of ranks, queue policy, engine, delegate setting and growth
-// mode. Bucketed growth uses a narrow bucket and edge tiles on most vertices,
-// so relays, tiles and plain scatters all pass the sender-side filter.
+// combination of ranks, queue policy, engine and delegate setting, so relays
+// and plain scatters both pass the sender-side filter.
 
 class VoronoiDistributed
     : public ::testing::TestWithParam<
-          std::tuple<int, queue_policy, execution_mode, bool, growth_mode>> {};
+          std::tuple<int, queue_policy, execution_mode, bool>> {};
 
 TEST_P(VoronoiDistributed, MatchesSequentialOracle) {
-  const auto [ranks, policy, mode, delegates, growth] = GetParam();
+  const auto [ranks, policy, mode, delegates] = GetParam();
   const auto g = make_test_graph(150, 7);
   const auto seeds = pick_seeds(g, 8, 21);
 
@@ -62,11 +61,6 @@ TEST_P(VoronoiDistributed, MatchesSequentialOracle) {
   steiner_state state(g.num_vertices());
   engine_config config{policy, mode, 16, cost_model{}};
   config.num_threads = 2;
-  if (growth == growth_mode::bucketed) {
-    config.growth = growth;
-    config.bucket_delta = 8;
-    config.tile_threshold = 4;
-  }
   const auto metrics = compute_voronoi_cells(dgraph, seeds, state, config);
 
   const auto oracle = graph::multi_source_voronoi(g, seeds);
@@ -84,9 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(execution_mode::async,
                                          execution_mode::bsp,
                                          execution_mode::parallel_threads),
-                       ::testing::Values(false, true),
-                       ::testing::Values(growth_mode::strict_order,
-                                         growth_mode::bucketed)));
+                       ::testing::Values(false, true)));
 
 TEST(VoronoiDistributed, DropsDominatedRemoteEmissions) {
   // Block partition over 2 ranks: {0, 1, 2} on rank 0, {3, 4, 5} on rank 1.

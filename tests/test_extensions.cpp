@@ -1,9 +1,12 @@
-// Tests for the extension modules: delta-stepping, binary graph IO, Yen's
-// k-shortest paths, dual-ascent lower bounds and key-path improvement.
+// Tests for the extension modules: binary graph IO, Yen's k-shortest paths,
+// dual-ascent lower bounds and key-path improvement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "baselines/dual_ascent.hpp"
 #include "baselines/exact.hpp"
@@ -11,7 +14,6 @@
 #include "baselines/mehlhorn.hpp"
 #include "core/steiner_solver.hpp"
 #include "core/validation.hpp"
-#include "graph/delta_stepping.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
@@ -38,69 +40,6 @@ std::vector<vertex_id> pick_seeds(const graph::csr_graph& g, std::size_t count,
   const auto picks =
       util::sample_without_replacement(g.num_vertices(), count, gen);
   return {picks.begin(), picks.end()};
-}
-
-// ---- Delta stepping.
-
-class DeltaStepping
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(DeltaStepping, MatchesDijkstra) {
-  const auto [n, delta, seed] = GetParam();
-  const auto g = make_connected_graph(n, 60, seed);
-  const auto reference = graph::dijkstra(g, 0);
-  const auto ds = graph::delta_stepping(g, 0, static_cast<weight_t>(delta));
-  EXPECT_EQ(ds.distance, reference.distance);
-  EXPECT_EQ(ds.parent, reference.parent);
-  EXPECT_GT(ds.buckets_processed, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DeltaStepping,
-    ::testing::Combine(::testing::Values(40, 150),
-                       ::testing::Values(0, 1, 7, 64, 10000),
-                       ::testing::Values(1, 2, 3)));
-
-TEST(DeltaStepping, LightHeavySplitObserved) {
-  const auto g = make_connected_graph(200, 100, 5);
-  const auto ds = graph::delta_stepping(g, 0, 50);
-  EXPECT_GT(ds.light_relaxations, 0u);
-  EXPECT_GT(ds.heavy_relaxations, 0u);
-}
-
-TEST(DeltaStepping, MatchesDijkstraOnHubHeavyPowerLawGraph) {
-  // RMAT's skewed degree distribution is the shape that stresses bucketed
-  // scheduling: a few hubs own most arcs, so bucket membership churns hard.
-  graph::rmat_params params;
-  params.scale = 10;
-  params.edge_factor = 12;
-  params.seed = 0xD5;
-  graph::edge_list list = graph::generate_rmat(params);
-  graph::assign_uniform_weights(list, 1, 500, 0xD5 ^ 0x44);
-  graph::connect_components(list, 501, 0xD5);
-  const graph::csr_graph g(list);
-
-  const auto reference = graph::dijkstra(g, 0);
-  for (const weight_t delta : {weight_t{0}, weight_t{3}, weight_t{250}}) {
-    const auto ds = graph::delta_stepping(g, 0, delta);
-    EXPECT_EQ(ds.distance, reference.distance) << "delta=" << delta;
-    EXPECT_EQ(ds.parent, reference.parent) << "delta=" << delta;
-  }
-}
-
-TEST(DeltaStepping, HeuristicDeltaIsTheAverageArcWeight) {
-  graph::edge_list list(3);
-  list.add_undirected_edge(0, 1, 10);
-  list.add_undirected_edge(1, 2, 30);
-  const graph::csr_graph g(list);
-  EXPECT_EQ(graph::heuristic_delta(g), 20u);  // (10+10+30+30)/4
-}
-
-TEST(DeltaStepping, UnreachableStaysInfinite) {
-  graph::edge_list list(3);
-  list.add_undirected_edge(0, 1, 4);
-  const auto ds = graph::delta_stepping(graph::csr_graph(list), 0, 2);
-  EXPECT_EQ(ds.distance[2], graph::k_inf_distance);
 }
 
 // ---- Binary graph IO.
@@ -139,6 +78,90 @@ TEST(GraphIo, FileRoundTrip) {
   EXPECT_EQ(loaded.targets(), g.targets());
   EXPECT_THROW((void)graph::load_binary_graph_file("/nonexistent/x.bin"),
                std::runtime_error);
+}
+
+/// A version-1 binary graph stream written straight from raw arrays.
+std::string raw_binary_graph(const std::vector<std::uint64_t>& offsets,
+                             const std::vector<vertex_id>& targets,
+                             const std::vector<weight_t>& weights) {
+  std::string out;
+  const auto put = [&out](std::uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(graph::k_binary_graph_magic);
+  put(1);
+  for (const auto* array : {&offsets, &targets, &weights}) {
+    put(array->size());
+    for (const std::uint64_t v : *array) put(v);
+  }
+  return out;
+}
+
+TEST(GraphIo, RejectsArraysThatAreNotACsrGraph) {
+  const std::vector<weight_t> w5(5, 1);
+  for (const auto& [offsets, targets] :
+       std::vector<std::pair<std::vector<std::uint64_t>, std::vector<vertex_id>>>{
+           {{0, 100, 5}, {1, 0, 1, 0, 1}},  // decreasing: reads past targets
+           {{1, 3, 5}, {1, 0, 1, 0, 1}},    // first offset not 0
+           {{0, 3, 5}, {1, 0, 9, 0, 1}},    // target 9 >= n = 2
+       }) {
+    std::stringstream in(raw_binary_graph(offsets, targets, w5));
+    EXPECT_THROW((void)graph::load_binary_graph(in), std::runtime_error);
+  }
+  // An array count far beyond what the stream holds is a truncation, not an
+  // allocation of that size.
+  std::string huge = raw_binary_graph({0}, {}, {});
+  const std::uint64_t count = std::uint64_t{1} << 60;
+  huge.replace(16, sizeof(count), reinterpret_cast<const char*>(&count),
+               sizeof(count));
+  std::stringstream in(huge);
+  EXPECT_THROW((void)graph::load_binary_graph(in), std::runtime_error);
+}
+
+// Seeded mutation fuzz: truncated, extended and byte-flipped copies of a
+// valid file either load as a well-formed graph or raise
+// std::runtime_error — never another exception, never a broken graph.
+TEST(GraphIo, MutatedBinaryGraphsOnlyRaiseRuntimeError) {
+  const auto g = make_connected_graph(20, 9, 29);
+  std::stringstream buffer;
+  graph::save_binary_graph(buffer, g);
+  const std::string valid = buffer.str();
+
+  util::rng gen(0x10AD);
+  for (int i = 0; i < 600; ++i) {
+    std::string bytes = valid;
+    switch (gen.uniform(0, 2)) {
+      case 0:  // truncate
+        bytes.resize(gen.uniform(0, bytes.size() - 1));
+        break;
+      case 1:  // extend
+        for (std::uint64_t k = gen.uniform(1, 40); k > 0; --k) {
+          bytes.push_back(static_cast<char>(gen.uniform(0, 255)));
+        }
+        break;
+      default:  // flip 1-4 bytes
+        for (std::uint64_t k = gen.uniform(1, 4); k > 0; --k) {
+          bytes[gen.uniform(0, bytes.size() - 1)] ^=
+              static_cast<char>(gen.uniform(1, 255));
+        }
+    }
+    std::stringstream in(bytes);
+    try {
+      const graph::csr_graph loaded = graph::load_binary_graph(in);
+      const auto& offsets = loaded.offsets();
+      ASSERT_FALSE(offsets.empty()) << "mutation " << i;
+      EXPECT_EQ(offsets.front(), 0u) << "mutation " << i;
+      EXPECT_TRUE(std::is_sorted(offsets.begin(), offsets.end()))
+          << "mutation " << i;
+      EXPECT_EQ(offsets.back(), loaded.num_arcs()) << "mutation " << i;
+      for (const vertex_id t : loaded.targets()) {
+        ASSERT_LT(t, loaded.num_vertices()) << "mutation " << i;
+      }
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << ": " << e.what();
+    }
+  }
 }
 
 // ---- Yen's k shortest paths.

@@ -78,6 +78,23 @@ TEST(EdgeList, MalformedLineThrows) {
   EXPECT_THROW((void)edge_list::from_stream(in), std::runtime_error);
 }
 
+TEST(EdgeList, RejectsMalformedLines) {
+  for (const char* line :
+       {"1 2 abc", "1 2 -5", "-1 2 3", "1 2 3 4", "1 2 3abc", "1 2x 3",
+        "18446744073709551615 0 3", "0 18446744073709551614 3",
+        "1 2 18446744073709551616"}) {
+    std::stringstream in(std::string("0 1 4\n") + line + "\n");
+    EXPECT_THROW((void)edge_list::from_stream(in), std::runtime_error)
+        << line;
+  }
+  // Surrounding whitespace and CRLF line ends still parse.
+  std::stringstream ok("  0 1 4 \r\n2\t3\n");
+  const edge_list list = edge_list::from_stream(ok);
+  ASSERT_EQ(list.size(), 2u);
+  EXPECT_EQ(list.edges()[0].weight, 4u);
+  EXPECT_EQ(list.edges()[1].weight, 1u);
+}
+
 TEST(CsrGraph, EmptyGraph) {
   const csr_graph g{edge_list{}};
   EXPECT_EQ(g.num_vertices(), 0u);

@@ -86,9 +86,8 @@ TEST(NetFrame, EnEntryRoundTrip) {
 }
 
 TEST(NetFrame, VoteRoundTrip) {
-  bucket_vote vote;
+  superstep_vote vote;
   vote.outstanding = 123;
-  vote.min_bucket = 9;
   vote.superstep = 17;
   vote.cancel = 1;
   EXPECT_EQ(decode_vote(encode_vote(vote, false)), vote);
@@ -122,7 +121,6 @@ TEST(NetFrame, TelemetryRoundTrip) {
   in.phase = static_cast<std::uint8_t>(telemetry_phase::voronoi);
   in.superstep = 17;
   in.visitors = 12345;
-  in.min_bucket = 9;
   in.ghost_labels = 77;
   in.compute_nanos = 1111;
   in.send_flush_nanos = 222;
@@ -132,7 +130,7 @@ TEST(NetFrame, TelemetryRoundTrip) {
 
   const frame f = encode_telemetry(in);
   EXPECT_EQ(f.type, frame_type::telemetry);
-  EXPECT_EQ(f.payload.size(), 69u + in.peers.size() * 24);
+  EXPECT_EQ(f.payload.size(), 61u + in.peers.size() * 24);
   EXPECT_EQ(decode_telemetry(f), in);
   // Whole-frame trip (what actually crosses the wire to rank 0).
   EXPECT_EQ(decode_telemetry(decode_frame(encode_frame(f))), in);
@@ -218,29 +216,27 @@ TEST(NetFrame, RejectsWrongType) {
 TEST(NetFrame, VisitorKindsTravelInThePredWord) {
   using kind = core::voronoi_visitor::kind_t;
   core::voronoi_visitor relay{5, 9, 2, 40, kind::relay};
-  core::voronoi_visitor tile{6, 9, 2, 41, kind::tile};
-  tile.tile = 77;
   const std::vector<core::voronoi_visitor> in{
-      {1, graph::k_no_vertex, 3, 4}, relay, tile};
+      {1, graph::k_no_vertex, 3, 4}, relay};
   const frame f = encode_visitor_batch(in);
   EXPECT_EQ(f.payload.size(), in.size() * 32);
   const std::vector<core::voronoi_visitor> out = decode_visitor_batch(f);
   ASSERT_EQ(out.size(), in.size());
   EXPECT_EQ(out[0], in[0]);
-  // Relays and tiles never read vp, so it does not travel.
+  // Relays never read vp, so it does not travel.
   relay.vp = 0;
-  tile.vp = 0;
   EXPECT_EQ(out[1], relay);
-  EXPECT_EQ(out[2], tile);
 
   // The second word of a record is the tagged one: byte 15 holds the tag
   // bit, bytes 12-14 the kind.
   frame unknown = encode_visitor_batch(std::vector<core::voronoi_visitor>{relay});
-  unknown.payload[12] = 3;  // kind 3 does not exist
-  EXPECT_THROW((void)decode_visitor_batch(unknown), wire_error);
-  frame relay_with_tile = encode_visitor_batch(std::vector{relay});
-  relay_with_tile.payload[8] = 1;  // tile index on a relay
-  EXPECT_THROW((void)decode_visitor_batch(relay_with_tile), wire_error);
+  for (const std::uint8_t bad_kind : {2, 3}) {  // only relay (1) is tagged
+    unknown.payload[12] = bad_kind;
+    EXPECT_THROW((void)decode_visitor_batch(unknown), wire_error);
+  }
+  frame relay_low_word = encode_visitor_batch(std::vector{relay});
+  relay_low_word.payload[8] = 1;  // the low word of a relay tag must be 0
+  EXPECT_THROW((void)decode_visitor_batch(relay_low_word), wire_error);
   // A normal visitor's pred must stay clear of the tag range.
   const core::voronoi_visitor tagged_pred{1, (1ull << 63) | 5, 3, 4};
   EXPECT_THROW((void)encode_visitor_batch(std::vector{tagged_pred}),
@@ -254,9 +250,7 @@ TEST(NetFrame, MutatedFramesOnlyRaiseWireError) {
   rank_telemetry sample;
   sample.phase = static_cast<std::uint8_t>(telemetry_phase::tree_walk);
   sample.peers = {{1, 2, 3, 4}, {5, 6, 7, 8}};
-  core::voronoi_visitor tile{6, 9, 2, 41, core::voronoi_visitor::kind_t::tile};
-  tile.tile = 3;
-  bucket_vote vote;
+  superstep_vote vote;
   vote.outstanding = 4;
   vote.max_work = 2.5;
 
@@ -276,7 +270,7 @@ TEST(NetFrame, MutatedFramesOnlyRaiseWireError) {
        encode_visitor_batch(std::vector<core::voronoi_visitor>{
            {1, 2, 3, 4},
            {5, 9, 2, 40, core::voronoi_visitor::kind_t::relay},
-           tile}),
+           {6, graph::k_no_vertex, 2, 41}}),
        [](const frame& f) { (void)decode_visitor_batch(f); }},
       {"walk", encode_walk_batch(std::vector<vertex_id>{1, 2, 3}),
        [](const frame& f) { (void)decode_walk_batch(f); }},
@@ -385,24 +379,23 @@ TEST(NetTermination, TwoPhaseVoteStopsOnlyWhenAllIdle) {
   std::thread peer([&] {
     peer_channels chans(mesh.endpoint(1));
     termination_vote vote(chans);
-    d1 = vote.round(5, false, 2, 0);  // this rank still has work
+    d1 = vote.round(5, false, 0);  // this rank still has work
   });
   peer_channels chans(mesh.endpoint(0));
   termination_vote vote(chans);
-  d0 = vote.round(0, false, UINT64_MAX, 0);
+  d0 = vote.round(0, false, 0);
   peer.join();
   EXPECT_FALSE(d0.stop);
   EXPECT_FALSE(d1.stop);
-  EXPECT_EQ(d0.min_bucket, 2u);  // min-folded across ranks
 
   std::thread peer2([&] {
     peer_channels c(mesh.endpoint(1));
     termination_vote v(c);
-    d1 = v.round(0, false, UINT64_MAX, 1);
+    d1 = v.round(0, false, 1);
   });
   peer_channels c0(mesh.endpoint(0));
   termination_vote v0(c0);
-  d0 = v0.round(0, false, UINT64_MAX, 1);
+  d0 = v0.round(0, false, 1);
   peer2.join();
   EXPECT_TRUE(d0.stop);   // proposed idle + confirmed idle
   EXPECT_TRUE(d1.stop);
@@ -440,18 +433,6 @@ TEST(NetDistSolve, LoopbackMatchesSingleProcessAcrossWorldSizes) {
       }
     }
   }
-}
-
-TEST(NetDistSolve, BucketedGrowthMatchesStrict) {
-  const graph::csr_graph g = make_connected_graph(250, 30, 77);
-  const auto seeds = pick_seeds(g, 5, 0xABC);
-  core::solver_config strict;
-  const auto reference = core::solve_steiner_tree(g, seeds, strict);
-
-  core::solver_config bucketed = strict;
-  bucketed.growth = runtime::growth_mode::bucketed;
-  const auto distributed = solve_loopback(g, seeds, bucketed, 3);
-  expect_identical(distributed, reference);
 }
 
 TEST(NetDistSolve, RmatGraphMatches) {

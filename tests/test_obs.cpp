@@ -344,31 +344,34 @@ service_snapshot golden_snapshot() {
   const auto v = [&next] { return next += 7; };
   service_snapshot snap;
   service_stats& s = snap.stats;
-  for (std::uint64_t* field :
-       {&s.queries, &s.cold_solves, &s.warm_solves, &s.edge_warm_solves,
-        &s.warm_fallbacks, &s.cache_hits, &s.stale_hits, &s.coalesced,
-        &s.epoch_advances, &s.cancelled, &s.deadline_rejected,
-        &s.deadline_expired, &s.stale_refreshes, &s.stale_refreshes_deduped,
-        &s.leader_abandoned, &s.slow_queries, &s.sampled_traces,
-        &s.slo_violations, &s.model_admissions, &s.bucketed_solves,
-        &s.growth_buckets_processed, &s.growth_tiles, &s.growth_bucket_pruned,
-        &s.growth_last_delta, &s.growth_last_tile_threshold,
-        &s.distributed_solves, &s.net_bytes_sent, &s.net_bytes_modelled,
-        &s.net_frames_sent, &s.net_supersteps, &s.net_vote_rounds,
-        &s.net_ghost_labels, &s.cluster_telemetry_samples,
-        &s.cluster_supersteps, &s.cluster_straggler_supersteps,
-        &s.fragment_assisted, &s.fragment_hits, &s.preseeded_vertices,
-        &s.oracle_pruned_visitors, &s.oracle_builds, &s.bound_sharpened,
-        &s.cache.hits, &s.cache.misses, &s.cache.insertions,
-        &s.cache.evictions, &s.cache.retired, &s.exec.submitted,
-        &s.exec.rejected, &s.exec.executed, &s.exec.tasks_failed,
-        &s.exec.expired, &s.exec.displaced, &s.exec.promoted,
-        &s.exec.peak_queue_depth, &s.exec.queue_depth, &s.fragments.published,
-        &s.fragments.refreshed, &s.fragments.hits, &s.fragments.misses,
-        &s.fragments.evictions, &s.fragments.retired,
-        &s.fragments.bytes_in_use, &snap.cost_model.samples}) {
-    *field = v();
-  }
+  const auto fill_counters = [&v](std::initializer_list<std::uint64_t*> fields) {
+    for (std::uint64_t* field : fields) *field = v();
+  };
+  fill_counters(
+      {&s.queries, &s.cold_solves, &s.warm_solves, &s.edge_warm_solves,
+       &s.warm_fallbacks, &s.cache_hits, &s.stale_hits, &s.coalesced,
+       &s.epoch_advances, &s.cancelled, &s.deadline_rejected,
+       &s.deadline_expired, &s.stale_refreshes, &s.stale_refreshes_deduped,
+       &s.leader_abandoned, &s.slow_queries, &s.sampled_traces,
+       &s.slo_violations, &s.model_admissions});
+  // Six retired counters took the next six values; skipping them keeps every
+  // later line of the golden files unchanged.
+  next += 6 * 7;
+  fill_counters(
+      {&s.distributed_solves, &s.net_bytes_sent, &s.net_bytes_modelled,
+       &s.net_frames_sent, &s.net_supersteps, &s.net_vote_rounds,
+       &s.net_ghost_labels, &s.cluster_telemetry_samples,
+       &s.cluster_supersteps, &s.cluster_straggler_supersteps,
+       &s.fragment_assisted, &s.fragment_hits, &s.preseeded_vertices,
+       &s.oracle_pruned_visitors, &s.oracle_builds, &s.bound_sharpened,
+       &s.cache.hits, &s.cache.misses, &s.cache.insertions,
+       &s.cache.evictions, &s.cache.retired, &s.exec.submitted,
+       &s.exec.rejected, &s.exec.executed, &s.exec.tasks_failed,
+       &s.exec.expired, &s.exec.displaced, &s.exec.promoted,
+       &s.exec.peak_queue_depth, &s.exec.queue_depth, &s.fragments.published,
+       &s.fragments.refreshed, &s.fragments.hits, &s.fragments.misses,
+       &s.fragments.evictions, &s.fragments.retired,
+       &s.fragments.bytes_in_use, &snap.cost_model.samples});
   s.cache.entries = v();
   s.fragments.fragments = v();
   for (std::size_t p = 0; p < k_priority_classes; ++p) {
@@ -892,6 +895,43 @@ TEST(CostModel, RlsConvergesAndBeatsGlobalP50Baseline) {
   EXPECT_TRUE(snap.ready);
   EXPECT_EQ(snap.samples, 120u);
   EXPECT_LT(snap.abs_error_ema_seconds, 0.01);
+}
+
+TEST(CostModel, KeepsLearningOnOneGraphAndFollowsACostShift) {
+  // One graph on the sequential engine: bias and inv_threads are both 1, the
+  // graph-size features are constant and most others are always 0. Those
+  // directions are never excited, so forgetting inflates them every step
+  // until x'Px cancels; the model must recover instead of freezing.
+  using qf = obs::query_features;
+  const auto features = [](double s) {
+    qf f;
+    f.x[qf::k_bias] = 1.0;
+    f.x[qf::k_seeds] = s;
+    f.x[qf::k_log_vertices] = 15.0;
+    f.x[qf::k_log_arcs] = 20.0;
+    f.x[qf::k_seeds_log_n] = s * 15.0;
+    f.x[qf::k_seeds_sq] = s * s;
+    f.x[qf::k_inv_threads] = 1.0;
+    return f;
+  };
+  const auto cost = [](double s) { return 0.005 + 0.0005 * s; };
+  const double counts[] = {8.0, 16.0, 32.0};
+  obs::cost_model model;
+  for (int i = 0; i < 20000; ++i) {
+    const double s = counts[i % 3];
+    model.observe(features(s), cost(s));
+  }
+  EXPECT_EQ(model.snapshot().samples, 20000u);
+  for (int i = 0; i < 3000; ++i) {
+    const double s = counts[i % 3];
+    model.observe(features(s), 10.0 * cost(s));
+  }
+  EXPECT_EQ(model.snapshot().samples, 23000u);
+  for (const double s : counts) {
+    const double truth = 10.0 * cost(s);
+    EXPECT_NEAR(model.predict_seconds(features(s)), truth, 0.1 * truth)
+        << "|S| = " << s;
+  }
 }
 
 // ---- SLO tracker ------------------------------------------------------------

@@ -465,87 +465,15 @@ TEST(ParallelSolve, DelegatesMatchSequential) {
   expect_identical(core::solve_steiner_tree(g, seeds, par), reference);
 }
 
-// ---- bucketed (delta-stepping) phase 1 --------------------------------------
-
-TEST(BucketedGrowth, TreeMatchesStrictOverRandomGraphs) {
-  for (std::uint64_t trial = 0; trial < 3; ++trial) {
-    const graph::csr_graph g = random_connected_graph(400, 0xB0C + trial);
-    const auto seeds = random_seeds(g.num_vertices(), 8 + trial * 2, trial);
-
-    core::solver_config strict;
-    strict.num_ranks = 8;
-    strict.validate = true;
-    const auto reference = core::solve_steiner_tree(g, seeds, strict);
-
-    core::solver_config relaxed = strict;
-    relaxed.growth = growth_mode::bucketed;
-    const auto seq = core::solve_steiner_tree(g, seeds, relaxed);
-    expect_identical(seq, reference);
-    EXPECT_EQ(seq.growth.mode, growth_mode::bucketed);
-    EXPECT_GT(seq.growth.delta, 0u);          // heuristic_delta resolved
-    EXPECT_GT(seq.growth.buckets_processed, 0u);
-
-    relaxed.mode = execution_mode::parallel_threads;
-    relaxed.num_threads = 4;
-    const auto par = core::solve_steiner_tree(g, seeds, relaxed);
-    expect_identical(par, reference);
-    EXPECT_GT(par.growth.buckets_processed, 0u);
-  }
-}
-
-TEST(BucketedGrowth, EdgeTilingOnHubMatchesStrict) {
-  // A star with delegates off forces the hub's scatter through the tile
-  // path: degree 599 over tile width 32 must emit ~19 tile work items.
-  graph::edge_list list = graph::generate_star(600);
-  graph::assign_uniform_weights(list, 1, 50, 0x77);
-  const graph::csr_graph g(list);
-  const auto seeds = random_seeds(g.num_vertices(), 9, 5);
-
-  core::solver_config strict;
-  strict.num_ranks = 8;
-  strict.use_delegates = false;
-  const auto reference = core::solve_steiner_tree(g, seeds, strict);
-
-  core::solver_config relaxed = strict;
-  relaxed.growth = growth_mode::bucketed;
-  relaxed.tile_threshold = 32;
-  for (const execution_mode mode :
-       {execution_mode::async, execution_mode::parallel_threads}) {
-    relaxed.mode = mode;
-    relaxed.num_threads = 4;
-    const auto result = core::solve_steiner_tree(g, seeds, relaxed);
-    expect_identical(result, reference);
-    EXPECT_GT(result.growth.tiles_emitted, 0u)
-        << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(result.growth.tile_threshold, 32u);
-  }
-}
-
-TEST(BucketedGrowth, TreeInvariantInThreadCount) {
-  const graph::csr_graph g = random_connected_graph(500, 0xBEE);
-  const auto seeds = random_seeds(g.num_vertices(), 12, 9);
-  core::solver_config config;
-  config.num_ranks = 8;
-  config.growth = growth_mode::bucketed;
-  config.mode = execution_mode::parallel_threads;
-  std::vector<core::steiner_result> results;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    config.num_threads = threads;
-    results.push_back(core::solve_steiner_tree(g, seeds, config));
-  }
-  expect_identical(results[1], results[0]);
-  expect_identical(results[2], results[0]);
-}
-
-TEST(BucketedGrowth, OracleBucketPruneKeepsTreeIdentical) {
+TEST(ParallelSolve, ExactOraclePruneKeepsTreeIdentical) {
   const graph::csr_graph g = random_connected_graph(300, 0xFACE);
   const auto seeds = random_seeds(g.num_vertices(), 8, 4);
-  core::solver_config strict;
-  strict.num_ranks = 8;
-  const auto reference = core::solve_steiner_tree(g, seeds, strict);
+  core::solver_config config;
+  config.num_ranks = 8;
+  const auto reference = core::solve_steiner_tree(g, seeds, config);
 
-  // Exact per-vertex min_s d(s, v): the tightest valid upper bound, so the
-  // bucket prune closes the run as early as it ever legally can.
+  // Exact per-vertex min_s d(s, v): the tightest valid upper bound, so every
+  // final label ties its bound and only the tie rule keeps it admitted.
   std::vector<graph::weight_t> bound(g.num_vertices(),
                                      graph::k_inf_distance);
   for (const graph::vertex_id s : seeds) {
@@ -557,14 +485,12 @@ TEST(BucketedGrowth, OracleBucketPruneKeepsTreeIdentical) {
   core::solve_assists assists;
   assists.prune_upper_bound = bound;
 
-  core::solver_config relaxed = strict;
-  relaxed.growth = growth_mode::bucketed;
   for (const execution_mode mode :
        {execution_mode::async, execution_mode::parallel_threads}) {
-    relaxed.mode = mode;
-    relaxed.num_threads = 4;
+    config.mode = mode;
+    config.num_threads = 4;
     const auto result =
-        core::solve_steiner_tree_assisted(g, seeds, assists, relaxed);
+        core::solve_steiner_tree_assisted(g, seeds, assists, config);
     expect_identical(result, reference);
   }
 }

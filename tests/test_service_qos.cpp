@@ -221,46 +221,6 @@ TEST(RequestApi, SolveRequestConvenienceAndFailurePropagation) {
   EXPECT_EQ(h.status(), request_status::failed);
 }
 
-TEST(RequestApi, RelaxedDeterminismRunsBucketedAndMatchesStrictTree) {
-  service_config cfg = one_worker_config();
-  cfg.enable_cache = false;  // both requests must actually solve
-  steiner_service svc(make_connected_graph(400, 40, 53), cfg);
-
-  request strict;
-  strict.q.seeds = {5, 90, 150, 260};
-  strict.q.allow_warm_start = false;
-  const query_result strict_out = svc.solve(strict);
-  EXPECT_EQ(strict_out.kind, solve_kind::cold);
-  EXPECT_EQ(strict_out.result.growth.mode, runtime::growth_mode::strict_order);
-
-  request relaxed;
-  relaxed.q.seeds = {5, 90, 150, 260};
-  relaxed.q.allow_warm_start = false;  // keep it cold, not a donor repair
-  relaxed.determinism = determinism_mode::relaxed;
-  const query_result relaxed_out = svc.solve(relaxed);
-  EXPECT_EQ(relaxed_out.kind, solve_kind::cold);
-  // The relaxed tier changes the schedule, never the tree.
-  EXPECT_EQ(relaxed_out.result.tree_edges, strict_out.result.tree_edges);
-  EXPECT_EQ(relaxed_out.result.total_distance,
-            strict_out.result.total_distance);
-  EXPECT_EQ(relaxed_out.result.growth.mode, runtime::growth_mode::bucketed);
-  EXPECT_GT(relaxed_out.result.growth.buckets_processed, 0u);
-
-  const service_stats s = svc.stats();
-  EXPECT_EQ(s.bucketed_solves, 1u);
-  EXPECT_GT(s.growth_buckets_processed, 0u);
-  EXPECT_GT(s.growth_last_delta, 0u);
-  EXPECT_GT(s.growth_last_tile_threshold, 0u);
-
-  // The exposition carries the growth counters (satellite of the same PR).
-  const std::string text = render_metrics_text(svc.snapshot(), "dsteiner");
-  EXPECT_NE(text.find("dsteiner_bucketed_solves_total 1"), std::string::npos);
-  EXPECT_NE(text.find("dsteiner_growth_buckets_processed_total"),
-            std::string::npos);
-}
-
-// ---- cancellation -----------------------------------------------------------
-
 TEST(Cancellation, PreCancelledTokenNeverReachesAWorker) {
   steiner_service svc(make_connected_graph(150, 20, 52), one_worker_config());
   util::cancel_source source;
@@ -424,6 +384,10 @@ TEST(Deadline, CostModelRejectsUnmeetableAdmitsGenerous) {
   query_handle admitted = svc.submit(generous);
   EXPECT_EQ(admitted.get().kind, solve_kind::cold);
   EXPECT_EQ(admitted.status(), request_status::done);
+  // The worker books that solve's completion just after resolving its
+  // handle; until then the solve still counts as running work ahead of the
+  // next arrival.
+  while (svc.stats().exec.executed < 3) std::this_thread::yield();
 
   // A cached repeat is predicted near-free: even a tight deadline admits.
   request cached;

@@ -16,7 +16,8 @@
 //
 // Reported speedups depend on the physical cores available to this process:
 // on a multi-core host expect >= 2x at 4 workers for the solver phases the
-// engine runs (Voronoi + local-min-edge + tree-edge dominate LVJ solves).
+// threaded engine runs (Voronoi, the local-min-edge scan and tree-edge
+// dominate LVJ solves).
 // The phase-1-heavy batch size (1024) amortises the two superstep barriers.
 #include <algorithm>
 #include <cstdio>

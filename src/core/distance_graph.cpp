@@ -4,101 +4,108 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "runtime/parallel/worker_pool.hpp"
+#include "util/timer.hpp"
+
 namespace dsteiner::core {
 
 namespace {
 
-class cross_edge_handler {
- public:
-  cross_edge_handler(const runtime::dist_graph& dgraph,
-                     const steiner_state& state,
-                     std::vector<cross_edge_map>& per_rank_en,
-                     bool probe_both_directions = false)
-      : dgraph_(&dgraph), state_(&state), en_(&per_rank_en),
-        probe_both_directions_(probe_both_directions) {}
-
-  bool pre_visit(const cross_edge_visitor&, int) { return true; }
-
-  template <typename Emitter>
-  bool visit(const cross_edge_visitor& v, int rank, Emitter& out) {
-    switch (v.kind) {
-      case cross_edge_visitor::kind_t::scan: {
-        const graph::vertex_id u = v.routed;
-        if (!state_->reached(u)) return true;  // isolated from every seed
-        if (dgraph_->is_delegate(u)) {
-          cross_edge_visitor relay{u, u, state_->src[u], state_->distance[u],
-                                   0, cross_edge_visitor::kind_t::relay};
-          for (int q = 0; q < dgraph_->num_ranks(); ++q) out.to_rank(q, relay);
-          return true;
-        }
-        emit_probes(u, state_->src[u], state_->distance[u], rank, out,
-                    /*slice_only=*/false);
-        return true;
-      }
-      case cross_edge_visitor::kind_t::relay:
-        emit_probes(v.u, v.src_u, v.d_u, rank, out, /*slice_only=*/true);
-        return true;
-      case cross_edge_visitor::kind_t::probe: {
-        const graph::vertex_id vt = v.routed;
-        if (!state_->reached(vt)) return true;
-        const graph::vertex_id src_v = state_->src[vt];
-        if (src_v == v.src_u) return true;  // same cell: not a cross edge
-        const seed_pair key{std::min(v.src_u, src_v), std::max(v.src_u, src_v)};
-        const cross_edge_entry candidate{
-            v.d_u + v.w + state_->distance[vt], std::min(v.u, vt),
-            std::max(v.u, vt), v.w};
-        auto& local = (*en_)[static_cast<std::size_t>(rank)];
-        const auto [it, inserted] = local.emplace(key, candidate);
-        if (!inserted) it->second = min_entry(it->second, candidate);
-        return true;
-      }
-    }
-    return true;
+/// Runs scan_cross_edges for every rank over `vertices_of(r)` into
+/// per_rank_en[r], striped over the solve's worker pool when there is one.
+/// Counters sum over ranks; sim_units is the slowest rank's work.
+template <typename VerticesOf>
+runtime::phase_metrics scan_all_ranks(const runtime::dist_graph& dgraph,
+                                      const steiner_state& state,
+                                      VerticesOf&& vertices_of,
+                                      bool both_directions,
+                                      std::vector<cross_edge_map>& per_rank_en,
+                                      const runtime::engine_config& config) {
+  const util::timer wall;
+  const auto ranks = static_cast<std::size_t>(dgraph.num_ranks());
+  per_rank_en.assign(ranks, {});
+  std::vector<runtime::phase_metrics> per_rank(ranks);
+  const auto scan_rank = [&](std::size_t r) {
+    per_rank[r] = scan_cross_edges(dgraph, state, config.costs,
+                                   static_cast<int>(r), vertices_of(r),
+                                   both_directions, per_rank_en[r]);
+  };
+  if (config.pool != nullptr) {
+    const std::size_t workers = config.pool->size();
+    config.pool->run([&](std::size_t w) {
+      for (std::size_t r = w; r < ranks; r += workers) scan_rank(r);
+    });
+  } else {
+    for (std::size_t r = 0; r < ranks; ++r) scan_rank(r);
   }
 
- private:
-  /// Probes each arc (u, vt) with u < vt — one probe per undirected edge.
-  /// In both-directions mode (partial rescans) the ordering filter is lifted:
-  /// only self-loops are skipped, so edges towards unscanned vertices are
-  /// probed regardless of endpoint order.
-  template <typename Emitter>
-  void emit_probes(graph::vertex_id u, graph::vertex_id src_u,
-                   graph::weight_t d_u, int rank, Emitter& out,
-                   bool slice_only) {
-    const auto probe_arc = [&](graph::vertex_id vt, graph::weight_t w) {
-      if (probe_both_directions_ ? u == vt : u >= vt) return;
-      out.to_vertex(cross_edge_visitor{vt, u, src_u, d_u, w,
-                                       cross_edge_visitor::kind_t::probe});
-    };
-    if (slice_only) {
-      dgraph_->for_each_arc_in_slice(u, rank, probe_arc);
-    } else {
-      dgraph_->for_each_arc(u, probe_arc);
-    }
+  runtime::phase_metrics metrics;
+  metrics.rounds = 1;
+  for (const runtime::phase_metrics& m : per_rank) {
+    metrics.visitors_processed += m.visitors_processed;
+    metrics.messages_local += m.messages_local;
+    metrics.messages_remote += m.messages_remote;
+    metrics.sim_units = std::max(metrics.sim_units, m.sim_units);
   }
-
-  const runtime::dist_graph* dgraph_;
-  const steiner_state* state_;
-  std::vector<cross_edge_map>* en_;
-  bool probe_both_directions_;
-};
+  metrics.wall_seconds = wall.seconds();
+  return metrics;
+}
 
 }  // namespace
+
+runtime::phase_metrics scan_cross_edges(
+    const runtime::dist_graph& dgraph, const steiner_state& state,
+    const runtime::cost_model& costs, int rank,
+    std::span<const graph::vertex_id> vertices, bool both_directions,
+    cross_edge_map& en) {
+  runtime::phase_metrics metrics;
+  const util::timer wall;
+  for (const graph::vertex_id u : vertices) {
+    if (!state.reached(u)) continue;  // isolated from every seed
+    const bool u_delegate = dgraph.is_delegate(u);
+    const auto neighbors = dgraph.graph().neighbors(u);
+    const auto weights = dgraph.graph().weights(u);
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      const graph::vertex_id v = neighbors[i];
+      if (both_directions) {
+        if (u == v) continue;
+      } else if (u_delegate != dgraph.is_delegate(v) ? u_delegate : u >= v) {
+        continue;  // {u, v} is scanned from v
+      }
+      if (!state.reached(v)) continue;
+      ++metrics.visitors_processed;
+      // The probe Alg. 5 would send when the other endpoint lives elsewhere.
+      if (dgraph.owner(v) != rank) {
+        ++metrics.messages_remote;
+      } else {
+        ++metrics.messages_local;
+      }
+      if (state.src[u] == state.src[v]) continue;  // same cell: not a bridge
+      const seed_pair key{std::min(state.src[u], state.src[v]),
+                          std::max(state.src[u], state.src[v])};
+      const cross_edge_entry candidate{
+          state.distance[u] + weights[i] + state.distance[v], std::min(u, v),
+          std::max(u, v), weights[i]};
+      const auto [it, inserted] = en.emplace(key, candidate);
+      if (!inserted) it->second = min_entry(it->second, candidate);
+    }
+  }
+  metrics.rounds = 1;
+  metrics.sim_units =
+      static_cast<double>(metrics.visitors_processed) * costs.visit_cost +
+      static_cast<double>(metrics.messages_remote) * costs.remote_msg_cost;
+  metrics.wall_seconds = wall.seconds();
+  return metrics;
+}
 
 runtime::phase_metrics find_local_min_edges(
     const runtime::dist_graph& dgraph, const steiner_state& state,
     std::vector<cross_edge_map>& per_rank_en,
     const runtime::engine_config& config) {
-  per_rank_en.assign(static_cast<std::size_t>(dgraph.num_ranks()), {});
-  cross_edge_handler handler(dgraph, state, per_rank_en);
-  // do_traversal(init_all): one scan visitor per vertex, seeded at its owner.
-  std::vector<cross_edge_visitor> initial;
-  initial.reserve(dgraph.graph().num_vertices());
-  for (graph::vertex_id u = 0; u < dgraph.graph().num_vertices(); ++u) {
-    initial.push_back(cross_edge_visitor{u});
-  }
-  return runtime::run_visitors(dgraph.parts(), handler, std::move(initial),
-                               config);
+  return scan_all_ranks(
+      dgraph, state,
+      [&](std::size_t r) { return dgraph.local_vertices(static_cast<int>(r)); },
+      /*both_directions=*/false, per_rank_en, config);
 }
 
 runtime::phase_metrics find_local_min_edges_partial(
@@ -106,16 +113,15 @@ runtime::phase_metrics find_local_min_edges_partial(
     std::span<const graph::vertex_id> vertices,
     std::vector<cross_edge_map>& per_rank_en,
     const runtime::engine_config& config) {
-  per_rank_en.assign(static_cast<std::size_t>(dgraph.num_ranks()), {});
-  cross_edge_handler handler(dgraph, state, per_rank_en,
-                             /*probe_both_directions=*/true);
-  std::vector<cross_edge_visitor> initial;
-  initial.reserve(vertices.size());
+  std::vector<std::vector<graph::vertex_id>> by_owner(
+      static_cast<std::size_t>(dgraph.num_ranks()));
   for (const graph::vertex_id u : vertices) {
-    initial.push_back(cross_edge_visitor{u});
+    by_owner[static_cast<std::size_t>(dgraph.owner(u))].push_back(u);
   }
-  return runtime::run_visitors(dgraph.parts(), handler, std::move(initial),
-                               config);
+  return scan_all_ranks(
+      dgraph, state,
+      [&](std::size_t r) { return std::span<const graph::vertex_id>(by_owner[r]); },
+      /*both_directions=*/true, per_rank_en, config);
 }
 
 std::size_t dense_pair_index(std::size_t i, std::size_t j,

@@ -4,9 +4,16 @@
 // is a *cross-cell* edge bridging cells N(s) and N(t); its bridging cost is
 // d1(s,u) + d(u,v) + d1(v,t). Mehlhorn's G'1 keeps, per cell pair, only the
 // minimum-cost bridge:
-//   1. LOCAL_MIN_DIST_EDGE_ASYNC — a vertex-centric scan: each vertex probes
-//      its neighbours with (src, d1) payloads; the receiving owner updates
-//      its partition-local EN map. One probe per undirected edge.
+//   1. LOCAL_MIN_DIST_EDGE_ASYNC — an owner-computes scan: each rank walks
+//      the arcs of its owned vertices and folds every bridge it finds into
+//      its partition-local EN map. An undirected edge {u, v} is scanned once,
+//      from the non-delegate endpoint when exactly one endpoint is a delegate
+//      (so a hub's owner does no phase-2 work for it), else from the lower id.
+//      The scanning owner needs only its neighbours' (src, d1) labels: shared
+//      memory in-process, a ghost-label sync on net ranks. Every transport
+//      runs this one scan and charges it as Alg. 5 would: one visit per
+//      scanned edge plus one remote message when the other endpoint lives on
+//      another rank.
 //   2. GLOBAL_MIN_DIST_EDGE_COLL — MPI_Allreduce(MPI_MIN) over the per-rank
 //      EN copies. Sparse map-merge by default; a dense (|S| choose 2) buffer
 //      mode (optionally chunked) reproduces the paper's Fig. 8 memory
@@ -17,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -27,8 +33,8 @@
 #include "graph/types.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/dist_graph.hpp"
+#include "runtime/engine_config.hpp"
 #include "runtime/perf_model.hpp"
-#include "runtime/visitor_engine.hpp"
 #include "util/hash.hpp"
 
 namespace dsteiner::core {
@@ -60,25 +66,27 @@ struct cross_edge_entry {
 using cross_edge_map =
     std::unordered_map<seed_pair, cross_edge_entry, util::pair_hash>;
 
-/// Visitor for the local scan: `scan` enumerates a vertex's arcs, `relay`
-/// enumerates a delegate's per-rank slice, `probe` delivers one endpoint's
-/// (src, d1) to the other endpoint's owner.
-struct cross_edge_visitor {
-  enum class kind_t : std::uint8_t { scan, relay, probe };
+/// Step 1 for one rank: scans the arcs of `vertices` (all owned by `rank`)
+/// and folds every bridge into `en`. Without `both_directions` each
+/// undirected edge is scanned from one endpoint only (see the file comment);
+/// with it, every non-self-loop arc of a listed vertex is scanned. Only
+/// edges with both endpoints reached count. Returns this rank's work:
+/// visitors_processed = edges scanned, messages_remote/local = scanned edges
+/// whose other endpoint another rank / this rank owns, sim_units = their
+/// cost under `costs`, rounds = 1. `state` must hold converged labels for
+/// every vertex `rank` owns and each of their neighbours.
+[[nodiscard]] runtime::phase_metrics scan_cross_edges(
+    const runtime::dist_graph& dgraph, const steiner_state& state,
+    const runtime::cost_model& costs, int rank,
+    std::span<const graph::vertex_id> vertices, bool both_directions,
+    cross_edge_map& en);
 
-  graph::vertex_id routed = 0;  ///< routing target (u for scan/relay, v for probe)
-  graph::vertex_id u = 0;       ///< probing endpoint
-  graph::vertex_id src_u = graph::k_no_vertex;
-  graph::weight_t d_u = graph::k_inf_distance;
-  graph::weight_t w = 0;        ///< d(u, v) carried by probes
-  kind_t kind = kind_t::scan;
-
-  [[nodiscard]] graph::vertex_id target() const noexcept { return routed; }
-  [[nodiscard]] std::uint64_t priority() const noexcept { return 0; }
-};
-
-/// Step 1: fills `per_rank_en` (size = num ranks) with partition-local
-/// minima. `state` must hold converged Voronoi cells.
+/// Step 1 for every simulated rank: fills `per_rank_en` (size = num ranks)
+/// with partition-local minima by scanning each rank's owned vertices. With
+/// `config.pool` the ranks are striped over its workers; otherwise they run
+/// one after another. Counters sum over ranks and sim_units is the slowest
+/// rank's, so the metrics do not depend on the mode or thread count.
+/// `state` must hold converged Voronoi cells.
 [[nodiscard]] runtime::phase_metrics find_local_min_edges(
     const runtime::dist_graph& dgraph, const steiner_state& state,
     std::vector<cross_edge_map>& per_rank_en,
@@ -86,12 +94,11 @@ struct cross_edge_visitor {
 
 /// Incremental variant of step 1 for warm starts: scans only `vertices`
 /// (members of Voronoi cells whose labels or membership changed since a
-/// cached solve). Unlike the full scan — which probes each undirected edge
-/// once from its lower endpoint — the partial scan probes *both* directions
-/// of every arc of a scanned vertex, so a bridge whose lower endpoint lies in
-/// an unchanged (unscanned) cell is still rediscovered. Entries between two
-/// unchanged cells are by definition unchanged and must be merged in from the
-/// cached solve by the caller.
+/// cached solve), each on its owner's rank. Unlike the full scan, it scans
+/// *both* directions of every arc of a listed vertex, so a bridge whose other
+/// endpoint lies in an unchanged (unscanned) cell is still rediscovered.
+/// Entries between two unchanged cells are by definition unchanged and must
+/// be merged in from the cached solve by the caller.
 [[nodiscard]] runtime::phase_metrics find_local_min_edges_partial(
     const runtime::dist_graph& dgraph, const steiner_state& state,
     std::span<const graph::vertex_id> vertices,

@@ -29,8 +29,8 @@ namespace dsteiner::core::detail {
 
 /// Engine configuration plus the persistent worker pool that backs it in
 /// parallel_threads mode. One context lives for a whole solve, so every
-/// engine phase (Voronoi, local min edge, tree edge) reuses the same
-/// threads instead of respawning per phase.
+/// phase that uses threads (Voronoi, the local min-edge scan, tree edge)
+/// reuses the same ones instead of respawning per phase.
 struct engine_context {
   runtime::engine_config config;
   std::optional<runtime::parallel::worker_pool> pool;

@@ -210,8 +210,8 @@ steiner_result solve_cold(const graph::csr_graph& graph,
     return find_local_min_edges(dgraph, state, per_rank_en, engine);
   });
 
-  // Step 2b: global Allreduce(MIN) (line 14). The reduction runs off-engine,
-  // so checkpoint at its boundary.
+  // Step 2b: global Allreduce(MIN) (line 14). The scan and the reduction run
+  // off-engine, so checkpoint at their boundary.
   if (config.budget != nullptr) config.budget->check();
   run_phase(result, config, runtime::phase_names::global_min_edge, [&] {
     return reduce_global_min_edges(

@@ -7,9 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace dsteiner::obs {
@@ -89,11 +89,11 @@ std::string query_param(std::string_view query, std::string_view key) {
 std::uint64_t query_param_u64(std::string_view query, std::string_view key,
                               std::uint64_t fallback) {
   const std::string value = query_param(query, key);
-  if (value.empty()) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return fallback;
-  return static_cast<std::uint64_t>(parsed);
+  const char* const end = value.data() + value.size();
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc{} || ptr != end) return fallback;
+  return parsed;
 }
 
 bool debug_server::start(std::uint16_t port) {

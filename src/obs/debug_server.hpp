@@ -89,8 +89,9 @@ class debug_server {
 /// /tracez and /slo routes.
 std::string query_param(std::string_view query, std::string_view key);
 
-/// Numeric variant of query_param(): parses the value as an unsigned
-/// integer, returning `fallback` when the key is absent or non-numeric.
+/// Numeric variant of query_param(): parses the whole value as a decimal
+/// unsigned integer, returning `fallback` when the key is absent or the
+/// value is empty, signed, padded, has trailing junk or overflows.
 std::uint64_t query_param_u64(std::string_view query, std::string_view key,
                               std::uint64_t fallback);
 

@@ -20,10 +20,10 @@ namespace dsteiner::runtime::net {
 namespace {
 
 /// Boundary label sync between phases 1 and 2: each owned, reached vertex's
-/// (src, d1) goes to every other rank owning one of its neighbours — exactly
-/// the remote reads of the cross-edge scan. pred is deliberately not synced:
-/// walk-backs only ever dereference pred on the owner. Returns the labels
-/// sent.
+/// (src, d1) goes to every other rank owning one of its neighbours — a
+/// superset of the remote reads of core::scan_cross_edges. pred is
+/// deliberately not synced: walk-backs only ever dereference pred on the
+/// owner. Returns the labels sent.
 std::uint64_t sync_ghosts(rank_context& ctx, const runtime::dist_graph& dgraph,
                           core::steiner_state& state) {
   const std::uint64_t sent_before = ctx.begin_window();
@@ -63,38 +63,6 @@ std::uint64_t sync_ghosts(rank_context& ctx, const runtime::dist_graph& dgraph,
   ctx.emit_phase_telemetry(telemetry_phase::ghost_sync, labels);
   ctx.record_traffic(0, sent_before);
   return labels;
-}
-
-/// Phase 2: partition-local cross-cell minimum bridges. Each undirected edge
-/// is probed exactly once globally — at the owner of its lower endpoint,
-/// whose ghost table holds the higher endpoint's label after sync_ghosts.
-phase_metrics scan_local_min_edges(rank_context& ctx,
-                                   const runtime::dist_graph& dgraph,
-                                   const core::steiner_state& state,
-                                   core::cross_edge_map& local_en) {
-  phase_metrics metrics{};
-  const util::timer wall;
-  for (const graph::vertex_id u : dgraph.local_vertices(ctx.rank())) {
-    if (!state.reached(u)) continue;
-    const auto neighbors = dgraph.graph().neighbors(u);
-    const auto weights = dgraph.graph().weights(u);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const graph::vertex_id vt = neighbors[i];
-      if (u >= vt || !state.reached(vt)) continue;
-      if (state.src[u] == state.src[vt]) continue;
-      ++metrics.visitors_processed;
-      const core::cross_edge_entry candidate{
-          state.distance[u] + weights[i] + state.distance[vt], u, vt,
-          weights[i]};
-      const core::seed_pair key{std::min(state.src[u], state.src[vt]),
-                                std::max(state.src[u], state.src[vt])};
-      const auto [it, inserted] = local_en.emplace(key, candidate);
-      if (!inserted) it->second = core::min_entry(it->second, candidate);
-    }
-  }
-  metrics.rounds = 1;
-  metrics.wall_seconds = wall.seconds();
-  return metrics;
 }
 
 /// Phase 3: all-to-all exchange of the per-rank EN maps and a lexicographic
@@ -217,7 +185,10 @@ void solve_phases(const graph::csr_graph& graph,
   core::cross_edge_map local_en;
   core::detail::run_phase(result, config, phase_names::local_min_edge, [&] {
     const std::uint64_t ghosts = sync_ghosts(ctx, dgraph, state);
-    phase_metrics metrics = scan_local_min_edges(ctx, dgraph, state, local_en);
+    phase_metrics metrics = core::scan_cross_edges(
+        dgraph, state, config.costs, ctx.rank(),
+        dgraph.local_vertices(ctx.rank()), /*both_directions=*/false,
+        local_en);
     metrics.messages_remote += ghosts;
     return metrics;
   });

@@ -12,10 +12,10 @@
 // fixed point, bridges tie-break on (distance, u, v) and the edge list is
 // sorted, so any convergent schedule lands on the same bytes.
 //
-// Phase 2 is deliberately not run on the engine. A ghost sync pushes every
-// owned boundary vertex's converged (src, d1) to each rank owning one of its
-// neighbours, then each rank scans its owned edges. Routing core's
-// cross_edge_visitor probes instead would send one >= 40-byte probe per cut
+// Phase 2 is core's scan_cross_edges, as on every transport. Its owner needs
+// each neighbour's label, so a ghost sync first pushes every owned boundary
+// vertex's converged (src, d1) to each rank owning one of its neighbours.
+// Shipping Alg. 5's probes instead would send one >= 40-byte probe per cut
 // edge; on FRS over three ranks that is ~9 MB per query against ~0.84 MB of
 // 24-byte ghost labels.
 #pragma once

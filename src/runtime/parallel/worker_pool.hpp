@@ -1,8 +1,9 @@
 // Persistent worker pool backing the threaded visitor engine.
 //
 // One pool is created per solve (or borrowed from the caller) and reused by
-// every engine phase — Voronoi growth, the local min-edge scan, tree-edge
-// walk-backs — so a solve pays thread start-up once, not once per phase.
+// every engine phase — Voronoi growth and tree-edge walk-backs — and by the
+// off-engine work between them (the phase-2 cross-edge scan, the allreduce
+// fan-out), so a solve pays thread start-up once, not once per phase.
 // run() executes one job on every worker and blocks until all return; jobs
 // receive their worker id so the engine can stripe ranks over workers.
 //

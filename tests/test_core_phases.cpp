@@ -16,6 +16,7 @@
 #include "graph/generators.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/net/dist_solver.hpp"
+#include "runtime/parallel/worker_pool.hpp"
 #include "seed/seed_select.hpp"
 #include "util/random.hpp"
 
@@ -27,12 +28,16 @@ using namespace dsteiner::runtime;
 using graph::vertex_id;
 using graph::weight_t;
 
-graph::csr_graph make_test_graph(int n, std::uint64_t seed) {
+graph::edge_list make_test_edges(int n, std::uint64_t seed) {
   graph::edge_list list =
       graph::generate_erdos_renyi(n, static_cast<std::uint64_t>(n) * 3, seed);
   graph::assign_uniform_weights(list, 1, 40, seed ^ 0x77);
   graph::connect_components(list, 41, seed);
-  return graph::csr_graph(list);
+  return list;
+}
+
+graph::csr_graph make_test_graph(int n, std::uint64_t seed) {
+  return graph::csr_graph(make_test_edges(n, seed));
 }
 
 std::vector<vertex_id> pick_seeds(const graph::csr_graph& g, std::size_t count,
@@ -149,29 +154,32 @@ TEST(VoronoiDistributed, PriorityQueueSendsFewerMessages) {
 
 // ---- Distance graph construction.
 
-class DistanceGraphPhase
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+/// make_test_graph plus a hub (vertex 0, degree >= 24, so a delegate at
+/// threshold 16) and a self-loop, so the scan's delegate rule and self-loop
+/// skip are both exercised.
+graph::csr_graph make_hub_graph(int n, std::uint64_t seed) {
+  graph::edge_list list = make_test_edges(n, seed);
+  for (vertex_id v = 5; v < static_cast<vertex_id>(n); v += 5) {
+    list.add_undirected_edge(0, v, 10 + v % 30);
+  }
+  list.add_undirected_edge(7, 7, 3);
+  return graph::csr_graph(list);
+}
 
-TEST_P(DistanceGraphPhase, MatchesSequentialScan) {
-  const auto [ranks, dense] = GetParam();
-  const auto g = make_test_graph(120, 11);
-  const auto seeds = pick_seeds(g, 6, 13);
+/// Engine config for `mode`; parallel_threads borrows `pool`, as a solve's
+/// engine_context does.
+engine_config phase_config(execution_mode mode, parallel::worker_pool& pool) {
+  engine_config config{queue_policy::priority, mode, 16, cost_model{}};
+  if (mode == execution_mode::parallel_threads) {
+    config.num_threads = pool.size();
+    config.pool = &pool;
+  }
+  return config;
+}
 
-  const dist_graph dgraph(g, {ranks, partition_scheme::hash, true, 16});
-  steiner_state state(g.num_vertices());
-  const engine_config config{queue_policy::priority, execution_mode::async, 16,
-                             cost_model{}};
-  (void)compute_voronoi_cells(dgraph, seeds, state, config);
-
-  std::vector<cross_edge_map> per_rank;
-  (void)find_local_min_edges(dgraph, state, per_rank, config);
-  const communicator comm(ranks, cost_model{});
-  global_reduce_options options;
-  options.dense = dense;
-  options.seeds = seeds;
-  (void)reduce_global_min_edges(comm, per_rank, options);
-
-  // Sequential reference: scan all undirected edges once.
+/// Sequential reference: every undirected edge scanned once.
+cross_edge_map sequential_scan(const graph::csr_graph& g,
+                               const steiner_state& state) {
   cross_edge_map reference;
   for (vertex_id u = 0; u < g.num_vertices(); ++u) {
     if (state.src[u] == graph::k_no_vertex) continue;
@@ -190,21 +198,183 @@ TEST_P(DistanceGraphPhase, MatchesSequentialScan) {
       if (!inserted) it->second = min_entry(it->second, candidate);
     }
   }
+  return reference;
+}
 
+void expect_maps_equal(const cross_edge_map& map,
+                       const cross_edge_map& reference, int rank) {
+  ASSERT_EQ(map.size(), reference.size()) << "rank " << rank;
+  for (const auto& [key, entry] : reference) {
+    const auto it = map.find(key);
+    ASSERT_NE(it, map.end()) << "rank " << rank;
+    EXPECT_EQ(it->second, entry) << "rank " << rank;
+  }
+}
+
+class DistanceGraphPhase
+    : public ::testing::TestWithParam<std::tuple<int, bool, execution_mode>> {};
+
+TEST_P(DistanceGraphPhase, MatchesSequentialScan) {
+  const auto [ranks, dense, mode] = GetParam();
+  const auto g = make_hub_graph(120, 11);
+  const auto seeds = pick_seeds(g, 6, 13);
+
+  const dist_graph dgraph(g, {ranks, partition_scheme::hash, true, 16});
+  ASSERT_GT(dgraph.delegate_count(), 0u);
+  parallel::worker_pool pool(2);
+  const engine_config config = phase_config(mode, pool);
+  steiner_state state(g.num_vertices());
+  (void)compute_voronoi_cells(dgraph, seeds, state, config);
+
+  std::vector<cross_edge_map> per_rank;
+  (void)find_local_min_edges(dgraph, state, per_rank, config);
+  const communicator comm(ranks, cost_model{});
+  global_reduce_options options;
+  options.dense = dense;
+  options.seeds = seeds;
+  (void)reduce_global_min_edges(comm, per_rank, options);
+
+  const cross_edge_map reference = sequential_scan(g, state);
   for (int r = 0; r < ranks; ++r) {
-    const auto& map = per_rank[static_cast<std::size_t>(r)];
-    ASSERT_EQ(map.size(), reference.size()) << "rank " << r;
-    for (const auto& [key, entry] : reference) {
-      const auto it = map.find(key);
-      ASSERT_NE(it, map.end());
-      EXPECT_EQ(it->second, entry);
+    expect_maps_equal(per_rank[static_cast<std::size_t>(r)], reference, r);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SparseAndDense, DistanceGraphPhase,
+    ::testing::Combine(::testing::Values(1, 3, 8), ::testing::Values(false, true),
+                       ::testing::Values(execution_mode::async,
+                                         execution_mode::bsp,
+                                         execution_mode::parallel_threads)));
+
+TEST(DistanceGraphPhase, PartialScanOfAllReachedEqualsFullScan) {
+  // The warm rule (both directions, split by owner) over every reached
+  // vertex rediscovers exactly the full scan's bridges.
+  const auto g = make_hub_graph(120, 11);
+  const auto seeds = pick_seeds(g, 6, 13);
+  constexpr int k_ranks = 3;
+  const dist_graph dgraph(g, {k_ranks, partition_scheme::hash, true, 16});
+  ASSERT_GT(dgraph.delegate_count(), 0u);
+  steiner_state state(g.num_vertices());
+  (void)compute_voronoi_cells(dgraph, seeds, state, engine_config{});
+  std::vector<vertex_id> reached;
+  for (vertex_id v = 0; v < g.num_vertices(); ++v) {
+    if (state.reached(v)) reached.push_back(v);
+  }
+
+  const communicator comm(k_ranks, cost_model{});
+  std::vector<cross_edge_map> full;
+  (void)find_local_min_edges(dgraph, state, full, engine_config{});
+  (void)reduce_global_min_edges(comm, full, {});
+  parallel::worker_pool pool(2);
+  for (const execution_mode mode :
+       {execution_mode::async, execution_mode::bsp,
+        execution_mode::parallel_threads}) {
+    std::vector<cross_edge_map> partial;
+    (void)find_local_min_edges_partial(dgraph, state, reached, partial,
+                                       phase_config(mode, pool));
+    (void)reduce_global_min_edges(comm, partial, {});
+    for (int r = 0; r < k_ranks; ++r) {
+      expect_maps_equal(partial[static_cast<std::size_t>(r)],
+                        full[static_cast<std::size_t>(r)], r);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SparseAndDense, DistanceGraphPhase,
-                         ::testing::Combine(::testing::Values(1, 3, 8),
-                                            ::testing::Values(false, true)));
+TEST(DistanceGraphPhase, AccountingCountsEachEdgeOnce) {
+  const auto g = make_hub_graph(150, 5);
+  const auto seeds = pick_seeds(g, 8, 9);
+  constexpr int k_ranks = 4;
+  const dist_graph dgraph(g, {k_ranks, partition_scheme::hash, true, 16});
+  ASSERT_GT(dgraph.delegate_count(), 0u);
+  steiner_state state(g.num_vertices());
+  (void)compute_voronoi_cells(dgraph, seeds, state, engine_config{});
+
+  // One Alg. 5 probe per undirected non-self-loop edge between reached
+  // vertices; remote when its endpoints have different owners.
+  std::uint64_t edges = 0;
+  std::uint64_t cut = 0;
+  for (vertex_id u = 0; u < g.num_vertices(); ++u) {
+    for (const vertex_id v : g.neighbors(u)) {
+      if (u >= v || !state.reached(u) || !state.reached(v)) continue;
+      ++edges;
+      if (dgraph.owner(u) != dgraph.owner(v)) ++cut;
+    }
+  }
+  ASSERT_GT(cut, 0u);
+
+  // The hub's owner scans none of its edges to non-delegates; the warm rule
+  // scans every non-self-loop arc of a listed vertex.
+  const vertex_id hub = 0;
+  ASSERT_TRUE(dgraph.is_delegate(hub));
+  std::uint64_t hub_to_delegates = 0;
+  std::uint64_t hub_arcs = 0;
+  for (const vertex_id v : g.neighbors(hub)) {
+    if (v == hub || !state.reached(v)) continue;
+    ++hub_arcs;
+    if (dgraph.is_delegate(v) && hub < v) ++hub_to_delegates;
+  }
+  const std::vector<vertex_id> hub_only{hub};
+  cross_edge_map en;
+  EXPECT_EQ(scan_cross_edges(dgraph, state, cost_model{}, dgraph.owner(hub),
+                             hub_only, false, en)
+                .visitors_processed,
+            hub_to_delegates);
+  EXPECT_EQ(scan_cross_edges(dgraph, state, cost_model{}, dgraph.owner(hub),
+                             hub_only, true, en)
+                .visitors_processed,
+            hub_arcs);
+
+  const auto scan = [&](execution_mode mode, std::size_t threads) {
+    parallel::worker_pool pool(threads);
+    std::vector<cross_edge_map> per_rank;
+    return find_local_min_edges(dgraph, state, per_rank,
+                                phase_config(mode, pool));
+  };
+  const phase_metrics reference = scan(execution_mode::async, 1);
+  EXPECT_EQ(reference.visitors_processed, edges);
+  EXPECT_EQ(reference.messages_remote, cut);
+  EXPECT_EQ(reference.messages_local, edges - cut);
+  EXPECT_EQ(reference.rounds, 1u);
+  EXPECT_GT(reference.sim_units, 0.0);
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    for (const execution_mode mode :
+         {execution_mode::async, execution_mode::bsp,
+          execution_mode::parallel_threads}) {
+      const phase_metrics m = scan(mode, threads);
+      const auto label = ::testing::Message()
+                         << "mode " << static_cast<int>(mode) << " threads "
+                         << threads;
+      EXPECT_EQ(m.visitors_processed, edges) << label;
+      EXPECT_EQ(m.messages_remote, cut) << label;
+      EXPECT_EQ(m.messages_local, edges - cut) << label;
+      EXPECT_EQ(m.rounds, reference.rounds) << label;
+      EXPECT_EQ(m.visitors_skipped, reference.visitors_skipped) << label;
+      EXPECT_EQ(m.previsit_rejections, reference.previsit_rejections) << label;
+      EXPECT_EQ(m.queue_peak_items, reference.queue_peak_items) << label;
+      EXPECT_EQ(m.queue_peak_bytes, reference.queue_peak_bytes) << label;
+      EXPECT_DOUBLE_EQ(m.sim_units, reference.sim_units) << label;
+    }
+  }
+}
+
+TEST(DistanceGraphPhase, SimTimeChargedOnEveryTransport) {
+  const auto g = make_hub_graph(150, 5);
+  const auto seeds = pick_seeds(g, 8, 9);
+  solver_config config;
+  config.num_ranks = 3;
+  config.delegate_threshold = 16;
+  const auto phase2_sim = [](const steiner_result& r) {
+    const phase_metrics* m = r.phases.find(phase_names::local_min_edge);
+    return m == nullptr ? 0.0 : m->sim_units;
+  };
+  EXPECT_GT(phase2_sim(solve_steiner_tree(g, seeds, config)), 0.0);
+  solver_config threads = config;
+  threads.mode = execution_mode::parallel_threads;
+  threads.num_threads = 2;
+  EXPECT_GT(phase2_sim(solve_steiner_tree(g, seeds, threads)), 0.0);
+  EXPECT_GT(phase2_sim(net::solve_loopback(g, seeds, config, 3)), 0.0);
+}
 
 TEST(DistanceGraphPhase, ChunkedDenseMatchesMonolithic) {
   const auto g = make_test_graph(100, 17);

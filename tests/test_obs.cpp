@@ -1068,6 +1068,11 @@ TEST(DebugServer, QueryParamParsing) {
   EXPECT_EQ(obs::query_param_u64("limit=12", "limit", 99), 12u);
   EXPECT_EQ(obs::query_param_u64("limit=abc", "limit", 99), 99u);
   EXPECT_EQ(obs::query_param_u64("", "limit", 99), 99u);
+  EXPECT_EQ(obs::query_param_u64("limit=-1", "limit", 99), 99u);
+  EXPECT_EQ(obs::query_param_u64("limit=99999999999999999999", "limit", 99),
+            99u);
+  EXPECT_EQ(obs::query_param_u64("limit=+7", "limit", 99), 99u);
+  EXPECT_EQ(obs::query_param_u64("limit= 7", "limit", 99), 99u);
 }
 
 TEST(DebugEndpoint, TracezHonorsLimitAndSloRouteServesBurnRates) {

@@ -5,9 +5,16 @@
 // Runtime improvement in Fig. 5 is "a direct result of reduction in number
 // of messages": paper improvements 22.1x (LVJ), 4.9x (FRS), 6.1x (UKW) in
 // the Voronoi-cell phase.
+//
+// Exit status guards the figure's shape: non-zero unless the Voronoi-phase
+// FIFO/priority message ratio is at least k_min_ratio on every dataset.
 #include <cstdio>
 
 #include "bench_common.hpp"
+
+namespace {
+constexpr double k_min_ratio = 2.0;
+}  // namespace
 
 int main() {
   using namespace dsteiner;
@@ -16,6 +23,7 @@ int main() {
                       "Paper Voronoi message improvements: LVJ 22.1x, FRS "
                       "4.9x, UKW 6.1x.");
 
+  bool shape_ok = true;
   for (const char* key : {"LVJ", "FRS", "UKW"}) {
     const auto ds = io::load_dataset(key);
     const auto seeds = bench::default_seeds(ds.graph, 100);
@@ -43,14 +51,19 @@ int main() {
       (policy == runtime::queue_policy::fifo ? fifo_voronoi
                                              : priority_voronoi) = voronoi;
     }
+    const double ratio = static_cast<double>(fifo_voronoi) /
+                         static_cast<double>(priority_voronoi);
     std::printf("%s", table.render().c_str());
-    std::printf("Voronoi-phase message improvement: %.1fx\n\n",
-                static_cast<double>(fifo_voronoi) /
-                    static_cast<double>(priority_voronoi));
+    std::printf("Voronoi-phase message improvement: %.1fx\n\n", ratio);
+    if (ratio < k_min_ratio) {
+      std::printf("FAIL: %s-mini ratio %.2fx is below %.1fx\n\n", key, ratio,
+                  k_min_ratio);
+      shape_ok = false;
+    }
   }
   std::printf(
       "Shape check: local min-distance edge messages are policy-independent\n"
       "(bounded by |E|); tree-edge messages are negligible (|ES| << |E|);\n"
       "the entire improvement is in the Voronoi phase — as in Fig. 6.\n");
-  return 0;
+  return shape_ok ? 0 : 1;
 }

@@ -12,6 +12,7 @@ struct memory_accounting {
   std::uint64_t state_bytes = 0;        ///< per-vertex src/pred/d1 + in-tree bits
   std::uint64_t partition_bytes = 0;    ///< per-rank bookkeeping (owner lists, delegates)
   std::uint64_t queue_peak_bytes = 0;   ///< max visitor-queue occupancy across phases
+  std::uint64_t queue_index_bytes = 0;  ///< Alg. 4 mailbox position index
   std::uint64_t send_filter_bytes = 0;  ///< Alg. 4 sender-side dominance rows
   std::uint64_t distance_graph_bytes = 0;  ///< EN maps + G'1 (+ dense buffers)
   std::uint64_t collective_buffer_bytes = 0;  ///< peak per-rank collective buffer
@@ -21,8 +22,8 @@ struct memory_accounting {
   /// bar).
   [[nodiscard]] std::uint64_t algorithm_bytes() const noexcept {
     return state_bytes + partition_bytes + queue_peak_bytes +
-           send_filter_bytes + distance_graph_bytes + collective_buffer_bytes +
-           tree_bytes;
+           queue_index_bytes + send_filter_bytes + distance_graph_bytes +
+           collective_buffer_bytes + tree_bytes;
   }
 
   [[nodiscard]] std::uint64_t total_bytes() const noexcept {

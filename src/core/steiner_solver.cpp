@@ -174,6 +174,9 @@ steiner_result solve_cold(const graph::csr_graph& graph,
   result.memory.state_bytes = state.memory_bytes() + graph.num_vertices() / 8;
   result.memory.send_filter_bytes =
       voronoi_handler::filter_bytes(dgraph, config.num_ranks);
+  result.memory.queue_index_bytes =
+      runtime::mailbox<voronoi_visitor>::index_bytes(config.policy,
+                                                     graph.num_vertices());
   run_phase(result, config, runtime::phase_names::voronoi, [&] {
     assist_stats astats;
     std::atomic<std::uint64_t> pruned{0};

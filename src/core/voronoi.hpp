@@ -5,7 +5,10 @@
 // tentative distance r, vj joins N(t) if (r, t, vp) improves its state, then
 // notifies its neighbours. Message prioritization (priority mailbox keyed on
 // r) approximates Dijkstra's settling order and is the paper's headline
-// optimization (§V-C).
+// optimization (§V-C). Under the priority policy the mailbox also keeps one
+// label per vertex (see voronoi_visitor::queue_key): a dominated visitor no
+// longer waits in the heap to be skipped, it is merged away on arrival, so
+// every popped normal visitor is live. FIFO keeps every admitted visitor.
 //
 // Vertex delegates: a high-degree vertex's scatter is split into per-rank
 // relay visitors, each enumerating only that rank's slice of the adjacency.
@@ -44,6 +47,18 @@ struct voronoi_visitor {
 
   [[nodiscard]] graph::vertex_id target() const noexcept { return vj; }
   [[nodiscard]] std::uint64_t priority() const noexcept { return r; }
+
+  /// Priority-mailbox merge key (runtime::keyed_visitor): a normal visitor
+  /// carries a label for vj, so one queued entry per vertex suffices. A
+  /// relay carries a label to scatter on whichever rank receives it and
+  /// never merges.
+  [[nodiscard]] graph::vertex_id queue_key() const noexcept {
+    return kind == kind_t::relay ? graph::k_no_vertex : vj;
+  }
+  /// Dijkstra's rule: the lexicographically least (r, t, vp) label wins.
+  [[nodiscard]] bool supersedes(const voronoi_visitor& other) const noexcept {
+    return std::tie(r, t, vp) < std::tie(other.r, other.t, other.vp);
+  }
 
   friend bool operator==(const voronoi_visitor&,
                          const voronoi_visitor&) = default;
@@ -156,7 +171,8 @@ class voronoi_handler {
   //     admitted or rejected before y, and if admitted it is visited
   //     before y;
   //   - state only decreases, so once x is through, y's tuple is dominated:
-  //     y could only ever be a pre_visit rejection or a skipped visit;
+  //     y could only ever be a pre_visit rejection, a mailbox merge or a
+  //     skipped visit (a merge keeps a queued label at most x's);
   //   - the oracle prune drops y whenever it drops x.
   // Ties pass, because the (src, pred) tie-break may still need them. Local
   // targets skip the row and meet pre_visit at once, exactly as before.

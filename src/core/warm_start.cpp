@@ -207,6 +207,8 @@ steiner_result repair_solve(const graph::csr_graph& graph,
   result.memory.state_bytes = state.memory_bytes() + n / 8;
   result.memory.send_filter_bytes =
       voronoi_handler::filter_bytes(dgraph, config.num_ranks);
+  result.memory.queue_index_bytes =
+      runtime::mailbox<voronoi_visitor>::index_bytes(config.policy, n);
 
   // Affected cells: any cell that gained or lost a member or whose labels
   // moved, plus the delta seeds, plus every cell holding a modified-edge

@@ -171,6 +171,10 @@ void solve_phases(const graph::csr_graph& graph,
   // This rank's one dominance-filter row.
   result.memory.send_filter_bytes =
       core::voronoi_handler::filter_bytes(dgraph, 1);
+  // This rank's one mailbox position index.
+  result.memory.queue_index_bytes =
+      mailbox<core::voronoi_visitor>::index_bytes(config.policy,
+                                                  graph.num_vertices());
 
   core::detail::run_phase(result, config, phase_names::voronoi, [&] {
     core::voronoi_handler handler(dgraph, state);

@@ -312,8 +312,13 @@ class superstep_engine {
         costs_(config.costs),
         phase_(phase),
         rank_(ctx.rank()),
-        box_(config.policy),
+        index_(mailbox<Visitor>::make_index(config.policy,
+                                            parts.num_vertices())),
+        box_(config.policy, index_),
         outbox_(static_cast<std::size_t>(ctx.world()), frame{codec::type, {}}) {}
+  // box_ holds a view of index_.
+  superstep_engine(const superstep_engine&) = delete;
+  superstep_engine& operator=(const superstep_engine&) = delete;
 
   using emitter = engine_emitter<superstep_engine, Visitor>;
 
@@ -409,11 +414,10 @@ class superstep_engine {
   }
 
   void admit(const Visitor& v) {
-    if (!handler_.pre_visit(v, rank_)) {
+    // A mailbox merge drops one visitor: a rejection like pre_visit's.
+    if (!handler_.pre_visit(v, rank_) || !box_.push(v)) {
       ++metrics_.previsit_rejections;
-      return;
     }
-    box_.push(v);
   }
 
   rank_context& ctx_;
@@ -422,6 +426,7 @@ class superstep_engine {
   cost_model costs_;
   telemetry_phase phase_;
   int rank_;
+  std::vector<std::uint32_t> index_;  ///< box_'s position index
   mailbox<Visitor> box_;
   /// Per destination rank, the data frame being filled. Full frames go out
   /// during the drain, the rest at its end.

@@ -14,7 +14,8 @@
 //   phase A (deliver): each rank drains its inbound channels in sender-rank
 //     order (per-sender FIFO preserved by the channel), runs pre_visit as the
 //     arrival admission check, and stable-merges survivors into its priority
-//     mailbox.                                       -- barrier --
+//     mailbox (a keyed survivor merges with its vertex's queued entry, see
+//     mailbox.hpp).                                  -- barrier --
 //   phase B (compute): each rank pops up to batch_size visitors from its
 //     mailbox and runs visit; emissions to the rank itself deliver
 //     immediately (same-superstep consumption, like the async engine's local
@@ -74,7 +75,8 @@ class thread_engine {
     adaptive_ = config_.batch_size == 0;
     if (config_.batch_size == 0) config_.batch_size = 64;
     const auto p = static_cast<std::size_t>(parts.num_ranks());
-    mailboxes_.assign(p, mailbox<Visitor>(config.policy));
+    index_ = mailbox<Visitor>::make_index(config.policy, parts.num_vertices());
+    mailboxes_.assign(p, mailbox<Visitor>(config.policy, index_));
     channels_.reserve(p * p);
     for (std::size_t i = 0; i < p * p; ++i) {
       channels_.push_back(std::make_unique<spsc_channel<Visitor>>());
@@ -297,13 +299,12 @@ class thread_engine {
       auto& ch = channel(s, r);
       while (ch.try_pop(v)) {
         if (s != r) st.work += config_.costs.remote_msg_cost;
-        if (!handler_->pre_visit(v, r)) {
-          ++st.previsit_rejections;
+        if (!handler_->pre_visit(v, r) || !box.push(v)) {
+          ++st.previsit_rejections;  // a mailbox merge counts here too
           st.work += config_.costs.reject_cost;
           continue;
         }
         ++st.drained_step;
-        box.push(std::move(v));
       }
     }
   }
@@ -336,12 +337,11 @@ class thread_engine {
       // visitor is consumable within this superstep's batch, mirroring the
       // async engine's local sends.
       ++st.messages_local;
-      if (!handler_->pre_visit(v, to_rank)) {
+      if (!handler_->pre_visit(v, to_rank) ||
+          !mailboxes_[static_cast<std::size_t>(to_rank)].push(v)) {
         ++st.previsit_rejections;
         st.work += config_.costs.reject_cost;
-        return;
       }
-      mailboxes_[static_cast<std::size_t>(to_rank)].push(std::move(v));
       return;
     }
     ++st.messages_remote;
@@ -354,6 +354,9 @@ class thread_engine {
   engine_config config_;
   bool adaptive_ = false;  ///< batch_size == 0: self-tuning batch
   std::atomic<std::size_t> auto_batch_{64};
+  /// Shared by mailboxes_; a vertex's slot is written only by its owner's
+  /// worker (see mailbox::make_index).
+  std::vector<std::uint32_t> index_;
   std::vector<mailbox<Visitor>> mailboxes_;
   std::vector<std::unique_ptr<spsc_channel<Visitor>>> channels_;  // [from*p+to]
   std::vector<rank_stats> stats_;

@@ -31,6 +31,12 @@
 // Visitor concept:
 //   graph::vertex_id target() const;   // routing key
 //   std::uint64_t priority() const;    // mailbox priority (lower first)
+// Optional, for one queued entry per vertex under queue_policy::priority
+// (runtime::keyed_visitor, see mailbox.hpp):
+//   graph::vertex_id queue_key() const;       // merge key; k_no_vertex: never
+//   bool supersedes(const Visitor&) const;    // strict order within one key
+// A merge drops one visitor; every engine counts it as a pre_visit
+// rejection and charges reject_cost to the receiving rank.
 #pragma once
 
 #include <algorithm>
@@ -58,10 +64,14 @@ class visitor_engine {
     // cooperative engine has no barrier to adapt against, so it just runs
     // the default.
     if (config_.batch_size == 0) config_.batch_size = 64;
+    index_ = mailbox<Visitor>::make_index(config.policy, parts.num_vertices());
     mailboxes_.assign(static_cast<std::size_t>(parts.num_ranks()),
-                      mailbox<Visitor>(config.policy));
+                      mailbox<Visitor>(config.policy, index_));
     round_work_.assign(static_cast<std::size_t>(parts.num_ranks()), 0.0);
   }
+  // mailboxes_ hold a view of index_.
+  visitor_engine(const visitor_engine&) = delete;
+  visitor_engine& operator=(const visitor_engine&) = delete;
 
   using emitter = engine_emitter<visitor_engine, Visitor>;
 
@@ -177,12 +187,13 @@ class visitor_engine {
   }
 
   void deliver(Visitor v, int to_rank) {
-    if (!handler_->pre_visit(v, to_rank)) {
+    // A mailbox merge is a rejection too, and leaves pending_ as it was.
+    if (!handler_->pre_visit(v, to_rank) ||
+        !mailboxes_[static_cast<std::size_t>(to_rank)].push(v)) {
       ++metrics_.previsit_rejections;
       round_work_[static_cast<std::size_t>(to_rank)] += config_.costs.reject_cost;
       return;
     }
-    mailboxes_[static_cast<std::size_t>(to_rank)].push(std::move(v));
     ++pending_;
     note_peak();
   }
@@ -198,6 +209,7 @@ class visitor_engine {
   partitioner parts_;
   Handler* handler_;
   engine_config config_;
+  std::vector<std::uint32_t> index_;  ///< shared by mailboxes_; see mailbox
   std::vector<mailbox<Visitor>> mailboxes_;
   std::vector<std::pair<int, Visitor>> staged_;  // BSP-deferred deliveries
   std::vector<double> round_work_;

@@ -3,6 +3,7 @@
 // and tree-edge collection.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/distance_graph.hpp"
@@ -209,6 +210,108 @@ void expect_maps_equal(const cross_edge_map& map,
     ASSERT_NE(it, map.end()) << "rank " << rank;
     EXPECT_EQ(it->second, entry) << "rank " << rank;
   }
+}
+
+// ---- The keyed priority mailbox holds one label per vertex: every popped
+// Voronoi visitor is live on every transport, and the cooperative queue
+// never holds more than one entry per vertex beside the relays.
+
+/// voronoi_handler plus a count of relays sent: every relay passes
+/// pre_visit exactly once.
+class relay_counting_handler {
+ public:
+  relay_counting_handler(const dist_graph& dgraph, steiner_state& state)
+      : inner_(dgraph, state) {}
+
+  bool pre_visit(const voronoi_visitor& v, int rank) {
+    if (v.kind == voronoi_visitor::kind_t::relay) ++relays_;
+    return inner_.pre_visit(v, rank);
+  }
+
+  template <typename Emitter>
+  bool visit(const voronoi_visitor& v, int rank, Emitter& out) {
+    return inner_.visit(v, rank, out);
+  }
+
+  [[nodiscard]] std::uint64_t relays() const noexcept { return relays_; }
+
+ private:
+  voronoi_handler inner_;
+  std::uint64_t relays_ = 0;
+};
+
+TEST(VoronoiDistributed, PriorityMailboxPopsOnlyLiveVisitors) {
+  const auto g = make_hub_graph(150, 5);
+  const auto seeds = pick_seeds(g, 8, 9);
+  constexpr int k_ranks = 4;
+  const dist_graph dgraph(g, {k_ranks, partition_scheme::hash, true, 16});
+  ASSERT_GT(dgraph.delegate_count(), 0u);
+  const auto oracle = graph::multi_source_voronoi(g, seeds);
+  const auto expect_oracle = [&](const steiner_state& state,
+                                 const std::string& label) {
+    EXPECT_EQ(state.distance, oracle.distance) << label;
+    EXPECT_EQ(state.src, oracle.src) << label;
+    EXPECT_EQ(state.pred, oracle.pred) << label;
+  };
+
+  {
+    steiner_state state(g.num_vertices());
+    relay_counting_handler handler(dgraph, state);
+    std::vector<voronoi_visitor> initial;
+    for (const vertex_id s : seeds) initial.push_back({s, s, s, 0});
+    const phase_metrics m = run_visitors(
+        dgraph.parts(), handler, std::move(initial),
+        engine_config{queue_policy::priority, execution_mode::async, 16,
+                      cost_model{}});
+    EXPECT_EQ(m.visitors_skipped, 0u);
+    EXPECT_GT(m.previsit_rejections, 0u);
+    EXPECT_GT(handler.relays(), 0u);
+    EXPECT_LE(m.queue_peak_items, g.num_vertices() + handler.relays());
+    expect_oracle(state, "cooperative");
+  }
+
+  phase_metrics reference;
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    parallel::worker_pool pool(threads);
+    steiner_state state(g.num_vertices());
+    const phase_metrics m = compute_voronoi_cells(
+        dgraph, seeds, state,
+        phase_config(execution_mode::parallel_threads, pool));
+    const std::string label = "threads " + std::to_string(threads);
+    EXPECT_EQ(m.visitors_skipped, 0u) << label;
+    expect_oracle(state, label);
+    if (threads == 1) {
+      reference = m;
+      continue;
+    }
+    EXPECT_EQ(m.visitors_processed, reference.visitors_processed) << label;
+    EXPECT_EQ(m.previsit_rejections, reference.previsit_rejections) << label;
+    EXPECT_EQ(m.messages_local, reference.messages_local) << label;
+    EXPECT_EQ(m.messages_remote, reference.messages_remote) << label;
+    EXPECT_EQ(m.rounds, reference.rounds) << label;
+    EXPECT_EQ(m.queue_peak_items, reference.queue_peak_items) << label;
+    EXPECT_EQ(m.queue_peak_bytes, reference.queue_peak_bytes) << label;
+    EXPECT_DOUBLE_EQ(m.sim_units, reference.sim_units) << label;
+  }
+
+  solver_config config;
+  config.num_ranks = k_ranks;
+  config.delegate_threshold = 16;
+  const steiner_result net = net::solve_loopback(g, seeds, config, k_ranks);
+  const phase_metrics* voronoi = net.phases.find(phase_names::voronoi);
+  ASSERT_NE(voronoi, nullptr);
+  EXPECT_EQ(voronoi->visitors_skipped, 0u);
+  const steiner_result in_process = solve_steiner_tree(g, seeds, config);
+  EXPECT_EQ(net.tree_edges, in_process.tree_edges);
+  EXPECT_EQ(net.total_distance, in_process.total_distance);
+
+  // Fig. 8: one position index of |V| slots per engine, so one per net
+  // rank; FIFO keeps none.
+  const std::uint64_t index = g.num_vertices() * sizeof(std::uint32_t);
+  EXPECT_EQ(in_process.memory.queue_index_bytes, index);
+  EXPECT_EQ(net.memory.queue_index_bytes, index);
+  config.policy = queue_policy::fifo;
+  EXPECT_EQ(solve_steiner_tree(g, seeds, config).memory.queue_index_bytes, 0u);
 }
 
 class DistanceGraphPhase

@@ -627,22 +627,30 @@ TEST(DebugEndpoint, ScrapesConcurrentWithQueries) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> scrapes_ok{0};
+  std::atomic<int> scrapes_done{0};
   std::thread scraper([&] {
     while (!stop.load()) {
       const std::string body =
           obs::http_body(obs::http_get(endpoint.port(), "/metrics"));
       if (!body.empty() && obs::validate_prometheus(body).ok()) ++scrapes_ok;
+      ++scrapes_done;
     }
   });
-  for (std::uint64_t i = 0; i < 12; ++i) {
+  // At least 12 queries, and more until a scrape has completed, so the
+  // scraper always races live queries however fast they solve.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (std::uint64_t i = 0; i < 12 || scrapes_done.load() == 0; ++i) {
+    if (std::chrono::steady_clock::now() > deadline) break;
     query q;
-    q.seeds = {static_cast<vertex_id>(3 + i), 50, 100,
-               static_cast<vertex_id>(150 + i)};
+    q.seeds = {static_cast<vertex_id>(3 + i % 40), 50, 100,
+               static_cast<vertex_id>(150 + i % 40)};
     (void)svc.solve(request{std::move(q)});
   }
   stop.store(true);
   scraper.join();
-  EXPECT_GT(scrapes_ok.load(), 0);
+  EXPECT_GT(scrapes_done.load(), 0) << "no scrape completed within 10 s";
+  EXPECT_EQ(scrapes_ok.load(), scrapes_done.load());
 }
 
 // ---- cluster observability plane --------------------------------------------

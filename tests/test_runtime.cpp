@@ -2,10 +2,12 @@
 // collectives, mailboxes, the visitor engine and the distributed graph view.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 #include <unordered_map>
 
+#include "core/voronoi.hpp"
 #include "graph/generators.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/dist_graph.hpp"
@@ -255,6 +257,163 @@ TEST(Mailbox, SizeAndClear) {
   EXPECT_EQ(box.size(), 2u);
   box.clear();
   EXPECT_TRUE(box.empty());
+}
+
+// ---- Keyed priority boxes: the Voronoi visitor is the keyed type (one
+// queued label per vertex, relays never merge).
+
+using core::voronoi_visitor;
+using vkind = voronoi_visitor::kind_t;
+using keyed_box = mailbox<voronoi_visitor>;
+
+static_assert(keyed_visitor<voronoi_visitor>);
+static_assert(!keyed_visitor<test_visitor>);
+
+voronoi_visitor relay(graph::vertex_id vj, graph::weight_t r) {
+  return voronoi_visitor{vj, 0, 0, r, vkind::relay};
+}
+
+TEST(Mailbox, KeyedPushKeepsLexicographicMinimum) {
+  auto index = keyed_box::make_index(queue_policy::priority, 8);
+  ASSERT_EQ(index.size(), 8u);
+  keyed_box box(queue_policy::priority, index);
+
+  // A strictly smaller r replaces the queued label; a larger one is dropped.
+  EXPECT_TRUE(box.push({3, 1, 5, 10}));
+  EXPECT_FALSE(box.push({3, 2, 9, 7}));
+  EXPECT_FALSE(box.push({3, 0, 0, 8}));
+  EXPECT_EQ(box.size(), 1u);
+  EXPECT_EQ(box.pop(), (voronoi_visitor{3, 2, 9, 7}));
+
+  // Equal r: the smaller (t, vp) wins; an equal label is dropped.
+  EXPECT_TRUE(box.push({4, 6, 2, 7}));
+  EXPECT_FALSE(box.push({4, 5, 2, 7}));  // same t, smaller vp
+  EXPECT_FALSE(box.push({4, 1, 3, 7}));  // larger t
+  EXPECT_FALSE(box.push({4, 5, 2, 7}));  // equal label
+  EXPECT_FALSE(box.push({4, 0, 1, 7}));  // smaller t
+  EXPECT_EQ(box.size(), 1u);
+  EXPECT_EQ(box.pop(), (voronoi_visitor{4, 0, 1, 7}));
+  EXPECT_TRUE(box.empty());
+  for (const std::uint32_t slot : index) EXPECT_EQ(slot, keyed_box::k_no_slot);
+}
+
+TEST(Mailbox, ReplacedEntryPopsInItsNewArrivalOrder) {
+  auto index = keyed_box::make_index(queue_policy::priority, 8);
+  keyed_box box(queue_policy::priority, index);
+  EXPECT_TRUE(box.push({1, 0, 9, 5}));
+  EXPECT_TRUE(box.push({2, 0, 0, 5}));
+  EXPECT_TRUE(box.push({3, 0, 0, 5}));
+  EXPECT_TRUE(box.push({4, 0, 0, 9}));
+  EXPECT_TRUE(box.push({5, 0, 0, 6}));
+  // Same priority, better label: vertex 1 now queues behind 2 and 3.
+  EXPECT_FALSE(box.push({1, 0, 1, 5}));
+  // Lower priority: vertex 4 moves ahead of the r = 9 tail, but behind the
+  // r = 6 label that arrived before it.
+  EXPECT_FALSE(box.push({4, 0, 0, 6}));
+  EXPECT_EQ(box.pop().vj, 2u);
+  EXPECT_EQ(box.pop().vj, 3u);
+  EXPECT_EQ(box.pop(), (voronoi_visitor{1, 0, 1, 5}));
+  EXPECT_EQ(box.pop().vj, 5u);
+  EXPECT_EQ(box.pop(), (voronoi_visitor{4, 0, 0, 6}));
+  EXPECT_TRUE(box.empty());
+}
+
+TEST(Mailbox, UnkeyedVisitorsNeverMerge) {
+  auto index = keyed_box::make_index(queue_policy::priority, 8);
+  keyed_box box(queue_policy::priority, index);
+  EXPECT_TRUE(box.push(relay(2, 4)));
+  EXPECT_TRUE(box.push(relay(2, 3)));
+  EXPECT_TRUE(box.push(relay(2, 4)));
+  // A normal label for the relays' vertex gets its own entry, and merges
+  // only with normal labels.
+  EXPECT_TRUE(box.push({2, 0, 0, 4}));
+  EXPECT_FALSE(box.push({2, 0, 0, 3}));
+  EXPECT_EQ(box.size(), 4u);
+  EXPECT_EQ(box.pop(), relay(2, 3));
+  EXPECT_EQ(box.pop(), (voronoi_visitor{2, 0, 0, 3}));
+  EXPECT_EQ(box.pop(), relay(2, 4));
+  EXPECT_EQ(box.pop(), relay(2, 4));
+  EXPECT_TRUE(box.empty());
+
+  // A type without the hooks never merges, even on equal targets.
+  mailbox<test_visitor> plain(queue_policy::priority);
+  EXPECT_TRUE(plain.push({1, 2}));
+  EXPECT_TRUE(plain.push({1, 1}));
+  EXPECT_EQ(plain.size(), 2u);
+  EXPECT_EQ(keyed_box::index_bytes(queue_policy::priority, 8), 32u);
+  EXPECT_EQ(mailbox<test_visitor>::index_bytes(queue_policy::priority, 8), 0u);
+}
+
+TEST(Mailbox, FifoNeverMerges) {
+  EXPECT_TRUE(keyed_box::make_index(queue_policy::fifo, 8).empty());
+  EXPECT_EQ(keyed_box::index_bytes(queue_policy::fifo, 8), 0u);
+  // Even handed a table, a FIFO box keeps every push in arrival order.
+  std::vector<std::uint32_t> index(8, keyed_box::k_no_slot);
+  keyed_box box(queue_policy::fifo, index);
+  EXPECT_TRUE(box.push({3, 0, 0, 9}));
+  EXPECT_TRUE(box.push({3, 0, 0, 1}));
+  EXPECT_TRUE(box.push({3, 0, 0, 9}));
+  EXPECT_EQ(box.size(), 3u);
+  EXPECT_EQ(box.pop().r, 9u);
+  EXPECT_EQ(box.pop().r, 1u);
+  EXPECT_EQ(box.pop().r, 9u);
+  for (const std::uint32_t slot : index) EXPECT_EQ(slot, keyed_box::k_no_slot);
+}
+
+TEST(Mailbox, KeyedBoxMatchesReferenceAndStaysBounded) {
+  // Random pushes and pops against a linear-scan model of the keyed queue:
+  // at most one live label per key, unkeyed relays all kept, pops in
+  // (priority, arrival) order.
+  constexpr graph::vertex_id k_keys = 40;
+  auto index = keyed_box::make_index(queue_policy::priority, k_keys);
+  keyed_box box(queue_policy::priority, index);
+  struct entry {
+    std::uint64_t sequence;
+    voronoi_visitor v;
+  };
+  std::vector<entry> model;
+  std::uint64_t sequence = 0;
+  std::uint64_t state = 12345;
+  const auto next = [&](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    if (next(3) != 0 || model.empty()) {
+      const graph::vertex_id vj = next(k_keys);
+      const graph::weight_t r = next(30);
+      const voronoi_visitor v = next(10) == 0
+                                    ? relay(vj, r)
+                                    : voronoi_visitor{vj, next(4), next(3), r};
+      bool grew = true;
+      if (v.kind == vkind::normal) {
+        const auto it = std::find_if(model.begin(), model.end(), [&](const entry& e) {
+          return e.v.kind == vkind::normal && e.v.vj == vj;
+        });
+        if (it != model.end()) {
+          grew = false;
+          if (v.supersedes(it->v)) *it = {sequence++, v};
+        }
+      }
+      if (grew) model.push_back({sequence++, v});
+      ASSERT_EQ(box.push(v), grew) << "step " << step;
+    } else {
+      const auto it = std::min_element(
+          model.begin(), model.end(), [](const entry& a, const entry& b) {
+            return std::tuple{a.v.r, a.sequence} < std::tuple{b.v.r, b.sequence};
+          });
+      ASSERT_EQ(box.pop(), it->v) << "step " << step;
+      model.erase(it);
+    }
+    const auto relays_queued = static_cast<std::uint64_t>(
+        std::count_if(model.begin(), model.end(),
+                      [](const entry& e) { return e.v.kind == vkind::relay; }));
+    ASSERT_EQ(box.size(), model.size());
+    ASSERT_LE(box.size(), k_keys + relays_queued);
+  }
+  box.clear();
+  EXPECT_TRUE(box.empty());
+  for (const std::uint32_t slot : index) EXPECT_EQ(slot, keyed_box::k_no_slot);
 }
 
 // A toy engine workload: propagate min label along a path graph.

@@ -1,10 +1,26 @@
 #include "core/voronoi.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 #include <vector>
 
 namespace dsteiner::core {
+
+std::uint64_t voronoi_handler::frontier_window(
+    const graph::csr_graph& graph) noexcept {
+  const std::uint64_t m = graph.num_arcs();
+  if (m == 0) return 1;
+  // floor(W·n/m²) = floor(floor(W·n/m) / m), with floor(W·n/m) =
+  // (W/m)·n + (W%m)·n/m. W/m is at most the largest weight, so every
+  // intermediate stays below 2^128.
+  using u128 = unsigned __int128;
+  const u128 w = graph.total_arc_weight();
+  const u128 n = graph.num_vertices();
+  const u128 delta = ((w / m) * n + (w % m) * n / m) / m;
+  return static_cast<std::uint64_t>(
+      std::clamp<u128>(delta, 1, std::numeric_limits<std::uint64_t>::max()));
+}
 
 runtime::phase_metrics compute_voronoi_cells(
     const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,

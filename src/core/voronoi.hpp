@@ -17,6 +17,12 @@
 // another rank's vertex when it already sent that vertex a strictly shorter
 // distance (see voronoi_handler::emit), so most dominated visitors never
 // become messages.
+//
+// Frontier window: on the threaded engine a rank's superstep stops at the
+// first mailbox top more than frontier_window() past the global minimum
+// pending distance (see runtime/parallel/thread_engine.hpp). The window
+// only cuts a batch short; it never reorders a mailbox, which is what the
+// dominance filter's argument rests on.
 #pragma once
 
 #include <atomic>
@@ -101,6 +107,17 @@ class voronoi_handler {
            sizeof(graph::weight_t);
   }
 
+  /// Frontier-window width Δ for the threaded engine under the priority
+  /// policy (runtime::parallel::windowed_handler): the mean arc weight over
+  /// the mean degree, floor(W·n/m²) for total arc weight W, n vertices and
+  /// m arcs, at least 1. A rank's batch then settles labels at most about
+  /// one short hop past the global frontier. O(1): W is kept by csr_graph.
+  [[nodiscard]] std::uint64_t frontier_window() const noexcept {
+    return frontier_window(dgraph_->graph());
+  }
+  [[nodiscard]] static std::uint64_t frontier_window(
+      const graph::csr_graph& graph) noexcept;
+
   // Arrival-time admission check only: a visitor that cannot improve the
   // target's *current* state is dropped. The relaxation itself happens at
   // processing time (Alg. 4 lines 5-9 live in visit()), so a FIFO queue
@@ -169,7 +186,9 @@ class voronoi_handler {
   //     (cooperative, threaded, net), and a mailbox pops lower (priority,
   //     arrival) first. So the earlier visitor x, with x.r < y.r, is
   //     admitted or rejected before y, and if admitted it is visited
-  //     before y;
+  //     before y. The threaded engine's frontier window keeps this: it
+  //     only ends a batch early, at a top above its bound, so a queued x
+  //     with x.r < y.r still pops first;
   //   - state only decreases, so once x is through, y's tuple is dominated:
   //     y could only ever be a pre_visit rejection, a mailbox merge or a
   //     skipped visit (a merge keeps a queued label at most x's);

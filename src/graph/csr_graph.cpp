@@ -9,6 +9,16 @@
 
 namespace dsteiner::graph {
 
+namespace {
+
+unsigned __int128 sum_weights(const std::vector<weight_t>& weights) {
+  unsigned __int128 sum = 0;
+  for (const weight_t w : weights) sum += w;
+  return sum;
+}
+
+}  // namespace
+
 csr_graph csr_graph::from_sorted_parts(std::vector<std::uint64_t> offsets,
                                        std::vector<vertex_id> targets,
                                        std::vector<weight_t> weights) {
@@ -33,6 +43,7 @@ csr_graph csr_graph::from_sorted_parts(std::vector<std::uint64_t> offsets,
       util::hash_range(g.targets_.data(), g.targets_.size(), g.fingerprint_);
   g.fingerprint_ =
       util::hash_range(g.weights_.data(), g.weights_.size(), g.fingerprint_);
+  g.total_arc_weight_ = sum_weights(g.weights_);
   return g;
 }
 
@@ -68,6 +79,7 @@ csr_graph::csr_graph(const edge_list& list) {
   fingerprint_ = util::hash_range(offsets_.data(), offsets_.size(), 0x5d5a);
   fingerprint_ = util::hash_range(targets_.data(), targets_.size(), fingerprint_);
   fingerprint_ = util::hash_range(weights_.data(), weights_.size(), fingerprint_);
+  total_arc_weight_ = sum_weights(weights_);
 }
 
 std::optional<weight_t> csr_graph::edge_weight(vertex_id u, vertex_id v) const noexcept {

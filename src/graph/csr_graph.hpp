@@ -72,6 +72,13 @@ class csr_graph {
   /// by the query service's result cache and warm-start donor matching.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
+  /// Sum of all arc weights, accumulated once at construction beside the
+  /// fingerprint. 128 bits: |arcs| and each weight fit in 64, so the sum
+  /// cannot overflow.
+  [[nodiscard]] unsigned __int128 total_arc_weight() const noexcept {
+    return total_arc_weight_;
+  }
+
   /// Raw arrays, exposed for kernels that iterate all arcs edge-centrically.
   [[nodiscard]] const std::vector<std::uint64_t>& offsets() const noexcept {
     return offsets_;
@@ -88,6 +95,7 @@ class csr_graph {
   std::vector<vertex_id> targets_;      // size = num_arcs
   std::vector<weight_t> weights_;       // size = num_arcs
   std::uint64_t fingerprint_ = 0;
+  unsigned __int128 total_arc_weight_ = 0;
 };
 
 }  // namespace dsteiner::graph

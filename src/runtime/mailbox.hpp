@@ -91,6 +91,12 @@ class alignas(128) mailbox {
     return policy_ == queue_policy::fifo ? fifo_.size() : heap_.size();
   }
 
+  /// Priority of the entry pop() returns next. Priority policy, non-empty.
+  [[nodiscard]] std::uint64_t top_priority() const noexcept {
+    assert(policy_ == queue_policy::priority && !heap_.empty());
+    return heap_.front().priority;
+  }
+
   /// Queues `v` and reports whether the queue grew. A keyed push whose key
   /// is already queued merges instead: `v` replaces the queued entry if it
   /// supersedes it, taking a new arrival sequence, and is dropped

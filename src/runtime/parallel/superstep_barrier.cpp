@@ -17,11 +17,13 @@ std::uint64_t superstep_barrier::epoch() const {
 }
 
 superstep_barrier::aggregate superstep_barrier::arrive_and_wait(
-    std::uint64_t outstanding, double work, bool cancel) {
+    std::uint64_t outstanding, double work, bool cancel,
+    std::uint64_t min_priority) {
   std::unique_lock<std::mutex> lock(mutex_);
   pending_.outstanding += outstanding;
   pending_.max_work = std::max(pending_.max_work, work);
   pending_.cancel = pending_.cancel || cancel;
+  pending_.min_priority = std::min(pending_.min_priority, min_priority);
   if (++arrived_ == parties_) {
     result_ = pending_;
     pending_ = {};

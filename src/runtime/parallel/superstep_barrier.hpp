@@ -1,13 +1,19 @@
 // Counting superstep barrier with termination detection.
 //
 // The threaded engine runs in supersteps separated by barriers. Each arrival
-// contributes (a) the number of messages its ranks still have outstanding —
-// mailbox backlog plus messages just emitted into SPSC channels — and (b) the
-// maximum simulated work any of its ranks performed this superstep. The last
+// contributes (a) the number of messages its ranks still have outstanding
+// (mailbox backlog plus messages just emitted into SPSC channels), (b) the
+// maximum simulated work any of its ranks performed this superstep, and (c)
+// the least priority among those outstanding messages (its ranks' mailbox
+// tops and the least priority they pushed into a channel). The last
 // arriver of an epoch folds the contributions into the epoch aggregate and
 // wakes everyone; all parties observe the *same* aggregate, so the engine's
 // termination decision ("global quiescence: zero outstanding messages") is
-// taken consistently by every worker with no extra round trip.
+// taken consistently by every worker with no extra round trip. The same holds
+// for the min-folded priority: it is the global frontier that bounds the
+// next superstep's frontier window (see thread_engine.hpp), and because it
+// is folded over all ranks it does not depend on how ranks map to workers.
+// The fold is in-process only; no wire frame carries it.
 //
 // Epochs are stamped by a monotonically increasing counter: a party arriving
 // for epoch e sleeps until the counter passes e, which makes the barrier
@@ -32,6 +38,10 @@ class superstep_barrier {
     /// party sees the same flag and exits the same superstep (no worker left
     /// waiting on a barrier its peers abandoned).
     bool cancel = false;
+    /// Least pending mailbox priority, min-folded; UINT64_MAX when no party
+    /// contributes one. The threaded engine's frontier window is bounded
+    /// from it, so every party must see the same value.
+    std::uint64_t min_priority = UINT64_MAX;
   };
 
   explicit superstep_barrier(std::size_t parties);
@@ -39,7 +49,8 @@ class superstep_barrier {
   /// Contributes to the current epoch and blocks until all parties arrive.
   /// Returns the epoch's aggregate.
   aggregate arrive_and_wait(std::uint64_t outstanding, double work,
-                            bool cancel = false);
+                            bool cancel = false,
+                            std::uint64_t min_priority = UINT64_MAX);
 
   [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
   [[nodiscard]] std::uint64_t epoch() const;

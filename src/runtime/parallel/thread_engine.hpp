@@ -16,10 +16,12 @@
 //     arrival admission check, and stable-merges survivors into its priority
 //     mailbox (a keyed survivor merges with its vertex's queued entry, see
 //     mailbox.hpp).                                  -- barrier --
-//   phase B (compute): each rank pops up to batch_size visitors from its
-//     mailbox and runs visit; emissions to the rank itself deliver
-//     immediately (same-superstep consumption, like the async engine's local
-//     sends), emissions to other ranks enter the SPSC channels.
+//   phase B (compute): each rank pops visitors from its mailbox and runs
+//     visit, up to batch_size of them and, for a windowed handler under the
+//     priority policy, only while the top's priority is at most m + Δ (see
+//     below); emissions to the rank itself deliver immediately
+//     (same-superstep consumption, like the async engine's local sends),
+//     emissions to other ranks enter the SPSC channels.
 //                                                    -- counting barrier --
 //
 // The phase-B barrier is the termination detector: every worker contributes
@@ -29,13 +31,25 @@
 // channels are never touched concurrently from both ends of an epoch, and the
 // per-epoch message count is exact, not a racy sample.
 //
+// Frontier window: a rank that owns few vertices drains its whole heap in
+// one large batch and settles labels far past the global frontier, which
+// later supersteps overwrite. A handler opts in (windowed_handler) by naming
+// a width Δ; the same barrier then min-folds m, the least pending priority
+// over all ranks (each rank's mailbox top after its batch and the least
+// priority it pushed into a channel), and the next phase B stops a rank's
+// batch at the first top above m + Δ. m only bounds the true frontier from
+// below (phase A may reject the visitor that set it), so a superstep may pop
+// nothing; the one after it then starts from the exact minimum, which always
+// pops. FIFO runs and handlers without the opt-in have no window.
+//
 // Determinism: the (rank, superstep) schedule is independent of the worker
 // count — each rank always drains full channels in sender order and then
-// processes exactly batch_size visitors in mailbox (priority, sequence)
-// order. Runs are therefore bit-identical across thread counts, including
-// all phase metrics; and the solve output equals the sequential engine's
-// because every state update is a lexicographic minimum with a unique fixed
-// point (see steiner_state.hpp). Cost accounting differences vs the async
+// processes up to batch_size visitors in mailbox (priority, sequence) order,
+// stopping at a bound folded over all ranks. Runs are therefore
+// bit-identical across thread counts, including all phase metrics; and the
+// solve output equals the sequential engine's because every state update is
+// a lexicographic minimum with a unique fixed point (see steiner_state.hpp),
+// whatever the order. Cost accounting differences vs the async
 // engine: remote-message delivery work is charged to the receiving rank at
 // drain time (the following superstep) instead of at send time.
 //
@@ -48,6 +62,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -66,6 +81,14 @@
 
 namespace dsteiner::runtime::parallel {
 
+/// A handler that bounds the threaded engine's supersteps to a frontier
+/// window under queue_policy::priority. `frontier_window()` is Δ in priority
+/// units, read once when the engine is built.
+template <typename Handler>
+concept windowed_handler = requires(const Handler& h) {
+  { h.frontier_window() } -> std::convertible_to<std::uint64_t>;
+};
+
 template <typename Visitor, typename Handler>
 class thread_engine {
  public:
@@ -82,6 +105,11 @@ class thread_engine {
       channels_.push_back(std::make_unique<spsc_channel<Visitor>>());
     }
     stats_ = std::vector<rank_stats>(p);
+    if constexpr (windowed_handler<Handler>) {
+      if (config_.policy == queue_policy::priority) {
+        window_ = handler.frontier_window();
+      }
+    }
   }
 
   using emitter = engine_emitter<thread_engine, Visitor>;
@@ -91,6 +119,7 @@ class thread_engine {
   /// must never run off-thread). Call only before run().
   void seed(Visitor v) {
     const int rank = parts_.owner(v.target());
+    seed_frontier_ = std::min(seed_frontier_, v.priority());
     channel(rank, rank).push(std::move(v));
     ++stats_[static_cast<std::size_t>(rank)].messages_local;
     ++seeded_;
@@ -161,6 +190,8 @@ class thread_engine {
     std::uint64_t messages_local = 0;
     std::uint64_t messages_remote = 0;
     std::uint64_t sent_remote_step = 0;  ///< channel emissions this superstep
+    /// Least priority among this superstep's channel emissions.
+    std::uint64_t sent_min_priority_step = UINT64_MAX;
     // Tracing deltas, reset after each sample. Maintained unconditionally
     // (one add on paths that already touch this cache line) so the compute
     // loop stays branch-free; they are only *read* when a probe is attached.
@@ -185,6 +216,9 @@ class thread_engine {
     // compute/barrier-wait ratio.
     const bool timed = probe != nullptr || (adaptive_ && w == 0);
     util::timer step_timer;  // read only when `timed`
+    // Least pending priority at the last phase-B barrier (the seeds' before
+    // the first superstep); every worker holds the same value.
+    std::uint64_t frontier = seed_frontier_;
     for (;;) {
       // Phase A: admit everything the previous superstep (or seeding) put
       // into our ranks' channels. Channels are quiescent here — producers
@@ -199,15 +233,25 @@ class thread_engine {
 
       // Phase B: compute. Local emissions are consumable this superstep;
       // remote emissions wait in channels for the next phase A.
+      const std::uint64_t bound = frontier > UINT64_MAX - window_
+                                      ? UINT64_MAX
+                                      : frontier + window_;
       std::uint64_t outstanding = 0;
+      std::uint64_t min_pending = UINT64_MAX;
       double work_max = 0.0;
       std::uint32_t visits_sum = 0;
       std::uint32_t sent_sum = 0;
       std::uint32_t drained_sum = 0;
       for (std::size_t r = w; r < p; r += workers) {
-        process_batch(static_cast<int>(r));
+        process_batch(static_cast<int>(r), bound);
         rank_stats& st = stats_[r];
         outstanding += mailboxes_[r].size() + st.sent_remote_step;
+        if (window_ != k_no_window) {
+          min_pending = std::min(min_pending, st.sent_min_priority_step);
+          if (!mailboxes_[r].empty()) {
+            min_pending = std::min(min_pending, mailboxes_[r].top_priority());
+          }
+        }
         work_max = std::max(work_max, st.work);
         if (probe != nullptr) {
           // Per-rank row (channel depth, per-rank skew) before the
@@ -232,6 +276,7 @@ class thread_engine {
         }
         st.work = 0.0;
         st.sent_remote_step = 0;
+        st.sent_min_priority_step = UINT64_MAX;
         st.visits_step = 0;
         st.drained_step = 0;
       }
@@ -240,7 +285,9 @@ class thread_engine {
       const bool stop_vote =
           config_.budget != nullptr && config_.budget->stop_requested();
       const double t_computed = timed ? step_timer.seconds() : 0.0;
-      const auto agg = barrier.arrive_and_wait(outstanding, work_max, stop_vote);
+      const auto agg = barrier.arrive_and_wait(outstanding, work_max, stop_vote,
+                                               min_pending);
+      frontier = agg.min_priority;
       if (probe != nullptr) {
         // Aggregate row for this worker's whole superstep: compute is the
         // drain plus the batch, barrier wait is both stalls.
@@ -309,7 +356,9 @@ class thread_engine {
     }
   }
 
-  void process_batch(int r) {
+  /// Pops while the batch has room and, under a frontier window, the top's
+  /// priority is at most `bound` (UINT64_MAX without a window).
+  void process_batch(int r, std::uint64_t bound) {
     rank_stats& st = stats_[static_cast<std::size_t>(r)];
     auto& box = mailboxes_[static_cast<std::size_t>(r)];
     emitter out(*this, parts_, r);
@@ -317,6 +366,7 @@ class thread_engine {
                                   ? auto_batch_.load(std::memory_order_relaxed)
                                   : config_.batch_size;
     for (std::size_t step = 0; step < batch && !box.empty(); ++step) {
+      if (bound != UINT64_MAX && box.top_priority() > bound) break;
       Visitor v = box.pop();
       ++st.visits_step;
       if (handler_->visit(v, r, out)) {
@@ -346,6 +396,8 @@ class thread_engine {
     }
     ++st.messages_remote;
     ++st.sent_remote_step;
+    st.sent_min_priority_step =
+        std::min(st.sent_min_priority_step, v.priority());
     channel(from_rank, to_rank).push(std::move(v));
   }
 
@@ -353,6 +405,9 @@ class thread_engine {
   Handler* handler_;
   engine_config config_;
   bool adaptive_ = false;  ///< batch_size == 0: self-tuning batch
+  static constexpr std::uint64_t k_no_window = UINT64_MAX;
+  std::uint64_t window_ = k_no_window;  ///< Δ; see windowed_handler
+  std::uint64_t seed_frontier_ = UINT64_MAX;  ///< least seeded priority
   std::atomic<std::size_t> auto_batch_{64};
   /// Shared by mailboxes_; a vertex's slot is written only by its owner's
   /// worker (see mailbox::make_index).

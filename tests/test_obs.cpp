@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -34,6 +35,7 @@
 #include "service/latency_histogram.hpp"
 #include "service/metrics_text.hpp"
 #include "service/steiner_service.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -1168,6 +1170,100 @@ TEST(DebugServer, PartialAndStalledRequestsGet400) {
   EXPECT_NE(stalled.find("400"), std::string::npos);
 
   EXPECT_EQ(obs::http_body(obs::http_get(server.port(), "/ping")), "pong");
+  server.stop();
+}
+
+/// Status code of an HTTP/1.0 response whose body is exactly Content-Length
+/// bytes long, or 0 when the response is malformed (or empty).
+int well_formed_status(const std::string& response) {
+  const std::size_t head_end = response.find("\r\n\r\n");
+  if (response.rfind("HTTP/1.0 ", 0) != 0 || head_end == std::string::npos) {
+    return 0;
+  }
+  const std::string length_key = "\r\nContent-Length: ";
+  const std::size_t at = response.find(length_key);
+  if (at == std::string::npos || at > head_end) return 0;
+  const std::size_t length = std::strtoull(
+      response.c_str() + at + length_key.size(), nullptr, 10);
+  if (response.size() - (head_end + 4) != length) return 0;
+  return std::atoi(response.c_str() + 9);
+}
+
+TEST(DebugServer, MutatedRequestsGetOnlyWellFormedAnswers) {
+  obs::debug_server server;
+  server.add_route("/ping", "text/plain",
+                   [](std::string_view) { return std::string("pong"); });
+  // Echoes what the query parsers make of the query string.
+  server.add_route("/q", "text/plain", [](std::string_view query) {
+    return obs::query_param(query, "mode") + ":" +
+           std::to_string(obs::query_param_u64(query, "limit", 7)) + "\n";
+  });
+  server.set_read_timeout_ms(100);  // a request that loses its CRLF waits
+  ASSERT_TRUE(server.start());
+
+  const std::vector<std::string> valid{
+      "GET /ping HTTP/1.0\r\n\r\n",
+      "GET /q?limit=5&mode=full HTTP/1.0\r\n\r\n",
+      "GET /q?mode=&limit=18446744073709551615&&=x HTTP/1.0\r\n\r\n",
+  };
+  // Bytes the request-line and query parsers split on, plus NUL.
+  const std::string special("?&= \r\n%+-\0", 11);
+  util::rng gen(0xD5E7);
+  constexpr int k_iterations = 150;
+  std::size_t answered[3] = {0, 0, 0};  // 200, 400, 404
+  for (const std::string& request : valid) {
+    ASSERT_EQ(well_formed_status(raw_request(server.port(), request, true)),
+              200)
+        << request;
+    for (int i = 0; i < k_iterations; ++i) {
+      std::string bytes = request;
+      switch (gen.uniform(0, 3)) {
+        case 0:  // truncate
+          bytes.resize(gen.uniform(0, bytes.size() - 1));
+          break;
+        case 1:  // extend
+          for (std::uint64_t k = gen.uniform(1, 40); k > 0; --k) {
+            bytes.push_back(static_cast<char>(gen.uniform(0, 255)));
+          }
+          break;
+        case 2:  // splice separators into the request line
+          for (std::uint64_t k = gen.uniform(1, 4); k > 0; --k) {
+            bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                             gen.uniform(0, bytes.size())),
+                         special[gen.uniform(0, special.size() - 1)]);
+          }
+          break;
+        default:  // flip 1-4 bytes
+          for (std::uint64_t k = gen.uniform(1, 4); k > 0; --k) {
+            bytes[gen.uniform(0, bytes.size() - 1)] ^=
+                static_cast<char>(gen.uniform(1, 255));
+          }
+      }
+      const std::string response = raw_request(server.port(), bytes, true);
+      const int status = well_formed_status(response);
+      const std::string what = "mutation " + std::to_string(i) + " of " +
+                               request.substr(0, request.find(' ', 4));
+      if (status == 200) {
+        ++answered[0];
+        const std::string body = obs::http_body(response);
+        EXPECT_TRUE(body == "pong" ||
+                    (body.find(':') != std::string::npos &&
+                     body.back() == '\n'))
+            << what << ": " << body;
+      } else if (status == 400 || status == 404) {
+        ++answered[status == 400 ? 1 : 2];
+      } else {
+        ADD_FAILURE() << what << ": " << response;
+      }
+    }
+  }
+  // The mutations reach every answer, and the server keeps serving.
+  EXPECT_GT(answered[0], 0u);
+  EXPECT_GT(answered[1], 0u);
+  EXPECT_GT(answered[2], 0u);
+  EXPECT_EQ(obs::http_body(obs::http_get(server.port(), "/ping")), "pong");
+  EXPECT_EQ(obs::http_body(obs::http_get(server.port(), "/q?limit=5&mode=full")),
+            "full:5\n");
   server.stop();
 }
 

@@ -12,14 +12,17 @@
 #include <vector>
 
 #include "core/steiner_solver.hpp"
+#include "core/voronoi.hpp"
 #include "core/warm_start.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
+#include "io/dataset.hpp"
 #include "runtime/parallel/spsc_channel.hpp"
 #include "runtime/parallel/superstep_barrier.hpp"
 #include "runtime/parallel/thread_engine.hpp"
 #include "runtime/parallel/worker_pool.hpp"
 #include "runtime/visitor_engine.hpp"
+#include "seed/seed_select.hpp"
 
 namespace {
 
@@ -96,12 +99,21 @@ TEST(SuperstepBarrier, AggregatesContributionsPerEpoch) {
     parties.emplace_back([&, w] {
       for (std::uint64_t e = 0; e < k_epochs; ++e) {
         // Party w contributes w + e; the sum and max are epoch functions.
-        const auto agg = barrier.arrive_and_wait(
-            w + e, static_cast<double>(w + e));
+        // On even epochs it also offers priority 100 + e - w (the fold is
+        // 100 + e - 3); on odd epochs nobody offers one.
+        const auto agg =
+            e % 2 == 0 ? barrier.arrive_and_wait(
+                             w + e, static_cast<double>(w + e), false,
+                             100 + e - w)
+                       : barrier.arrive_and_wait(w + e,
+                                                 static_cast<double>(w + e));
         const std::uint64_t want_sum =
             k_parties * e + k_parties * (k_parties - 1) / 2;
         const double want_max = static_cast<double>(k_parties - 1 + e);
-        if (agg.outstanding != want_sum || agg.max_work != want_max) {
+        const std::uint64_t want_min =
+            e % 2 == 0 ? 100 + e - (k_parties - 1) : UINT64_MAX;
+        if (agg.outstanding != want_sum || agg.max_work != want_max ||
+            agg.min_priority != want_min) {
           ++mismatches;
         }
       }
@@ -509,6 +521,61 @@ TEST(ThreadEngine, AdaptiveBatchKeepsTreeIdentical) {
   adaptive.num_threads = 4;
   adaptive.batch_size = 0;
   expect_identical(core::solve_steiner_tree(g, seeds, adaptive), reference);
+}
+
+TEST(ThreadEngine, FrontierWindowFollowsWeightOverDegree) {
+  using core::voronoi_handler;
+  // Unit weights on a connected graph: mean weight 1 over mean degree >= 1.
+  graph::edge_list unit = graph::generate_erdos_renyi(200, 800, 0x31);
+  graph::connect_components(unit, 1, 0x31);
+  for (graph::weighted_edge& e : unit.edges()) e.weight = 1;
+  EXPECT_EQ(voronoi_handler::frontier_window(graph::csr_graph(unit)), 1u);
+
+  // Triangle, weights 10/20/30: W = 120 over 6 arcs, n = 3: 120*3/36.
+  graph::edge_list triangle(3);
+  triangle.add_undirected_edge(0, 1, 10);
+  triangle.add_undirected_edge(1, 2, 20);
+  triangle.add_undirected_edge(2, 0, 30);
+  EXPECT_EQ(voronoi_handler::frontier_window(graph::csr_graph(triangle)), 10u);
+
+  // The largest weight: W = 2^65 - 2 overflows 64 bits, Δ does not.
+  graph::edge_list heavy(2);
+  heavy.add_undirected_edge(0, 1, graph::k_inf_distance);
+  EXPECT_EQ(voronoi_handler::frontier_window(graph::csr_graph(heavy)),
+            graph::k_inf_distance);
+
+  // No arcs (isolated vertices, or no vertices): no division by zero.
+  EXPECT_EQ(voronoi_handler::frontier_window(
+                graph::csr_graph(graph::edge_list(5))),
+            1u);
+  EXPECT_EQ(voronoi_handler::frontier_window(graph::csr_graph()), 1u);
+}
+
+TEST(ParallelSolve, FrontierWindowBoundsResettlement) {
+  // 16 ranks share LVJ's vertices, so a batch of 4096 is each rank's whole
+  // heap: without the frontier window a superstep settles labels far past
+  // the global frontier and later ones overwrite them. With it, the large
+  // batch re-settles about as little as a small one.
+  const io::dataset ds = io::load_dataset("LVJ");
+  const auto seeds = seed::select_seeds(
+      ds.graph, 64, seed::seed_strategy::bfs_level, 0xbeef);
+  core::solver_config config;
+  config.num_ranks = 16;
+  const auto reference = core::solve_steiner_tree(ds.graph, seeds, config);
+
+  config.mode = execution_mode::parallel_threads;
+  config.num_threads = 2;
+  std::vector<std::uint64_t> processed;
+  for (const std::size_t batch : {16u, 4096u}) {
+    config.batch_size = batch;
+    const auto result = core::solve_steiner_tree(ds.graph, seeds, config);
+    expect_identical(result, reference);
+    const phase_metrics* voronoi = result.phases.find(phase_names::voronoi);
+    ASSERT_NE(voronoi, nullptr);
+    processed.push_back(voronoi->visitors_processed);
+  }
+  EXPECT_LE(2 * processed[1], 3 * processed[0])
+      << "batch 4096: " << processed[1] << ", batch 16: " << processed[0];
 }
 
 TEST(ParallelSolve, WarmStartRepairUnderThreadedEngineMatchesCold) {

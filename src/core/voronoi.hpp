@@ -110,8 +110,10 @@ class voronoi_handler {
   /// Frontier-window width Δ for the threaded engine under the priority
   /// policy (runtime::parallel::windowed_handler): the mean arc weight over
   /// the mean degree, floor(W·n/m²) for total arc weight W, n vertices and
-  /// m arcs, at least 1. A rank's batch then settles labels at most about
-  /// one short hop past the global frontier. O(1): W is kept by csr_graph.
+  /// m arcs, at least 1. That is a fraction of one mean arc, so a rank's
+  /// batch stays near the global frontier; on the bundled mirrors it sits
+  /// in the flat optimum of a Δ sweep (README, "Phase-1 schedule"). O(1):
+  /// W is kept by csr_graph.
   [[nodiscard]] std::uint64_t frontier_window() const noexcept {
     return frontier_window(dgraph_->graph());
   }

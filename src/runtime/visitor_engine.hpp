@@ -37,6 +37,12 @@
 //   bool supersedes(const Visitor&) const;    // strict order within one key
 // A merge drops one visitor; every engine counts it as a pre_visit
 // rejection and charges reject_cost to the receiving rank.
+//
+// Optional on the handler, for the threaded engine under
+// queue_policy::priority (runtime::parallel::windowed_handler, see
+// parallel/thread_engine.hpp):
+//   std::uint64_t frontier_window() const;   // Δ: stop a rank's batch at
+//                                             // a top past min pending + Δ
 #pragma once
 
 #include <algorithm>

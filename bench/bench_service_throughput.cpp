@@ -6,11 +6,13 @@
 //   1. queries/sec over a mixed multi-query workload as the worker-thread
 //      count grows (wall-clock scaling of the service layer; actual speedup
 //      depends on the physical cores available to this process);
-//   2. per-path latency distributions (p50/p99): cold solve vs result-cache
-//      hit vs warm-start repair, plus the cache-hit and warm-start speedups;
-//   3. phase-1 work done by warm-start repairs vs cold solves (visitors
-//      processed and messages from phase_metrics) — the mechanism behind the
-//      latency win.
+//   2. per-path latency distributions (p50/p99): unassisted cold solve vs
+//      result-cache hit vs a one-seed edit (a cold solve pre-seeded from the
+//      shared fragment store), plus the cache-hit and fragment-assist
+//      speedups;
+//   3. phase-1 work done by fragment-assisted vs unassisted cold solves
+//      (visitors processed and messages from phase_metrics) — the mechanism
+//      behind the latency win.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -93,7 +95,7 @@ struct workload {
 };
 
 /// Mixed serving workload over `g`: `sessions` analysts x (1 cold + repeats +
-/// seed-delta edits), interleaved round-robin so concurrent workers contend
+/// seed-set edits), interleaved round-robin so concurrent workers contend
 /// for the cache the way independent users would.
 workload build_workload(const graph::csr_graph& g, std::size_t sessions,
                         std::size_t repeats, std::size_t edits) {
@@ -508,8 +510,9 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Service throughput: queries/sec and per-path latency",
       "the serving-layer extension (beyond the paper's single-query runs)",
-      "Paths: cold = full Alg. 3, hit = result cache, warm = seed-delta "
-      "repair.\nAll paths return bit-identical trees (determinism). Pass "
+      "Paths: cold = full Alg. 3, hit = result cache, seed edit = cold "
+      "solve pre-seeded\nfrom the kept seeds' fragments. All paths return "
+      "bit-identical trees\n(determinism). Pass "
       "--threads N to\ngive each solve N threaded-engine workers "
       "(intra-query parallelism).");
 
@@ -531,7 +534,7 @@ int main(int argc, char** argv) {
   {
     std::printf("-- throughput vs worker threads (mixed workload) --\n");
     util::table table({"threads", "queries", "wall", "queries/sec", "cold",
-                       "warm", "hits", "coalesced"});
+                       "assisted", "hits", "coalesced"});
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{4}, std::size_t{8}}) {
       const workload w = build_workload(g, /*sessions=*/6, /*repeats=*/4,
@@ -556,7 +559,8 @@ int main(int argc, char** argv) {
           {std::to_string(threads), std::to_string(stats.queries),
            util::format_duration(seconds),
            util::format_fixed(static_cast<double>(stats.queries) / seconds, 1),
-           std::to_string(stats.cold_solves), std::to_string(stats.warm_solves),
+           std::to_string(stats.cold_solves),
+           std::to_string(stats.fragment_assisted),
            std::to_string(stats.cache_hits), std::to_string(stats.coalesced)});
     }
     std::printf("%s\n", table.render().c_str());
@@ -581,9 +585,9 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    std::vector<double> cold_s, hit_s, warm_s;
-    std::uint64_t cold_visitors = 0, warm_visitors = 0;
-    std::uint64_t cold_messages = 0, warm_messages = 0;
+    std::vector<double> cold_s, hit_s, edit_s;
+    std::uint64_t cold_visitors = 0, edit_visitors = 0;
+    std::uint64_t cold_messages = 0, edit_messages = 0;
     const std::size_t rounds = 24;
     for (std::uint64_t i = 0; i < rounds; ++i) {
       service::query q;
@@ -600,13 +604,17 @@ int main(int argc, char** argv) {
         }
       }
 
+      // Only unassisted cold solves count as the baseline: a fresh set that
+      // shares a seed with an earlier one borrows that seed's fragment.
       auto cold = svc.solve(service::request{q});
-      if (cold.kind != service::solve_kind::cold) continue;  // donor overlap
-      cold_s.push_back(cold.solve_seconds);
-      if (const auto* m =
-              cold.result.phases.find(runtime::phase_names::voronoi)) {
-        cold_visitors += m->visitors_processed;
-        cold_messages += m->messages_total();
+      if (cold.kind != service::solve_kind::cold) continue;  // repeated set
+      if (cold.assist.fragments_injected == 0) {
+        cold_s.push_back(cold.solve_seconds);
+        if (const auto* m =
+                cold.result.phases.find(runtime::phase_names::voronoi)) {
+          cold_visitors += m->visitors_processed;
+          cold_messages += m->messages_total();
+        }
       }
 
       auto hit = svc.solve(service::request{q});
@@ -617,13 +625,14 @@ int main(int argc, char** argv) {
       service::query edited = q;
       edited.seeds.push_back((q.seeds.front() + 271 * (i + 1)) %
                              g.num_vertices());
-      auto warm = svc.solve(service::request{edited});
-      if (warm.kind == service::solve_kind::warm_start) {
-        warm_s.push_back(warm.solve_seconds);
+      auto edit = svc.solve(service::request{edited});
+      if (edit.kind == service::solve_kind::cold &&
+          edit.assist.fragments_injected > 0) {
+        edit_s.push_back(edit.solve_seconds);
         if (const auto* m =
-                warm.result.phases.find(runtime::phase_names::voronoi)) {
-          warm_visitors += m->visitors_processed;
-          warm_messages += m->messages_total();
+                edit.result.phases.find(runtime::phase_names::voronoi)) {
+          edit_visitors += m->visitors_processed;
+          edit_messages += m->messages_total();
         }
       }
     }
@@ -638,29 +647,29 @@ int main(int argc, char** argv) {
     };
     add("cold solve", cold_s);
     add("cache hit", hit_s);
-    add("warm start", warm_s);
+    add("seed edit", edit_s);
     std::printf("%s", table.render().c_str());
 
     const double cold_p50 = percentile(cold_s, 0.50);
     const double hit_p50 = percentile(hit_s, 0.50);
-    const double warm_p50 = percentile(warm_s, 0.50);
+    const double edit_p50 = percentile(edit_s, 0.50);
     if (hit_p50 > 0.0) {
       std::printf("cache-hit speedup vs cold (p50): %.1fx\n",
                   cold_p50 / hit_p50);
     }
-    if (warm_p50 > 0.0) {
-      std::printf("warm-start speedup vs cold (p50): %.1fx\n",
-                  cold_p50 / warm_p50);
+    if (edit_p50 > 0.0) {
+      std::printf("fragment-assist speedup vs unassisted cold (p50): %.1fx\n",
+                  cold_p50 / edit_p50);
     }
-    if (warm_visitors > 0 && !warm_s.empty() && !cold_s.empty()) {
+    if (edit_visitors > 0 && !edit_s.empty() && !cold_s.empty()) {
       std::printf(
           "phase-1 work per query (Voronoi Cell): cold %s visitors / %s msgs, "
-          "warm %s visitors / %s msgs (%.1f%% of cold)\n",
+          "seed edit %s visitors / %s msgs (%.1f%% of cold)\n",
           util::with_commas(cold_visitors / cold_s.size()).c_str(),
           util::with_commas(cold_messages / cold_s.size()).c_str(),
-          util::with_commas(warm_visitors / warm_s.size()).c_str(),
-          util::with_commas(warm_messages / warm_s.size()).c_str(),
-          100.0 * static_cast<double>(warm_visitors / warm_s.size()) /
+          util::with_commas(edit_visitors / edit_s.size()).c_str(),
+          util::with_commas(edit_messages / edit_s.size()).c_str(),
+          100.0 * static_cast<double>(edit_visitors / edit_s.size()) /
               static_cast<double>(cold_visitors / cold_s.size()));
     }
     if (g_debug_endpoint && scrape_debug_endpoint(svc) != 0) return 1;

@@ -7,6 +7,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/distance_graph.hpp"
@@ -37,6 +38,9 @@ struct engine_context {
 
   explicit engine_context(const solver_config& solver)
       : config{solver.policy, solver.mode, solver.batch_size, solver.costs} {
+    if (solver.batch_size == 0) {
+      throw std::invalid_argument("solver_config: batch_size must be >= 1");
+    }
     config.budget = solver.budget;  // engines poll the checkpoint per round
     if (solver.trace != nullptr) config.probe = &solver.trace->probe();
     if (solver.mode != runtime::execution_mode::parallel_threads) return;

@@ -52,7 +52,8 @@ struct solver_config {
   runtime::partition_scheme scheme = runtime::partition_scheme::hash;
   bool use_delegates = true;
   std::uint64_t delegate_threshold = 1024;
-  /// Visitors a rank drains per scheduling round.
+  /// Visitors a rank drains per scheduling round; at least 1 (a solve
+  /// rejects 0 with std::invalid_argument).
   std::size_t batch_size = 64;
   /// Worker threads for execution_mode::parallel_threads (ignored by the
   /// other modes): 0 = one per hardware thread, capped at num_ranks. The

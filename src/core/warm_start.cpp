@@ -1,6 +1,5 @@
 #include "core/warm_start.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -29,16 +28,6 @@ std::vector<graph::vertex_id> canonicalize_seeds(
   return detail::dedup_seeds(num_vertices, seeds);
 }
 
-seed_delta compute_seed_delta(std::span<const graph::vertex_id> donor,
-                              std::span<const graph::vertex_id> target) {
-  seed_delta delta;
-  std::set_difference(target.begin(), target.end(), donor.begin(), donor.end(),
-                      std::back_inserter(delta.added));
-  std::set_difference(donor.begin(), donor.end(), target.begin(), target.end(),
-                      std::back_inserter(delta.removed));
-  return delta;
-}
-
 namespace {
 
 using edge_key = std::pair<graph::vertex_id, graph::vertex_id>;
@@ -47,46 +36,33 @@ edge_key key_of(graph::vertex_id a, graph::vertex_id b) noexcept {
   return a < b ? edge_key{a, b} : edge_key{b, a};
 }
 
-/// Shared repair core behind the seed-delta and edge-delta warm starts:
-/// starts from a converged donor labelling, resets exactly the regions the
-/// deltas invalidate, re-relaxes from the injected frontiers, and rebuilds
-/// phase 2 incrementally over the affected cells. `expected_fingerprint` is
-/// the structural fingerprint of the graph the donor was solved on — the
-/// target graph itself for pure seed deltas, the parent epoch's CSR for edge
-/// deltas.
-steiner_result repair_solve(const graph::csr_graph& graph,
-                            std::span<const graph::vertex_id> seeds,
-                            const solve_artifacts& prev,
-                            std::uint64_t expected_fingerprint,
-                            std::span<const graph::applied_edge_edit> edits,
-                            const solver_config& config,
-                            solve_artifacts* capture,
-                            warm_start_stats* stats_out) {
-  if (prev.empty() || prev.graph_fingerprint != expected_fingerprint) {
+}  // namespace
+
+steiner_result solve_steiner_tree_edge_warm(
+    const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
+    const solve_artifacts& prev, std::uint64_t donor_graph_fingerprint,
+    std::span<const graph::applied_edge_edit> edits, const solver_config& config,
+    solve_artifacts* capture, warm_start_stats* stats_out) {
+  if (prev.empty() || prev.graph_fingerprint != donor_graph_fingerprint) {
     throw std::invalid_argument(
-        "solve_steiner_tree_warm: donor artifacts do not match the graph");
+        "solve_steiner_tree_edge_warm: donor artifacts do not match the graph");
   }
   if (prev.state.distance.size() != graph.num_vertices()) {
     throw std::invalid_argument(
-        "solve_steiner_tree_warm: donor vertex set differs from the graph");
+        "solve_steiner_tree_edge_warm: donor vertex set differs from the graph");
+  }
+  if (detail::dedup_seeds(graph, seeds) != prev.seeds) {
+    throw std::invalid_argument(
+        "solve_steiner_tree_edge_warm: seed set differs from the donor's");
   }
 
   steiner_result result;
   if (config.budget != nullptr) config.budget->check();
-  const std::vector<graph::vertex_id> seed_list =
-      detail::dedup_seeds(graph, seeds);
+  const std::vector<graph::vertex_id>& seed_list = prev.seeds;
   result.num_seeds = seed_list.size();
   result.memory.graph_bytes = graph.memory_bytes();
   warm_start_stats stats;
   stats.edge_edits = edits.size();
-  if (seed_list.size() <= 1) {
-    if (stats_out != nullptr) *stats_out = stats;
-    return result;
-  }
-
-  const seed_delta delta = compute_seed_delta(prev.seeds, seed_list);
-  stats.added_seeds = delta.added.size();
-  stats.removed_seeds = delta.removed.size();
 
   const runtime::dist_graph_config dconfig{
       config.num_ranks, config.scheme, config.use_delegates,
@@ -103,8 +79,8 @@ steiner_result repair_solve(const graph::csr_graph& graph,
   comm.reset_peak_buffer();
 
   // Step 1 (repair): start from the donor labelling, reset invalidated
-  // regions, re-enter them from their boundary, bootstrap added seeds and
-  // inject improvement frontiers across lowered edges.
+  // regions, re-enter them from their boundary and inject improvement
+  // frontiers across lowered edges.
   steiner_state state = prev.state;
   const graph::vertex_id n = graph.num_vertices();
 
@@ -118,31 +94,18 @@ steiner_result repair_solve(const graph::csr_graph& graph,
     reset_list.push_back(v);
   };
 
-  // 1a. Removed seeds: reset their whole cells (pred chains never leave a
-  // cell, so no outside vertex references them).
-  if (!delta.removed.empty()) {
-    const std::unordered_set<graph::vertex_id> removed(delta.removed.begin(),
-                                                       delta.removed.end());
-    for (graph::vertex_id v = 0; v < n; ++v) {
-      if (state.src[v] != graph::k_no_vertex && removed.contains(state.src[v])) {
-        reset_vertex(v);
-      }
-    }
-  }
-
-  // 1b. Raised/disabled edges: any vertex whose donor shortest-path witness
+  // Raised/disabled edges: any vertex whose donor shortest-path witness
   // crosses one has a stale (now unachievable) label. The witness of v is
   // its pred chain, so the invalidated set is the union of pred-subtrees
-  // hanging off the modified arcs; reset it and re-enter from the boundary
-  // exactly like a removed cell. (Conservative: a raised edge that is still
-  // on a shortest path resets and rebuilds to the same labels.)
+  // hanging off the modified arcs; reset it and re-enter it from the
+  // boundary. (Conservative: a raised edge that is still on a shortest path
+  // resets and rebuilds to the same labels.)
   std::unordered_set<edge_key, util::pair_hash> raised;
   for (const graph::applied_edge_edit& e : edits) {
     if (e.raised()) raised.insert(key_of(e.u, e.v));
   }
   if (!raised.empty()) {
-    // Pred-tree children lists over the donor labelling (reset cells are
-    // self-contained and already cleared; their members just never match).
+    // Pred-tree children lists over the donor labelling.
     std::vector<std::vector<graph::vertex_id>> children(n);
     for (graph::vertex_id v = 0; v < n; ++v) {
       const graph::vertex_id p = prev.state.pred[v];
@@ -151,7 +114,7 @@ steiner_result repair_solve(const graph::csr_graph& graph,
     std::vector<graph::vertex_id> stack;
     for (graph::vertex_id v = 0; v < n; ++v) {
       const graph::vertex_id p = prev.state.pred[v];
-      if (is_reset[v] != 0 || p == graph::k_no_vertex || p == v) continue;
+      if (p == graph::k_no_vertex || p == v) continue;
       if (raised.contains(key_of(p, v))) stack.push_back(v);
     }
     while (!stack.empty()) {
@@ -159,7 +122,6 @@ steiner_result repair_solve(const graph::csr_graph& graph,
       stack.pop_back();
       if (is_reset[v] != 0) continue;
       reset_vertex(v);
-      ++stats.damaged_vertices;
       for (const graph::vertex_id c : children[v]) {
         if (is_reset[c] == 0) stack.push_back(c);
       }
@@ -168,10 +130,7 @@ steiner_result repair_solve(const graph::csr_graph& graph,
   stats.reset_vertices = reset_list.size();
 
   std::vector<voronoi_visitor> initial;
-  initial.reserve(delta.added.size() + reset_list.size());
-  for (const graph::vertex_id s : delta.added) {
-    initial.push_back(voronoi_visitor{s, s, s, 0});
-  }
+  initial.reserve(reset_list.size());
   // Boundary re-entry: the graph is symmetric, so a reset vertex's adjacency
   // enumerates exactly the arcs entering the reset region from outside —
   // with the *target* graph's weights, so repaired labels are born correct.
@@ -211,13 +170,10 @@ steiner_result repair_solve(const graph::csr_graph& graph,
       runtime::mailbox<voronoi_visitor>::index_bytes(config.policy, n);
 
   // Affected cells: any cell that gained or lost a member or whose labels
-  // moved, plus the delta seeds, plus every cell holding a modified-edge
-  // endpoint (its minimum bridge may have changed even when no label did).
-  // Only these can contribute distance-graph entries that differ from the
-  // donor's.
-  std::unordered_set<graph::vertex_id> affected(delta.added.begin(),
-                                                delta.added.end());
-  affected.insert(delta.removed.begin(), delta.removed.end());
+  // moved, plus every cell holding a modified-edge endpoint (its minimum
+  // bridge may have changed even when no label did). Only these can
+  // contribute distance-graph entries that differ from the donor's.
+  std::unordered_set<graph::vertex_id> affected;
   const auto mark_cell = [&affected](graph::vertex_id cell) {
     if (cell != graph::k_no_vertex) affected.insert(cell);
   };
@@ -280,27 +236,6 @@ steiner_result repair_solve(const graph::csr_graph& graph,
       detail::in_process_tree_edges(dgraph, state, engine, comm));
   if (stats_out != nullptr) *stats_out = stats;
   return result;
-}
-
-}  // namespace
-
-steiner_result solve_steiner_tree_warm(const graph::csr_graph& graph,
-                                       std::span<const graph::vertex_id> seeds,
-                                       const solve_artifacts& prev,
-                                       const solver_config& config,
-                                       solve_artifacts* capture,
-                                       warm_start_stats* stats_out) {
-  return repair_solve(graph, seeds, prev, graph.fingerprint(), {}, config,
-                      capture, stats_out);
-}
-
-steiner_result solve_steiner_tree_edge_warm(
-    const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
-    const solve_artifacts& prev, std::uint64_t donor_graph_fingerprint,
-    std::span<const graph::applied_edge_edit> edits, const solver_config& config,
-    solve_artifacts* capture, warm_start_stats* stats_out) {
-  return repair_solve(graph, seeds, prev, donor_graph_fingerprint, edits,
-                      config, capture, stats_out);
 }
 
 }  // namespace dsteiner::core

@@ -1,27 +1,33 @@
-// Warm-start recomputation for interactive seed-set edits (§I workflow).
+// Warm-start recomputation across graph epochs (§I workflow).
 //
-// The interactive and service workloads re-query the same graph with seed
-// sets that differ by a small add/remove delta. A cold solve re-grows all |S|
-// Voronoi cells from scratch; the warm-start path instead *repairs* the
-// previous solve:
+// The interactive and service workloads re-query the same seed set after a
+// small batch of edge edits. A cold solve re-grows all |S| Voronoi cells from
+// scratch; the warm-start path instead *repairs* the donor solve of that seed
+// set on the previous epoch:
 //
-//   - Added seed s: inject s's bootstrap visitor (r=0, t=s, vp=s) over the
-//     converged donor labelling. Relaxations only ever decrease the
-//     lexicographic (d1, src, pred) tuple, and the fixed point is the unique
-//     per-vertex minimum over all seed-to-vertex paths, so repairing from the
-//     donor state converges to exactly the cold labelling for S u {s}.
-//   - Removed seed t: reset exactly t's cell {v : src(v) = t} to "unreached"
-//     (pred chains never leave a cell, so no other vertex references t's
-//     cell) and re-enter the region from its boundary: every arc (u, v) with
+//   - Raised/disabled edge: every vertex whose shortest-path witness (pred
+//     chain) crosses it has a stale label. Those pred-subtrees are reset to
+//     "unreached" and re-entered from their boundary: every arc (u, v) with
 //     u outside and v inside the reset region injects u's current label.
+//   - Lowered/enabled edge: its endpoints' current labels are injected
+//     across it, and relaxation propagates the gains. Relaxations only ever
+//     decrease the lexicographic (d1, src, pred) tuple, and the fixed point
+//     is the unique per-vertex minimum, so the repair converges to exactly
+//     the cold labelling.
 //
 // Phase 2 is rebuilt incrementally: only cells whose labelling or membership
-// changed ("affected" cells) can contribute different distance-graph entries,
-// so the local scan covers only their members and entries between two
-// unaffected cells are reused from the donor. Phases 3-6 (MST, pruning,
-// tree-edge collection) run as usual — they are orders of magnitude cheaper
-// (Table IV). The result is bit-identical to a cold solve; the savings show
-// up in the Voronoi Cell / Local Min Dist. Edge phase metrics.
+// changed, or that hold a modified-edge endpoint ("affected" cells), can
+// contribute different distance-graph entries, so the local scan covers only
+// their members and entries between two unaffected cells are reused from the
+// donor. Phases 3-6 (MST, pruning, tree-edge collection) run as usual — they
+// are orders of magnitude cheaper (Table IV). The result is bit-identical to
+// a cold solve; the savings show up in the Voronoi Cell / Local Min Dist.
+// Edge phase metrics.
+//
+// The seed set never changes in a repair. A seed-set edit on the same epoch
+// is served by a cold solve pre-seeded from the shared fragment store
+// (solve_steiner_tree_assisted), which reuses the settled cells of the
+// seeds the edit kept.
 #pragma once
 
 #include <cstdint>
@@ -68,69 +74,33 @@ struct solve_artifacts {
 [[nodiscard]] std::vector<graph::vertex_id> canonicalize_seeds(
     graph::vertex_id num_vertices, std::span<const graph::vertex_id> seeds);
 
-/// Add/remove delta between two canonical seed sets.
-struct seed_delta {
-  std::vector<graph::vertex_id> added;    ///< in target, not in donor
-  std::vector<graph::vertex_id> removed;  ///< in donor, not in target
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return added.size() + removed.size();
-  }
-};
-
-/// Symmetric difference `target \ donor` / `donor \ target`. Both inputs must
-/// be canonical (sorted, deduplicated).
-[[nodiscard]] seed_delta compute_seed_delta(
-    std::span<const graph::vertex_id> donor,
-    std::span<const graph::vertex_id> target);
-
 /// Observability for the repair: how much phase-1/2 work the warm start
 /// actually did versus a cold solve's full sweep.
 struct warm_start_stats {
-  std::size_t added_seeds = 0;
-  std::size_t removed_seeds = 0;
   std::size_t edge_edits = 0;        ///< applied edge edits repaired over
-  std::size_t reset_vertices = 0;    ///< vertices cleared (removed cells + damage)
-  std::size_t damaged_vertices = 0;  ///< cleared because a raised/disabled edge
-                                     ///< invalidated their shortest-path witness
+  std::size_t reset_vertices = 0;    ///< vertices cleared because a raised or
+                                     ///< disabled edge invalidated their
+                                     ///< shortest-path witness
   std::size_t changed_vertices = 0;  ///< labels that differ from the donor
   std::size_t affected_cells = 0;    ///< cells rescanned in phase 2
   std::size_t rescanned_vertices = 0;  ///< phase-2 partial scan size
   std::size_t retained_entries = 0;  ///< G'1 entries reused from the donor
 };
 
-/// Warm-start solve of `seeds` against `prev` (a finished solve on the same
-/// graph). Returns a result bit-identical to solve_steiner_tree(graph, seeds,
-/// config) — the solver's determinism guarantee makes the donor's labelling
-/// config-independent, so `prev` may come from a solve under any
-/// solver_config. Throws std::invalid_argument when `prev` does not belong to
-/// `graph` (callers such as the service fall back to a cold solve). Large
-/// deltas remain correct but do proportionally less saving; the caller
-/// decides the cutoff.
-[[nodiscard]] steiner_result solve_steiner_tree_warm(
-    const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
-    const solve_artifacts& prev, const solver_config& config,
-    solve_artifacts* capture = nullptr, warm_start_stats* stats = nullptr);
-
-/// Warm-start solve across a *graph* mutation: `prev` is a finished solve on
-/// the epoch whose structural CSR fingerprint is `donor_graph_fingerprint`,
-/// and `edits` is the applied edge delta taking that epoch to `graph` (see
-/// graph::epoch_store::delta_between). The repair generalizes the seed-delta
-/// path — it may change seeds and edges in one pass:
+/// Warm-start solve of the donor's seed set `prev.seeds` across a graph
+/// mutation: `prev` is a finished solve on the epoch whose structural CSR
+/// fingerprint is `donor_graph_fingerprint`, and `edits` is the applied edge
+/// delta taking that epoch to `graph` (see graph::epoch_store::delta_between).
+/// Empty `edits` with the graph's own fingerprint repairs nothing and
+/// rebuilds the donor's tree from its artifacts. `prev` may come from a solve
+/// under any solver_config: the determinism guarantee makes its labelling
+/// config-independent.
 ///
-///   - Raised/disabled edges invalidate exactly the vertices whose
-///     shortest-path witness (pred chain) crosses them: those pred-subtrees
-///     are reset like removed cells and re-entered from their boundary.
-///   - Lowered/enabled edges only open improvement frontiers: their
-///     endpoints' current labels are injected across the edge and relaxation
-///     propagates the gains.
-///   - Phase 2 rescans only cells touched by label changes, seed deltas, or
-///     modified-edge endpoints; bridges between untouched cell pairs cannot
-///     involve a modified edge and are reused from the donor.
-///
+/// `seeds` is the caller's seed list; it must canonicalize to `prev.seeds`.
 /// The result is bit-identical to solve_steiner_tree(graph, seeds, config).
 /// Throws std::invalid_argument when `prev` does not match
-/// `donor_graph_fingerprint` or the vertex set differs (epochs preserve |V|).
+/// `donor_graph_fingerprint`, the vertex set differs (epochs preserve |V|)
+/// or the seed sets differ; callers such as the service then solve cold.
 [[nodiscard]] steiner_result solve_steiner_tree_edge_warm(
     const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
     const solve_artifacts& prev, std::uint64_t donor_graph_fingerprint,

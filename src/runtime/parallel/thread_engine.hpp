@@ -52,16 +52,9 @@
 // whatever the order. Cost accounting differences vs the async
 // engine: remote-message delivery work is charged to the receiving rank at
 // drain time (the following superstep) instead of at send time.
-//
-// batch_size == 0 opts into adaptive batching: worker 0 measures its phase-B
-// compute vs barrier-B wait each superstep and grows the shared batch when
-// the barrier dominates (amortize synchronization) or shrinks it when
-// compute dominates (bound priority inversion). By design this trades the
-// metrics' bit-identity for self-tuning throughput.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <memory>
@@ -95,8 +88,6 @@ class thread_engine {
   thread_engine(const partitioner& parts, Handler& handler,
                 engine_config config)
       : parts_(parts), handler_(&handler), config_(config) {
-    adaptive_ = config_.batch_size == 0;
-    if (config_.batch_size == 0) config_.batch_size = 64;
     const auto p = static_cast<std::size_t>(parts.num_ranks());
     index_ = mailbox<Visitor>::make_index(config.policy, parts.num_vertices());
     mailboxes_.assign(p, mailbox<Visitor>(config.policy, index_));
@@ -212,9 +203,7 @@ class thread_engine {
     // untraced path costs nothing beyond two per-rank counter increments.
     obs::engine_probe* probe = config_.probe;
     std::uint32_t superstep = 0;
-    // Timed when tracing, or on worker 0 when adaptive batching needs the
-    // compute/barrier-wait ratio.
-    const bool timed = probe != nullptr || (adaptive_ && w == 0);
+    const bool timed = probe != nullptr;
     util::timer step_timer;  // read only when `timed`
     // Least pending priority at the last phase-B barrier (the seeds' before
     // the first superstep); every worker holds the same value.
@@ -304,23 +293,6 @@ class thread_engine {
             (t_computing - t_drained) + (step_timer.seconds() - t_computed));
         probe->record(w, s);
       }
-      if (adaptive_ && w == 0) {
-        // Self-tuning batch size from this superstep's measured ratio:
-        // barrier-wait-dominated supersteps mean the batch is too small to
-        // amortize synchronization; compute-dominated ones mean it can
-        // shrink to tighten priority order. Workers pick the new size up at
-        // their next phase B (the barrier already orders the accesses; the
-        // atomic is for TSan-visible publication).
-        const double compute = t_computed - t_computing;
-        const double wait = step_timer.seconds() - t_computed;
-        std::size_t b = auto_batch_.load(std::memory_order_relaxed);
-        if (wait > 0.5 * compute && b < 8192) {
-          b *= 2;
-        } else if (wait < 0.05 * compute && b > 16) {
-          b /= 2;
-        }
-        auto_batch_.store(b, std::memory_order_relaxed);
-      }
       ++superstep;
       if (agg.cancel) {
         if (w == 0) cancelled_ = true;  // sole writer; read after pool joins
@@ -362,10 +334,8 @@ class thread_engine {
     rank_stats& st = stats_[static_cast<std::size_t>(r)];
     auto& box = mailboxes_[static_cast<std::size_t>(r)];
     emitter out(*this, parts_, r);
-    const std::size_t batch = adaptive_
-                                  ? auto_batch_.load(std::memory_order_relaxed)
-                                  : config_.batch_size;
-    for (std::size_t step = 0; step < batch && !box.empty(); ++step) {
+    for (std::size_t step = 0; step < config_.batch_size && !box.empty();
+         ++step) {
       if (bound != UINT64_MAX && box.top_priority() > bound) break;
       Visitor v = box.pop();
       ++st.visits_step;
@@ -404,11 +374,9 @@ class thread_engine {
   partitioner parts_;
   Handler* handler_;
   engine_config config_;
-  bool adaptive_ = false;  ///< batch_size == 0: self-tuning batch
   static constexpr std::uint64_t k_no_window = UINT64_MAX;
   std::uint64_t window_ = k_no_window;  ///< Δ; see windowed_handler
   std::uint64_t seed_frontier_ = UINT64_MAX;  ///< least seeded priority
-  std::atomic<std::size_t> auto_batch_{64};
   /// Shared by mailboxes_; a vertex's slot is written only by its owner's
   /// worker (see mailbox::make_index).
   std::vector<std::uint32_t> index_;

@@ -66,10 +66,6 @@ class visitor_engine {
  public:
   visitor_engine(const partitioner& parts, Handler& handler, engine_config config)
       : parts_(parts), handler_(&handler), config_(config) {
-    // batch_size 0 opts into the threaded engine's adaptive batching; the
-    // cooperative engine has no barrier to adapt against, so it just runs
-    // the default.
-    if (config_.batch_size == 0) config_.batch_size = 64;
     index_ = mailbox<Visitor>::make_index(config.policy, parts.num_vertices());
     mailboxes_.assign(static_cast<std::size_t>(parts.num_ranks()),
                       mailbox<Visitor>(config.policy, index_));

@@ -2,9 +2,10 @@
 //
 // The solver's dominant cost is growing per-seed Voronoi cells (phase 1), yet
 // concurrent queries with overlapping seed sets re-grow the shared cells from
-// scratch: warm starts reuse a *whole* donor solve, but two different seed
-// sets that merely share members get nothing. The fragment store closes that
-// gap at per-seed granularity. A completed solve publishes, for each of its
+// scratch: warm starts reuse a *whole* donor solve of the same seed set, but
+// two different seed sets that merely share members get nothing from them.
+// The fragment store closes that gap at per-seed granularity, and it is how
+// the service reuses phase-1 work across seed-set edits. A completed solve publishes, for each of its
 // seeds, the settled cell (vertex/distance/pred triples, truncated to a
 // vertex budget — distance truncation is pred-closed because weights are
 // strictly positive), keyed by (epoch content fingerprint, seed). A later

@@ -17,7 +17,7 @@ exploration_session::exploration_session(graph::csr_graph graph,
   service_config svc_config;
   svc_config.solver = config_;
   // One user, one in-flight query: a single worker keeps edits ordered while
-  // still buying the service's cache and warm-start repair. Graph edits
+  // still buying the service's cache and fragment reuse. Graph edits
   // derive epochs on this same service — sessions never rebuild it.
   svc_config.exec.num_threads = 1;
   svc_config.exec.queue_capacity = 16;

@@ -6,10 +6,10 @@
 // A session owns a backing steiner_service and a mutable seed set; every
 // edit (add/remove seeds, re-weight, filter edges) invalidates the cached
 // result, which is recomputed lazily on the next query. Queries are
-// delegated to the service, so a session gets its result cache and
-// warm-start repair for free: re-adding a previously queried seed set is a
-// cache hit, and a small seed delta repairs the previous solve instead of
-// recomputing phase 1 from scratch.
+// delegated to the service, so a session gets its result cache and shared
+// fragment store for free: re-adding a previously queried seed set is a
+// cache hit, and a seed edit pre-seeds phase 1 from the settled cells of the
+// seeds it kept instead of growing every cell from scratch.
 //
 // Graph edits (re-weighting, filtering) no longer rebuild the service: they
 // diff the current graph against the edited one and *derive a new epoch*

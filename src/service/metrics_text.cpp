@@ -84,7 +84,7 @@ std::string render_metrics_text(const service_snapshot& snap,
 
   w.counter("queries_total", "Queries executed", s.queries);
   w.counter("cold_solves_total", "Full Alg. 3 solves", s.cold_solves);
-  w.counter("warm_solves_total", "Warm-start repairs (seed and edge deltas)",
+  w.counter("warm_solves_total", "Warm-start repairs of a donor's seed set",
             s.warm_solves);
   w.counter("edge_warm_solves_total",
             "Warm-start repairs that crossed graph epochs", s.edge_warm_solves);

@@ -44,8 +44,9 @@ struct query {
 /// How the service satisfied a query. The output tree is identical across all
 /// paths (the solver's determinism guarantee) *except* stale_hit, which
 /// deliberately returns the previous epoch's tree; only the work differs.
-/// `warm_start` covers both seed-delta repairs and cross-epoch edge-delta
-/// repairs. `coalesced` = an identical query was already in flight on another
+/// `warm_start` repairs an earlier solve of the same seed set, across an edge
+/// delta when the donor ran on an older epoch; a seed-set edit is a cold
+/// solve pre-seeded from the fragment store. `coalesced` = an identical query was already in flight on another
 /// worker and this one waited for its result instead of duplicating the solve
 /// (single-flight).
 enum class solve_kind : std::uint8_t {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -419,11 +418,8 @@ std::optional<steiner_service::donor_match> steiner_service::find_donor(
     const graph::epoch_graph& epoch) {
   const std::lock_guard<std::mutex> lock(donors_mutex_);
   std::optional<donor_match> best;
-  double best_volume = std::numeric_limits<double>::infinity();
   for (const donor_record& rec : donors_) {
-    const auto delta =
-        core::compute_seed_delta(rec.artifacts->seeds, canonical_seeds);
-    if (delta.size() > config_.warm_delta_limit) continue;
+    if (!std::ranges::equal(rec.artifacts->seeds, canonical_seeds)) continue;
     std::vector<graph::applied_edge_edit> edits;
     if (rec.epoch_id != epoch.epoch_id()) {
       auto composed = epochs_.delta_between(rec.epoch_id, epoch.epoch_id());
@@ -432,56 +428,10 @@ std::optional<steiner_service::donor_match> steiner_service::find_donor(
       }
       edits = std::move(*composed);
     }
-    // Rank donors by estimated reset-region volume — the vertices the repair
-    // will clear and rescan — instead of raw delta count: one removed seed
-    // that owned a third of the graph repairs slower than three whose cells
-    // were tiny. Removed seeds and modified-edge endpoints contribute their
-    // donor cell sizes. An added seed's future cell is unknown; without the
-    // oracle it contributes the donor's average cell size, with it the
-    // average is scaled by the seed's lower-bound distance to the donor's
-    // nearest seed relative to the donor's own spread — a seed landing deep
-    // inside existing cells will carve a small one, a far-away (or
-    // disconnected) seed a large one. No donor state is probed either way.
-    const auto cell_size = [&rec](graph::vertex_id seed) -> double {
-      const auto it = rec.cell_sizes.find(seed);
-      return it == rec.cell_sizes.end() ? 0.0 : static_cast<double>(it->second);
-    };
-    const double avg_cell =
-        static_cast<double>(rec.artifacts->state.distance.size()) /
-        static_cast<double>(std::max<std::size_t>(1, rec.artifacts->seeds.size()));
-    const double donor_spread =
-        config_.enable_oracle
-            ? oracle_.seed_spread(epoch.fingerprint(), rec.artifacts->seeds)
-            : 0.0;
-    double volume = 0.0;
-    for (const graph::vertex_id a : delta.added) {
-      double scale = 1.0;
-      if (donor_spread > 0.0) {
-        graph::weight_t nearest = graph::k_inf_distance;
-        for (const graph::vertex_id s : rec.artifacts->seeds) {
-          nearest = std::min(
-              nearest, oracle_.lower_bound(epoch.fingerprint(), a, s));
-          if (nearest == 0) break;
-        }
-        scale = nearest == graph::k_inf_distance
-                    ? 4.0
-                    : std::clamp(static_cast<double>(nearest) / donor_spread,
-                                 0.25, 4.0);
-      }
-      volume += avg_cell * scale;
-    }
-    for (const graph::vertex_id t : delta.removed) volume += cell_size(t);
-    for (const graph::applied_edge_edit& e : edits) {
-      for (const graph::vertex_id endpoint : {e.u, e.v}) {
-        const graph::vertex_id cell = rec.artifacts->state.src[endpoint];
-        if (cell != graph::k_no_vertex) volume += cell_size(cell);
-      }
-    }
     // Strict <: ties go to the most recent donor (front-to-back iteration).
-    if (volume < best_volume) {
-      best_volume = volume;
+    if (!best || edits.size() < best->edits.size()) {
       best = donor_match{rec.artifacts, rec.graph_fingerprint, std::move(edits)};
-      if (best_volume == 0.0) break;  // exact same-epoch, same-seed donor
+      if (best->edits.empty()) break;  // same-epoch donor: nothing to repair
     }
   }
   return best;
@@ -491,12 +441,6 @@ void steiner_service::remember_donor(donor_ptr donor, std::uint64_t epoch_id) {
   donor_record rec;
   rec.epoch_id = epoch_id;
   rec.graph_fingerprint = donor->graph_fingerprint;
-  // Per-seed cell sizes, computed once per donor (O(|V|), a sliver of the
-  // solve that produced it): the basis of reset-volume ranking.
-  rec.cell_sizes.reserve(donor->seeds.size());
-  for (const graph::vertex_id src : donor->state.src) {
-    if (src != graph::k_no_vertex) ++rec.cell_sizes[src];
-  }
   rec.artifacts = std::move(donor);
 
   const std::lock_guard<std::mutex> lock(donors_mutex_);
@@ -952,8 +896,9 @@ query_result steiner_service::execute(query q, double queue_wait,
                            static_cast<double>(match->edits.size()));
         }
         try {
-          // Empty edits degenerate to the pure seed-delta repair; otherwise
-          // this is a cross-epoch repair over the composed edge delta.
+          // Empty edits rebuild a same-epoch donor's tree from its
+          // artifacts; otherwise this is a cross-epoch repair over the
+          // composed edge delta.
           out.result = core::solve_steiner_tree_edge_warm(
               *csr, canonical, *match->artifacts, match->graph_fingerprint,
               match->edits, solver_config, artifacts.get(), &out.warm);

@@ -24,16 +24,18 @@
 //                       epoch does: serve it (marked stale) and kick off a
 //                       background refresh — old-epoch results keep serving
 //                       while new-epoch solves warm up;
-//   3. warm start     — a recent solve differs by a small seed delta and/or
-//                       a few edge edits: repair its Voronoi labelling and
-//                       distance graph instead of recomputing
-//                       (warm_start.hpp), across epochs if needed;
+//   3. warm start     — a recent solve of the same seed set, on an older
+//                       epoch a few edge edits away (or uncached on this
+//                       one): repair its Voronoi labelling and distance
+//                       graph instead of recomputing (warm_start.hpp);
 //   4. cold solve     — full Alg. 3 pipeline, pre-seeded from the shared
 //                       SSSP fragment store and pruned by the landmark
 //                       oracle when available (service/distshare/ — same
 //                       tree, less phase-1 work), capturing artifacts and
 //                       publishing per-seed fragments so later queries can
-//                       take paths 1-3 or borrow its cells.
+//                       take paths 1-3 or borrow its cells. A seed-set edit
+//                       lands here and borrows the cells of the seeds it
+//                       kept.
 //
 // Cold, warm and cache paths return bit-identical trees for their epoch (the
 // solver's determinism guarantee), so concurrency, caching and warm starts
@@ -89,10 +91,9 @@ struct service_config {
   /// (retirement happens when advance_epoch pushes an epoch out of it).
   graph::epoch_store::config epochs{};
   bool enable_cache = true;
+  /// Warm start repairs an earlier solve of the same seed set, across the
+  /// composed edge delta when it ran on an older epoch.
   bool enable_warm_start = true;
-  /// Warm-start cutoff: largest seed-set symmetric difference worth
-  /// repairing instead of solving cold.
-  std::size_t warm_delta_limit = 8;
   /// Cross-epoch warm-start cutoff: largest composed edge delta worth
   /// repairing a previous-epoch donor over instead of solving cold.
   std::size_t warm_edge_edit_limit = 64;
@@ -111,7 +112,7 @@ struct service_config {
   bool enable_fragment_reuse = true;
   distshare::fragment_store_config fragment_store{};
   /// Landmark oracle: upper bounds prune phase-1 admission, lower bounds
-  /// sharpen admission cost estimates and donor ranking. Costs K SSSP trees
+  /// sharpen admission cost estimates. Costs K SSSP trees
   /// per epoch (built lazily in the background on first demand; see
   /// warm_distance_oracle() for a blocking build) — opt-in because small or
   /// short-lived deployments never recoup the build.
@@ -365,14 +366,11 @@ class steiner_service {
  private:
   using donor_ptr = std::shared_ptr<const core::solve_artifacts>;
 
-  /// A warm-start donor: the artifacts plus the epoch they were solved on
-  /// and its per-seed Voronoi cell sizes (the reset-region volume estimate
-  /// donor selection ranks by).
+  /// A warm-start donor: the artifacts plus the epoch they were solved on.
   struct donor_record {
     donor_ptr artifacts;
     std::uint64_t epoch_id = 0;
     std::uint64_t graph_fingerprint = 0;  ///< structural CSR fp of its epoch
-    std::unordered_map<graph::vertex_id, std::uint32_t> cell_sizes;
   };
 
   /// A selected donor plus the composed edge delta needed to repair across
@@ -426,6 +424,9 @@ class steiner_service {
                                      util::timer admitted) {
     return execute(std::move(q), queue_wait, admitted, exec_context{});
   }
+  /// The donor of this exact seed set with the smallest composed edge delta
+  /// to `epoch` (at most warm_edge_edit_limit edits), the most recent on a
+  /// tie; nullopt when no donor of the set qualifies.
   [[nodiscard]] std::optional<donor_match> find_donor(
       std::span<const graph::vertex_id> canonical_seeds,
       const graph::epoch_graph& epoch);

@@ -1,5 +1,5 @@
-// Tests for the extension modules: binary graph IO, Yen's k-shortest paths,
-// dual-ascent lower bounds and key-path improvement.
+// Tests for the extension modules: binary graph IO, dual-ascent lower bounds
+// and key-path improvement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
-#include "graph/k_shortest_paths.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -161,70 +160,6 @@ TEST(GraphIo, MutatedBinaryGraphsOnlyRaiseRuntimeError) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << "mutation " << i << ": " << e.what();
     }
-  }
-}
-
-// ---- Yen's k shortest paths.
-
-TEST(Yen, FirstPathIsShortest) {
-  const auto g = make_connected_graph(80, 30, 13);
-  const auto paths = graph::yen_k_shortest_paths(g, 0, 50, 5);
-  ASSERT_FALSE(paths.empty());
-  const auto sp = graph::dijkstra(g, 0);
-  EXPECT_EQ(paths.front().total_distance, sp.distance[50]);
-}
-
-TEST(Yen, PathsAreSortedDistinctAndSimple) {
-  const auto g = make_connected_graph(60, 20, 17);
-  const auto paths = graph::yen_k_shortest_paths(g, 1, 40, 8);
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const auto& p = paths[i];
-    EXPECT_EQ(p.vertices.front(), 1u);
-    EXPECT_EQ(p.vertices.back(), 40u);
-    // Simple: no repeated vertices.
-    std::set<vertex_id> unique(p.vertices.begin(), p.vertices.end());
-    EXPECT_EQ(unique.size(), p.vertices.size());
-    // Edges exist and sum to the claimed distance.
-    weight_t total = 0;
-    for (std::size_t j = 0; j + 1 < p.vertices.size(); ++j) {
-      const auto w = g.edge_weight(p.vertices[j], p.vertices[j + 1]);
-      ASSERT_TRUE(w.has_value());
-      total += *w;
-    }
-    EXPECT_EQ(total, p.total_distance);
-    if (i > 0) {
-      EXPECT_GE(p.total_distance, paths[i - 1].total_distance);
-      EXPECT_NE(p.vertices, paths[i - 1].vertices);
-    }
-  }
-}
-
-TEST(Yen, ExhaustsSmallGraphs) {
-  // A 4-cycle has exactly two simple paths between opposite corners.
-  graph::edge_list list = graph::generate_cycle(4);
-  graph::assign_uniform_weights(list, 1, 9, 3);
-  const graph::csr_graph g(list);
-  const auto paths = graph::yen_k_shortest_paths(g, 0, 2, 10);
-  EXPECT_EQ(paths.size(), 2u);
-}
-
-TEST(Yen, NoPathReturnsEmpty) {
-  graph::edge_list list(4);
-  list.add_undirected_edge(0, 1, 1);
-  const auto paths =
-      graph::yen_k_shortest_paths(graph::csr_graph(list), 0, 3, 4);
-  EXPECT_TRUE(paths.empty());
-}
-
-TEST(Yen, PathUnionSubgraphDeduplicates) {
-  const auto g = make_connected_graph(60, 20, 19);
-  const auto paths = graph::yen_k_shortest_paths(g, 0, 30, 6);
-  const auto subgraph = graph::path_union_subgraph(g, paths);
-  std::set<std::pair<vertex_id, vertex_id>> keys;
-  for (const auto& e : subgraph) {
-    EXPECT_LT(e.source, e.target);
-    EXPECT_TRUE(keys.insert({e.source, e.target}).second);
-    EXPECT_EQ(g.edge_weight(e.source, e.target), e.weight);
   }
 }
 

@@ -122,16 +122,17 @@ TEST(Interactive, RankKnobPreservesResult) {
   EXPECT_TRUE(session.up_to_date());
 }
 
-TEST(Interactive, SeedEditsUseWarmStartAndCacheHits) {
+TEST(Interactive, SeedEditsUseFragmentsAndCacheHits) {
   service::exploration_session session(make_graph(11));
   session.set_seeds(std::vector<vertex_id>{10, 90, 170});
   const auto baseline = session.tree().tree_edges;
   EXPECT_EQ(session.last_solve_kind(), service::solve_kind::cold);
   EXPECT_EQ(session.recompute_count(), 1u);
 
-  session.add_seed(42);  // small delta: repaired, not recomputed
+  session.add_seed(42);  // pre-seeded from the kept seeds' fragments
   (void)session.tree();
-  EXPECT_EQ(session.last_solve_kind(), service::solve_kind::warm_start);
+  EXPECT_EQ(session.last_solve_kind(), service::solve_kind::cold);
+  EXPECT_EQ(session.service().stats().fragment_assisted, 1u);
   EXPECT_EQ(session.recompute_count(), 2u);
 
   session.remove_seed(42);  // back to a seed set the service has seen
@@ -140,8 +141,8 @@ TEST(Interactive, SeedEditsUseWarmStartAndCacheHits) {
   EXPECT_EQ(session.recompute_count(), 2u);  // cache hits are not solver runs
 
   const auto stats = session.service().stats();
-  EXPECT_EQ(stats.cold_solves, 1u);
-  EXPECT_EQ(stats.warm_solves, 1u);
+  EXPECT_EQ(stats.cold_solves, 2u);
+  EXPECT_EQ(stats.warm_solves, 0u);
   EXPECT_EQ(stats.cache_hits, 1u);
 }
 

@@ -15,6 +15,7 @@
 #include "core/voronoi.hpp"
 #include "core/warm_start.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/epoch_graph.hpp"
 #include "graph/generators.hpp"
 #include "io/dataset.hpp"
 #include "runtime/parallel/spsc_channel.hpp"
@@ -507,22 +508,6 @@ TEST(ParallelSolve, ExactOraclePruneKeepsTreeIdentical) {
   }
 }
 
-TEST(ThreadEngine, AdaptiveBatchKeepsTreeIdentical) {
-  // batch_size = 0 opts the threaded engine into barrier-ratio adaptive
-  // batch sizing — wall-clock tuning that must not leak into the output.
-  const graph::csr_graph g = random_connected_graph(400, 0xAB);
-  const auto seeds = random_seeds(g.num_vertices(), 10, 6);
-  core::solver_config reference_cfg;
-  reference_cfg.num_ranks = 8;
-  const auto reference = core::solve_steiner_tree(g, seeds, reference_cfg);
-
-  core::solver_config adaptive = reference_cfg;
-  adaptive.mode = execution_mode::parallel_threads;
-  adaptive.num_threads = 4;
-  adaptive.batch_size = 0;
-  expect_identical(core::solve_steiner_tree(g, seeds, adaptive), reference);
-}
-
 TEST(ThreadEngine, FrontierWindowFollowsWeightOverDegree) {
   using core::voronoi_handler;
   // Unit weights on a connected graph: mean weight 1 over mean degree >= 1.
@@ -579,8 +564,9 @@ TEST(ParallelSolve, FrontierWindowBoundsResettlement) {
 }
 
 TEST(ParallelSolve, WarmStartRepairUnderThreadedEngineMatchesCold) {
-  const graph::csr_graph g = random_connected_graph(400, 0x5151);
-  auto donor_seeds = random_seeds(g.num_vertices(), 10, 11);
+  const auto base =
+      graph::epoch_graph::make_base(random_connected_graph(400, 0x5151));
+  const auto seeds = random_seeds(base->num_vertices(), 10, 11);
 
   core::solver_config config;
   config.num_ranks = 8;
@@ -589,13 +575,18 @@ TEST(ParallelSolve, WarmStartRepairUnderThreadedEngineMatchesCold) {
   config.allow_disconnected_seeds = true;
 
   core::solve_artifacts donor;
-  (void)core::solve_steiner_tree_capture(g, donor_seeds, config, donor);
+  (void)core::solve_steiner_tree_capture(*base->csr(), seeds, config, donor);
 
-  auto target = donor_seeds;
-  target.push_back((donor_seeds.front() + 137) % g.num_vertices());
-  const auto cold = core::solve_steiner_tree(g, target, config);
-  const auto warm =
-      core::solve_steiner_tree_warm(g, target, donor, config, nullptr, nullptr);
+  const auto nbrs = base->neighbors(seeds.front());
+  ASSERT_FALSE(nbrs.empty());
+  graph::edge_delta delta;
+  delta.edits.push_back(
+      graph::edge_edit::reweight(seeds.front(), nbrs.front(), 1000));
+  const auto next = base->derive(delta);
+  const auto cold = core::solve_steiner_tree(*next->csr(), seeds, config);
+  const auto warm = core::solve_steiner_tree_edge_warm(
+      *next->csr(), seeds, donor, base->csr()->fingerprint(),
+      next->delta_from_parent(), config);
   expect_identical(warm, cold);
 }
 

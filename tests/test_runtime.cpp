@@ -464,7 +464,9 @@ TEST_P(EngineModes, PropagatesBfsDepthOnPath) {
   for (graph::vertex_id v = 0; v < 32; ++v) EXPECT_EQ(labels[v], v);
   EXPECT_GT(metrics.visitors_processed, 0u);
   EXPECT_GT(metrics.rounds, 0u);
-  if (ranks > 1) EXPECT_GT(metrics.messages_remote, 0u);
+  if (ranks > 1) {
+    EXPECT_GT(metrics.messages_remote, 0u);
+  }
   EXPECT_GT(metrics.sim_units, 0.0);
   EXPECT_GT(metrics.queue_peak_items, 0u);
 }

@@ -291,7 +291,9 @@ TEST(Service, SeedOrderAndDuplicatesShareACacheEntry) {
   EXPECT_EQ(second.kind, solve_kind::cache_hit);
 }
 
-TEST(Service, WarmStartOnSeedDelta) {
+// A seed edit on a live epoch is a cold solve pre-seeded from the fragments
+// the earlier solve published for the seeds it kept.
+TEST(Service, SeedEditIsFragmentAssistedCold) {
   const auto g = make_connected_graph(200, 25, 23);
   steiner_service svc(graph::csr_graph(g), quiet_config(2));
   query base;
@@ -300,30 +302,17 @@ TEST(Service, WarmStartOnSeedDelta) {
 
   query edited;
   edited.seeds = {5, 60, 110, 170, 42};
-  const auto warm = svc.solve(request{edited});
-  EXPECT_EQ(warm.kind, solve_kind::warm_start);
-  EXPECT_EQ(warm.warm.added_seeds, 1u);
+  const auto assisted = svc.solve(request{edited});
+  EXPECT_EQ(assisted.kind, solve_kind::cold);
+  EXPECT_GT(assisted.assist.fragments_injected, 0u);
+  EXPECT_EQ(svc.stats().fragment_assisted, 1u);
+  EXPECT_EQ(svc.stats().warm_solves, 0u);
 
   // Bit-identical to an independent cold solve.
-  core::solver_config reference = svc.config().solver;
-  const auto cold = core::solve_steiner_tree(g, edited.seeds, reference);
-  EXPECT_EQ(warm.result.tree_edges, cold.tree_edges);
-  EXPECT_EQ(warm.result.total_distance, cold.total_distance);
-  EXPECT_EQ(svc.stats().warm_solves, 1u);
-}
-
-TEST(Service, WarmStartRespectsDeltaLimit) {
-  auto config = quiet_config(1);
-  config.warm_delta_limit = 1;
-  steiner_service svc(make_connected_graph(200, 25, 24), config);
-  query base;
-  base.seeds = {5, 60, 110};
-  (void)svc.solve(request{base});
-
-  query far;  // delta 3 > limit 1: must solve cold
-  far.seeds = {5, 20, 80, 150};
-  const auto result = svc.solve(request{far});
-  EXPECT_EQ(result.kind, solve_kind::cold);
+  const auto cold =
+      core::solve_steiner_tree(g, edited.seeds, svc.config().solver);
+  EXPECT_EQ(assisted.result.tree_edges, cold.tree_edges);
+  EXPECT_EQ(assisted.result.total_distance, cold.total_distance);
 }
 
 TEST(Service, QueryFlagsForceFreshColdSolves) {
@@ -527,9 +516,9 @@ TEST(Service, SnapshotExportsCountersAndLatencyHistograms) {
   q.seeds = {3, 70, 120};
   (void)svc.solve(request{q});  // cold
   (void)svc.solve(request{q});  // cache hit
-  query edited = q;
-  edited.seeds.push_back(40);
-  (void)svc.solve(request{edited});  // warm start
+  query uncached = q;
+  uncached.use_cache = false;
+  (void)svc.solve(request{uncached});  // warm start from the same-epoch donor
 
   const auto snap = svc.snapshot();
   EXPECT_EQ(snap.stats.queries, 3u);
@@ -690,34 +679,33 @@ TEST(ServiceEpochs, RetirementEvictsOldEpochState) {
   EXPECT_THROW((void)svc.solve(request{pinned}), std::invalid_argument);
 }
 
-// Donor selection ranks by estimated reset-region volume (sum of affected
-// Voronoi cell sizes), not raw delta count: with two donors at equal delta
-// size, the repair starts from the one whose removed cell is small.
-TEST(ServiceEpochs, DonorSelectionPrefersSmallResetVolume) {
-  // Path graph 0-1-...-99 with unit weights: cell sizes are predictable.
-  graph::edge_list list(100);
-  for (vertex_id v = 0; v + 1 < 100; ++v) list.add_undirected_edge(v, v + 1, 1);
-  auto config = quiet_config(1);
-  config.solver.num_ranks = 4;
-  steiner_service svc(graph::csr_graph(list), config);
+// Donors repair only their own seed set: after an epoch advance, a set one
+// seed away from every donor solves cold while the donor's own set repairs.
+TEST(ServiceEpochs, EdgeWarmStartNeedsTheDonorsSeedSet) {
+  const auto g = make_connected_graph(200, 25, 43);
+  steiner_service svc(graph::csr_graph(g), quiet_config(1));
+  query q;
+  q.seeds = {5, 60, 110, 170};
+  (void)svc.solve(request{q});
 
-  // Donor 1: {0, 30, 90} — removing 0 resets its [0..15] cell (16 vertices).
-  query d1;
-  d1.seeds = {0, 30, 90};
-  (void)svc.solve(request{d1});
-  // Donor 2 (more recent): {30, 60, 90} — removing 60 resets ~[46..75] (30).
-  query d2;
-  d2.seeds = {30, 60, 90};
-  (void)svc.solve(request{d2});
+  const auto nbrs = g.neighbors(60);
+  ASSERT_FALSE(nbrs.empty());
+  graph::edge_delta delta;
+  delta.edits.push_back(graph::edge_edit::reweight(60, nbrs.front(), 400));
+  (void)svc.advance_epoch(delta);
 
-  // Target {30, 90}: both donors have raw delta 1. Raw-count ranking with
-  // recency tie-break would pick donor 2; volume ranking must pick donor 1.
-  query target;
-  target.seeds = {30, 90};
-  const auto warm = svc.solve(request{target});
-  ASSERT_EQ(warm.kind, solve_kind::warm_start);
-  EXPECT_EQ(warm.warm.removed_seeds, 1u);
-  EXPECT_EQ(warm.warm.reset_vertices, 16u);  // donor 1's cell of seed 0
+  query edited = q;
+  edited.seeds.push_back(42);
+  const auto fresh = svc.solve(request{edited});
+  EXPECT_NE(fresh.kind, solve_kind::warm_start);
+  const auto cold = core::solve_steiner_tree(svc.graph(), edited.seeds,
+                                             svc.config().solver);
+  EXPECT_EQ(fresh.result.tree_edges, cold.tree_edges);
+
+  const auto repaired = svc.solve(request{q});
+  EXPECT_EQ(repaired.kind, solve_kind::warm_start);
+  EXPECT_EQ(svc.stats().warm_solves, 1u);
+  EXPECT_EQ(svc.stats().edge_warm_solves, 1u);
 }
 
 // The Prometheus text rendering agrees with the counters and emits valid

@@ -99,6 +99,17 @@ TEST(Solver, OutOfRangeSeedThrows) {
   const auto g = make_connected_graph(20, 10, 4);
   EXPECT_THROW((void)solve_steiner_tree(g, std::vector<vertex_id>{5, 999}),
                std::out_of_range);
+
+  // A zero batch would never drain a mailbox: both engines reject it.
+  solver_config config;
+  config.batch_size = 0;
+  for (const auto mode : {runtime::execution_mode::async,
+                          runtime::execution_mode::parallel_threads}) {
+    config.mode = mode;
+    EXPECT_THROW((void)solve_steiner_tree(g, std::vector<vertex_id>{0, 5},
+                                          config),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Solver, DisconnectedSeedsThrowByDefault) {

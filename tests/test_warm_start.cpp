@@ -1,21 +1,25 @@
-// Warm-start recomputation tests: a warm solve after a seed-set delta must be
-// bit-identical to a cold solve (the solver's determinism guarantee) while
-// doing measurably less phase-1/phase-2 work.
+// Warm-start recomputation tests: repairing a donor solve of the same seed set
+// across an edge delta (or an empty one) must be bit-identical to a cold
+// solve (the solver's determinism guarantee) while doing measurably less
+// phase-1/phase-2 work.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/steiner_solver.hpp"
 #include "core/validation.hpp"
 #include "core/warm_start.hpp"
+#include "graph/epoch_graph.hpp"
 #include "graph/generators.hpp"
-#include "util/random.hpp"
 
 namespace {
 
 using namespace dsteiner;
 using namespace dsteiner::core;
+using graph::edge_delta;
+using graph::edge_edit;
+using graph::epoch_graph;
 using graph::vertex_id;
 using graph::weight_t;
 
@@ -34,13 +38,27 @@ void expect_same_tree(const steiner_result& warm, const steiner_result& cold) {
   EXPECT_EQ(warm.spans_all_seeds, cold.spans_all_seeds);
 }
 
-TEST(WarmStart, SeedDeltaHelpers) {
-  const std::vector<vertex_id> donor{2, 5, 9};
-  const std::vector<vertex_id> target{2, 7, 9, 11};
-  const auto delta = compute_seed_delta(donor, target);
-  EXPECT_EQ(delta.added, (std::vector<vertex_id>{7, 11}));
-  EXPECT_EQ(delta.removed, (std::vector<vertex_id>{5}));
-  EXPECT_EQ(delta.size(), 3u);
+/// Derives the epoch that sets the weight of `u`'s first edge to `weight`.
+epoch_graph::ptr reweight_first_edge(const epoch_graph::ptr& base, vertex_id u,
+                                     weight_t weight) {
+  const auto nbrs = base->neighbors(u);
+  EXPECT_FALSE(nbrs.empty());
+  edge_delta delta;
+  delta.edits.push_back(edge_edit::reweight(u, nbrs.front(), weight));
+  return base->derive(delta);
+}
+
+/// Repairs `donor` (solved on `base`) over the edge delta to `next`.
+steiner_result edge_warm(const epoch_graph::ptr& base,
+                         const epoch_graph::ptr& next,
+                         std::span<const vertex_id> seeds,
+                         const solve_artifacts& donor,
+                         const solver_config& config,
+                         warm_start_stats* stats = nullptr) {
+  return solve_steiner_tree_edge_warm(*next->csr(), seeds, donor,
+                                      base->csr()->fingerprint(),
+                                      next->delta_from_parent(), config,
+                                      nullptr, stats);
 }
 
 TEST(WarmStart, CanonicalizeSeedsSortsAndDedups) {
@@ -68,54 +86,6 @@ TEST(WarmStart, CaptureMatchesPlainSolve) {
   EXPECT_GT(artifacts.memory_bytes(), 0u);
 }
 
-TEST(WarmStart, AddSeedEqualsCold) {
-  const auto g = make_connected_graph(150, 25, 3);
-  solver_config config;
-  config.validate = true;
-  solve_artifacts donor;
-  (void)solve_steiner_tree_capture(g, std::vector<vertex_id>{10, 60, 120},
-                                   config, donor);
-  const std::vector<vertex_id> next{10, 60, 90, 120};
-  warm_start_stats stats;
-  const auto warm =
-      solve_steiner_tree_warm(g, next, donor, config, nullptr, &stats);
-  const auto cold = solve_steiner_tree(g, next, config);
-  expect_same_tree(warm, cold);
-  EXPECT_EQ(stats.added_seeds, 1u);
-  EXPECT_EQ(stats.removed_seeds, 0u);
-  EXPECT_EQ(stats.reset_vertices, 0u);
-}
-
-TEST(WarmStart, RemoveSeedEqualsCold) {
-  const auto g = make_connected_graph(150, 25, 4);
-  solver_config config;
-  config.validate = true;
-  solve_artifacts donor;
-  (void)solve_steiner_tree_capture(g, std::vector<vertex_id>{10, 60, 90, 120},
-                                   config, donor);
-  const std::vector<vertex_id> next{10, 60, 120};
-  warm_start_stats stats;
-  const auto warm =
-      solve_steiner_tree_warm(g, next, donor, config, nullptr, &stats);
-  const auto cold = solve_steiner_tree(g, next, config);
-  expect_same_tree(warm, cold);
-  EXPECT_EQ(stats.removed_seeds, 1u);
-  EXPECT_GT(stats.reset_vertices, 0u);  // seed 90's cell contained at least 90
-}
-
-TEST(WarmStart, MixedDeltaEqualsCold) {
-  const auto g = make_connected_graph(200, 30, 5);
-  solver_config config;
-  config.validate = true;
-  solve_artifacts donor;
-  (void)solve_steiner_tree_capture(
-      g, std::vector<vertex_id>{5, 50, 100, 150}, config, donor);
-  const std::vector<vertex_id> next{5, 42, 100, 150, 188};
-  const auto warm = solve_steiner_tree_warm(g, next, donor, config);
-  const auto cold = solve_steiner_tree(g, next, config);
-  expect_same_tree(warm, cold);
-}
-
 TEST(WarmStart, EmptyDeltaReproducesDonorTree) {
   const auto g = make_connected_graph(100, 15, 6);
   solver_config config;
@@ -123,71 +93,38 @@ TEST(WarmStart, EmptyDeltaReproducesDonorTree) {
   const auto first = solve_steiner_tree_capture(
       g, std::vector<vertex_id>{7, 33, 71}, config, donor);
   warm_start_stats stats;
-  const auto warm = solve_steiner_tree_warm(
-      g, std::vector<vertex_id>{7, 33, 71}, donor, config, nullptr, &stats);
+  const auto warm = solve_steiner_tree_edge_warm(
+      g, std::vector<vertex_id>{71, 7, 33}, donor, g.fingerprint(), {}, config,
+      nullptr, &stats);
   expect_same_tree(warm, first);
   EXPECT_EQ(stats.changed_vertices, 0u);
   EXPECT_EQ(stats.rescanned_vertices, 0u);
   EXPECT_EQ(stats.retained_entries, donor.global_en.size());
 }
 
-TEST(WarmStart, RandomDeltaChainEqualsColdEveryStep) {
-  // Chain warm starts (each step's capture feeds the next) through a random
-  // walk of add/remove edits; every step must match the cold solve.
-  const auto g = make_connected_graph(250, 30, 7);
-  solver_config config;
-  config.validate = true;
-  util::rng gen(0xabcde);
-
-  std::vector<vertex_id> seeds{11, 60, 140, 200};
-  solve_artifacts artifacts;
-  (void)solve_steiner_tree_capture(g, seeds, config, artifacts);
-
-  for (int step = 0; step < 12; ++step) {
-    // Mutate: flip 1-3 membership decisions.
-    const int flips = 1 + static_cast<int>(gen.uniform(0, 2));
-    for (int f = 0; f < flips; ++f) {
-      const vertex_id v = gen.uniform(0, g.num_vertices() - 1);
-      const auto it = std::find(seeds.begin(), seeds.end(), v);
-      if (it != seeds.end() && seeds.size() > 2) {
-        seeds.erase(it);
-      } else if (it == seeds.end()) {
-        seeds.push_back(v);
-      }
-    }
-    solve_artifacts next_artifacts;
-    const auto warm = solve_steiner_tree_warm(g, seeds, artifacts, config,
-                                              &next_artifacts);
-    const auto cold = solve_steiner_tree(g, seeds, config);
-    expect_same_tree(warm, cold);
-    artifacts = std::move(next_artifacts);
-    ASSERT_EQ(artifacts.seeds.size(), warm.num_seeds);
-  }
-}
-
 TEST(WarmStart, DoesLessPhaseOneWorkThanCold) {
-  // A spatially local graph with many small cells: a one-seed delta touches
-  // only the handful of neighbouring cells, so both the Voronoi repair and
-  // the partial phase-2 rescan stay local. (On an expander-like graph a
-  // single delta can churn most cells and the incremental rescan
+  // A spatially local graph with many small cells: raising one edge next to
+  // a seed damages only part of that seed's cell, so both the Voronoi repair
+  // and the partial phase-2 rescan stay local. (On an expander-like graph a
+  // single edit can churn most cells and the incremental rescan
   // legitimately approaches full-scan cost.)
   graph::edge_list list = graph::generate_grid(24, 25);  // 600 vertices
   graph::assign_uniform_weights(list, 1, 30, 0x77);
-  const graph::csr_graph g(list);
+  const auto base = epoch_graph::make_base(graph::csr_graph(list));
   solver_config config;
   solve_artifacts donor;
   std::vector<vertex_id> seeds;
   for (vertex_id s = 12; s < 600; s += 30) seeds.push_back(s);  // 20 seeds
-  (void)solve_steiner_tree_capture(g, seeds, config, donor);
+  (void)solve_steiner_tree_capture(*base->csr(), seeds, config, donor);
 
-  seeds.push_back(301);
+  const auto next = reweight_first_edge(base, 312, 500);
   warm_start_stats stats;
-  const auto warm =
-      solve_steiner_tree_warm(g, seeds, donor, config, nullptr, &stats);
-  const auto cold = solve_steiner_tree(g, seeds, config);
+  const auto warm = edge_warm(base, next, seeds, donor, config, &stats);
+  const auto cold = solve_steiner_tree(*next->csr(), seeds, config);
   expect_same_tree(warm, cold);
 
-  EXPECT_LT(stats.rescanned_vertices, g.num_vertices() / 2);
+  EXPECT_GT(stats.reset_vertices, 0u);  // the raised edge was on a witness
+  EXPECT_LT(stats.rescanned_vertices, next->num_vertices() / 2);
 
   const auto* warm_voronoi = warm.phases.find(runtime::phase_names::voronoi);
   const auto* cold_voronoi = cold.phases.find(runtime::phase_names::voronoi);
@@ -209,92 +146,61 @@ TEST(WarmStart, DoesLessPhaseOneWorkThanCold) {
 TEST(WarmStart, DonorConfigDoesNotMatter) {
   // Artifacts are config-independent (determinism): a donor computed under
   // one runtime configuration warm-starts a query under another.
-  const auto g = make_connected_graph(150, 20, 9);
+  const auto base = epoch_graph::make_base(make_connected_graph(150, 20, 9));
+  const std::vector<vertex_id> seeds{12, 55, 101, 140};
   solver_config donor_config;
   donor_config.num_ranks = 4;
   donor_config.policy = runtime::queue_policy::fifo;
   donor_config.mode = runtime::execution_mode::bsp;
   solve_artifacts donor;
-  (void)solve_steiner_tree_capture(g, std::vector<vertex_id>{12, 55, 101},
-                                   donor_config, donor);
+  (void)solve_steiner_tree_capture(*base->csr(), seeds, donor_config, donor);
 
   solver_config query_config;  // defaults: 16 ranks, priority, async
   query_config.validate = true;
-  const std::vector<vertex_id> next{12, 55, 101, 140};
-  const auto warm = solve_steiner_tree_warm(g, next, donor, query_config);
-  const auto cold = solve_steiner_tree(g, next, query_config);
+  const auto next = reweight_first_edge(base, 55, 400);
+  const auto warm = edge_warm(base, next, seeds, donor, query_config);
+  const auto cold = solve_steiner_tree(*next->csr(), seeds, query_config);
   expect_same_tree(warm, cold);
 }
 
 TEST(WarmStart, DenseReductionEqualsCold) {
-  const auto g = make_connected_graph(150, 20, 10);
+  const auto base = epoch_graph::make_base(make_connected_graph(150, 20, 10));
+  const std::vector<vertex_id> seeds{9, 44, 70, 130};
   solver_config config;
   config.dense_distance_graph = true;
   config.allreduce_chunk_items = 3;
   solve_artifacts donor;
-  (void)solve_steiner_tree_capture(g, std::vector<vertex_id>{9, 70, 130},
-                                   config, donor);
-  const std::vector<vertex_id> next{9, 44, 70, 130};
-  const auto warm = solve_steiner_tree_warm(g, next, donor, config);
-  const auto cold = solve_steiner_tree(g, next, config);
+  (void)solve_steiner_tree_capture(*base->csr(), seeds, config, donor);
+  const auto next = reweight_first_edge(base, 70, 1);
+  const auto warm = edge_warm(base, next, seeds, donor, config);
+  const auto cold = solve_steiner_tree(*next->csr(), seeds, config);
   expect_same_tree(warm, cold);
-}
-
-TEST(WarmStart, ForestDeltasWhenSeedsDisconnect) {
-  graph::edge_list list(8);
-  list.add_undirected_edge(0, 1, 3);
-  list.add_undirected_edge(1, 2, 4);
-  list.add_undirected_edge(3, 4, 5);
-  list.add_undirected_edge(4, 5, 2);
-  const graph::csr_graph g(list);
-  solver_config config;
-  config.allow_disconnected_seeds = true;
-  solve_artifacts donor;
-  (void)solve_steiner_tree_capture(g, std::vector<vertex_id>{0, 2, 3}, config,
-                                   donor);
-  const std::vector<vertex_id> next{0, 2, 3, 5};
-  const auto warm = solve_steiner_tree_warm(g, next, donor, config);
-  const auto cold = solve_steiner_tree(g, next, config);
-  expect_same_tree(warm, cold);
-  EXPECT_FALSE(warm.spans_all_seeds);
-}
-
-TEST(WarmStart, ShrinkToSingleSeedYieldsEmptyTree) {
-  const auto g = make_connected_graph(60, 10, 11);
-  solver_config config;
-  solve_artifacts donor;
-  (void)solve_steiner_tree_capture(g, std::vector<vertex_id>{4, 30}, config,
-                                   donor);
-  const auto warm =
-      solve_steiner_tree_warm(g, std::vector<vertex_id>{4}, donor, config);
-  EXPECT_TRUE(warm.tree_edges.empty());
-  EXPECT_EQ(warm.total_distance, 0u);
 }
 
 TEST(WarmStart, MismatchedDonorThrows) {
   const auto g = make_connected_graph(60, 10, 12);
   const auto other = make_connected_graph(90, 10, 13);
+  const std::vector<vertex_id> seeds{1, 50};
   solver_config config;
   solve_artifacts donor;
-  (void)solve_steiner_tree_capture(other, std::vector<vertex_id>{1, 50},
-                                   config, donor);
-  EXPECT_THROW((void)solve_steiner_tree_warm(g, std::vector<vertex_id>{1, 20},
-                                             donor, config),
+  (void)solve_steiner_tree_capture(other, seeds, config, donor);
+  // The fingerprint names the donor's own graph, but |V| differs.
+  EXPECT_THROW((void)solve_steiner_tree_edge_warm(g, seeds, donor,
+                                                  other.fingerprint(), {},
+                                                  config),
                std::invalid_argument);
 
-  // Same |V|, different graph: the fingerprint check must still reject —
-  // repairing stale labels would silently produce a wrong tree.
-  const auto same_size = make_connected_graph(60, 10, 14);
-  solve_artifacts same_size_donor;
-  (void)solve_steiner_tree_capture(same_size, std::vector<vertex_id>{1, 50},
-                                   config, same_size_donor);
-  EXPECT_THROW((void)solve_steiner_tree_warm(
-                   g, std::vector<vertex_id>{1, 20}, same_size_donor, config),
+  // A repair never changes the seed set: a different one is rejected.
+  solve_artifacts own_donor;
+  (void)solve_steiner_tree_capture(g, seeds, config, own_donor);
+  EXPECT_THROW((void)solve_steiner_tree_edge_warm(
+                   g, std::vector<vertex_id>{1, 20, 50}, own_donor,
+                   g.fingerprint(), {}, config),
                std::invalid_argument);
 
   const solve_artifacts empty_donor;
-  EXPECT_THROW((void)solve_steiner_tree_warm(g, std::vector<vertex_id>{1, 20},
-                                             empty_donor, config),
+  EXPECT_THROW((void)solve_steiner_tree_edge_warm(g, seeds, empty_donor,
+                                                  g.fingerprint(), {}, config),
                std::invalid_argument);
 }
 

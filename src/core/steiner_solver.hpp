@@ -173,8 +173,8 @@ struct assist_stats {
 /// runs — |S|, graph scale, their interaction terms, and the engine
 /// mode/worker grant resolved exactly as engine_context will resolve them.
 /// O(1), no CSR access (callers pass epoch header counts, never materialize
-/// an overlay for this). Service-side features (seed spread, overlay
-/// fraction, warm/fragment state) are filled in by the caller.
+/// an overlay for this). Service-side features (overlay fraction,
+/// warm/fragment state) are filled in by the caller.
 [[nodiscard]] obs::query_features extract_query_features(
     graph::vertex_id num_vertices, std::uint64_t num_arcs,
     std::size_t seed_count, const solver_config& config);

@@ -39,8 +39,8 @@ edge_key key_of(graph::vertex_id a, graph::vertex_id b) noexcept {
 }  // namespace
 
 steiner_result solve_steiner_tree_edge_warm(
-    const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
-    const solve_artifacts& prev, std::uint64_t donor_graph_fingerprint,
+    const graph::csr_graph& graph, const solve_artifacts& prev,
+    std::uint64_t donor_graph_fingerprint,
     std::span<const graph::applied_edge_edit> edits, const solver_config& config,
     solve_artifacts* capture, warm_start_stats* stats_out) {
   if (prev.empty() || prev.graph_fingerprint != donor_graph_fingerprint) {
@@ -50,10 +50,6 @@ steiner_result solve_steiner_tree_edge_warm(
   if (prev.state.distance.size() != graph.num_vertices()) {
     throw std::invalid_argument(
         "solve_steiner_tree_edge_warm: donor vertex set differs from the graph");
-  }
-  if (detail::dedup_seeds(graph, seeds) != prev.seeds) {
-    throw std::invalid_argument(
-        "solve_steiner_tree_edge_warm: seed set differs from the donor's");
   }
 
   steiner_result result;

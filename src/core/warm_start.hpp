@@ -96,14 +96,13 @@ struct warm_start_stats {
 /// under any solver_config: the determinism guarantee makes its labelling
 /// config-independent.
 ///
-/// `seeds` is the caller's seed list; it must canonicalize to `prev.seeds`.
-/// The result is bit-identical to solve_steiner_tree(graph, seeds, config).
-/// Throws std::invalid_argument when `prev` does not match
-/// `donor_graph_fingerprint`, the vertex set differs (epochs preserve |V|)
-/// or the seed sets differ; callers such as the service then solve cold.
+/// The result is bit-identical to solve_steiner_tree(graph, prev.seeds,
+/// config). Throws std::invalid_argument when `prev` does not match
+/// `donor_graph_fingerprint` or the vertex set differs (epochs preserve
+/// |V|); callers such as the service then solve cold.
 [[nodiscard]] steiner_result solve_steiner_tree_edge_warm(
-    const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
-    const solve_artifacts& prev, std::uint64_t donor_graph_fingerprint,
+    const graph::csr_graph& graph, const solve_artifacts& prev,
+    std::uint64_t donor_graph_fingerprint,
     std::span<const graph::applied_edge_edit> edits, const solver_config& config,
     solve_artifacts* capture = nullptr, warm_start_stats* stats = nullptr);
 

@@ -12,7 +12,6 @@ const char* query_features::name(std::size_t i) noexcept {
     case k_log_arcs: return "log2_arcs";
     case k_seeds_log_n: return "seeds_x_log2_n";
     case k_seeds_sq: return "seeds_squared";
-    case k_spread: return "seed_spread";
     case k_overlay: return "overlay_fraction";
     case k_warm: return "warm_start";
     case k_fragments: return "fragment_fraction";

@@ -18,7 +18,7 @@
 //     drift (graph mutations, cache temperature, hardware contention)
 //     instead of averaging over a stale past.
 //
-// The RLS update is O(d^2) on a d=12 feature vector behind one mutex —
+// The RLS update is O(d^2) on a d=11 feature vector behind one mutex —
 // nanoseconds against a solve, and admission-rate cheap. Observability is
 // first-class: snapshot() exposes the coefficient vector, sample count and
 // a residual EMA for /statusz and the Prometheus exposition, so the
@@ -35,7 +35,7 @@ namespace dsteiner::obs {
 /// The admission feature vector. Indices are named so the service, the core
 /// extractor and /statusz agree on what each coefficient means.
 struct query_features {
-  static constexpr std::size_t k_dim = 12;
+  static constexpr std::size_t k_dim = 11;
 
   enum index : std::size_t {
     k_bias = 0,         ///< always 1
@@ -44,12 +44,11 @@ struct query_features {
     k_log_arcs = 3,     ///< log2(1 + m)
     k_seeds_log_n = 4,  ///< |S| * log2(1 + n) — per-cell growth proxy
     k_seeds_sq = 5,     ///< |S|^2 — distance-graph pair count (phase 2)
-    k_spread = 6,       ///< oracle seed-spread lower bound (0 = unknown)
-    k_overlay = 7,      ///< epoch overlay fraction (overlay arcs / m)
-    k_warm = 8,         ///< 1 when the solve is a warm-start repair
-    k_fragments = 9,    ///< fraction of seeds with a borrowable fragment
-    k_threaded = 10,    ///< 1 when the threaded engine runs the solve
-    k_inv_threads = 11, ///< 1 / engine worker count (1 for sequential)
+    k_overlay = 6,      ///< epoch overlay fraction (overlay arcs / m)
+    k_warm = 7,         ///< 1 when the solve is a warm-start repair
+    k_fragments = 8,    ///< fraction of seeds with a borrowable fragment
+    k_threaded = 9,     ///< 1 when the threaded engine runs the solve
+    k_inv_threads = 10, ///< 1 / engine worker count (1 for sequential)
   };
 
   std::array<double, k_dim> x{};

@@ -33,10 +33,8 @@ void landmark_oracle::advance_epoch(
   if (tables_ == nullptr) return;
   for (const graph::applied_edge_edit& e : delta) {
     // Raised edits grow true distances: stale tables may now *under*estimate,
-    // so the upper side dies. Lowered edits shrink them: stale tables may
-    // overestimate, so the lower side dies. No-op edits change nothing.
+    // so the upper bounds die. Lowered and no-op edits keep them valid.
     if (e.raised()) upper_valid_ = false;
-    if (e.lowered()) lower_valid_ = false;
   }
 }
 
@@ -44,7 +42,7 @@ bool landmark_oracle::needs_build(std::uint64_t current_fp) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (tables_ == nullptr) return true;
   if (tables_->fingerprint == current_fp) return false;
-  return !(upper_valid_ && lower_valid_ && current_fp_ == current_fp);
+  return !(upper_valid_ && current_fp_ == current_fp);
 }
 
 void landmark_oracle::build(const graph::csr_graph& g, std::uint64_t fp,
@@ -60,7 +58,7 @@ void landmark_oracle::build(const graph::csr_graph& g, std::uint64_t fp,
     const std::lock_guard<std::mutex> lock(mutex_);
     tables_ = std::move(fresh);
     ++builds_;
-    upper_valid_ = lower_valid_ = (current_fp_ == fp);
+    upper_valid_ = current_fp_ == fp;
     return;
   }
   const std::size_t k =
@@ -147,26 +145,20 @@ void landmark_oracle::build(const graph::csr_graph& g, std::uint64_t fp,
   }
   tables_ = std::move(fresh);
   ++builds_;
-  const bool current = current_fp_ == fp;
-  upper_valid_ = current;
-  lower_valid_ = current;
+  upper_valid_ = current_fp_ == fp;
 }
 
-landmark_oracle::tables_ptr landmark_oracle::usable(std::uint64_t fp,
-                                                    bool need_upper,
-                                                    bool need_lower) const {
+landmark_oracle::tables_ptr landmark_oracle::usable(std::uint64_t fp) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (tables_ == nullptr || tables_->dist.empty()) return nullptr;
   if (tables_->fingerprint == fp) return tables_;  // exact build epoch
   if (current_fp_ != fp) return nullptr;           // some other (pinned) epoch
-  if (need_upper && !upper_valid_) return nullptr;
-  if (need_lower && !lower_valid_) return nullptr;
-  return tables_;
+  return upper_valid_ ? tables_ : nullptr;
 }
 
 std::vector<graph::weight_t> landmark_oracle::prune_bounds(
     std::uint64_t fp, std::span<const graph::vertex_id> seeds) const {
-  const tables_ptr t = usable(fp, /*need_upper=*/true, /*need_lower=*/false);
+  const tables_ptr t = usable(fp);
   if (t == nullptr || seeds.empty()) return {};
   const std::size_t n = t->dist.front().size();
   // min_s d(l, s) per landmark, then ub[v] = min_l (min_sd[l] + d(l, v)).
@@ -184,50 +176,12 @@ std::vector<graph::weight_t> landmark_oracle::prune_bounds(
   return bounds;
 }
 
-graph::weight_t landmark_oracle::lower_bound(std::uint64_t fp,
-                                             graph::vertex_id u,
-                                             graph::vertex_id v) const {
-  const tables_ptr t = usable(fp, /*need_upper=*/false, /*need_lower=*/true);
-  if (t == nullptr) return 0;
-  graph::weight_t best = 0;
-  for (const auto& d : t->dist) {
-    if (u >= d.size() || v >= d.size()) return 0;
-    const graph::weight_t du = d[u];
-    const graph::weight_t dv = d[v];
-    const bool u_inf = du == graph::k_inf_distance;
-    const bool v_inf = dv == graph::k_inf_distance;
-    if (u_inf && v_inf) continue;  // landmark sees neither: no information
-    if (u_inf != v_inf) return graph::k_inf_distance;  // different components
-    best = std::max(best, du > dv ? du - dv : dv - du);
-  }
-  return best;
-}
-
-double landmark_oracle::seed_spread(
-    std::uint64_t fp, std::span<const graph::vertex_id> seeds) const {
-  if (seeds.size() < 2) return 0.0;
-  double total = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    graph::weight_t nearest = graph::k_inf_distance;
-    for (std::size_t j = 0; j < seeds.size() && nearest > 0; ++j) {
-      if (i == j) continue;
-      nearest = std::min(nearest, lower_bound(fp, seeds[i], seeds[j]));
-    }
-    if (nearest == graph::k_inf_distance) continue;  // disconnected co-seeds
-    total += static_cast<double>(nearest);
-    ++counted;
-  }
-  return counted == 0 ? 0.0 : total / static_cast<double>(counted);
-}
-
 landmark_oracle::stats_data landmark_oracle::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   stats_data s;
   s.builds = builds_;
   s.built = tables_ != nullptr && !tables_->dist.empty();
   s.upper_valid = s.built && upper_valid_;
-  s.lower_valid = s.built && lower_valid_;
   s.landmarks = tables_ != nullptr ? tables_->landmarks.size() : 0;
   s.built_fingerprint = tables_ != nullptr ? tables_->fingerprint : 0;
   return s;

@@ -1,23 +1,15 @@
-// Landmark distance oracle — cheap upper/lower bounds on graph distances.
+// Landmark distance oracle — cheap upper bounds on graph distances.
 //
-// K landmark vertices, each with a full SSSP distance table, give two bounds
-// for any pair (u, v) by the triangle inequality:
+// K landmark vertices, each with a full SSSP distance table, bound any pair
+// (u, v) from above by the triangle inequality:
 //
-//   lower:  max_l |d(l,u) - d(l,v)|  <=  d(u,v)  <=  min_l d(l,u) + d(l,v)
+//   d(u,v)  <=  min_l d(l,u) + d(l,v)
 //
-// Three serving-layer consumers:
-//   1. phase-1 pruning: for a query's seed set S, ub[v] = min_l (min_s d(l,s)
-//      + d(l,v)) upper-bounds v's final Voronoi distance, so a frontier
-//      visitor proposing a strictly larger distance is provably non-improving
-//      and can be dropped at admission (core::voronoi_prune) — output
-//      preserved, relaxation cascades cut;
-//   2. admission cost model: the mean lower-bound distance from each seed to
-//      its nearest co-seed ("seed spread") predicts how much graph a solve
-//      must traverse, sharpening the per-path completion estimate beyond a
-//      global p50;
-//   3. donor pre-ranking: an added seed's future cell volume scales with its
-//      lower-bound distance to the donor's seeds — rank donors without
-//      probing them.
+// One serving-layer consumer, phase-1 pruning: for a query's seed set S,
+// ub[v] = min_l (min_s d(l,s) + d(l,v)) upper-bounds v's final Voronoi
+// distance, so a frontier visitor proposing a strictly larger distance is
+// provably non-improving and can be dropped at admission
+// (core::voronoi_prune) — output preserved, relaxation cascades cut.
 //
 // Landmarks are degree/ecc-sampled: the first is the highest-degree vertex,
 // the rest maximize the minimum distance to the landmarks already chosen
@@ -26,11 +18,10 @@
 // cooperative cancellation checkpoints between waves.
 //
 // Epoch invalidation rides the existing edge-delta machinery instead of
-// rebuilding eagerly: raising/disabling edges can only *grow* true distances,
-// so stale tables remain valid upper bounds through lowered-only deltas and
-// valid lower bounds through raised-only deltas. Each advance therefore
-// degrades at most one side; a side is unusable only after a delta moved
-// distances in its direction, and the next build restores both.
+// rebuilding eagerly: lowering/enabling edges can only *shrink* true
+// distances, so stale tables remain valid upper bounds through lowered-only
+// deltas. The bounds become unusable only after a raised or disabled edit,
+// and the next build restores them.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +49,6 @@ class landmark_oracle {
     std::uint64_t builds = 0;
     bool built = false;
     bool upper_valid = false;  ///< UBs usable against the current epoch
-    bool lower_valid = false;  ///< LBs usable against the current epoch
     std::size_t landmarks = 0;
     std::uint64_t built_fingerprint = 0;
   };
@@ -68,9 +58,9 @@ class landmark_oracle {
 
   /// Registers an epoch advance: `delta` is the applied edit batch deriving
   /// the new epoch (epoch_graph::delta_from_parent). Raised/disabled edits
-  /// invalidate upper bounds, lowered/enabled ones invalidate lower bounds;
-  /// bounds for the exact built fingerprint always stay usable (pinned
-  /// queries on the build epoch keep full pruning).
+  /// invalidate the upper bounds; bounds for the exact built fingerprint
+  /// always stay usable (pinned queries on the build epoch keep full
+  /// pruning).
   void advance_epoch(std::uint64_t new_fingerprint,
                      std::span<const graph::applied_edge_edit> delta);
 
@@ -82,24 +72,13 @@ class landmark_oracle {
              const util::run_budget* budget = nullptr);
 
   /// True when a build against `current_fp` would improve the oracle (never
-  /// built, or either bound side went stale for that epoch).
+  /// built, or a raised edit left the bounds stale for that epoch).
   [[nodiscard]] bool needs_build(std::uint64_t current_fp) const;
 
   /// Per-vertex upper bounds on min_{s in seeds} d(s, v) for the epoch with
   /// content fingerprint `fp` — the voronoi_prune input. Empty when the
   /// upper side is unusable for that epoch. `seeds` must be canonical.
   [[nodiscard]] std::vector<graph::weight_t> prune_bounds(
-      std::uint64_t fp, std::span<const graph::vertex_id> seeds) const;
-
-  /// Lower bound on d(u, v) for epoch `fp`; 0 when unusable (always a valid
-  /// lower bound). k_inf_distance when the landmarks prove u,v disconnected.
-  [[nodiscard]] graph::weight_t lower_bound(std::uint64_t fp,
-                                            graph::vertex_id u,
-                                            graph::vertex_id v) const;
-
-  /// Mean lower-bound distance from each seed to its nearest co-seed — the
-  /// cost model's spread feature. 0.0 when unusable (or |seeds| < 2).
-  [[nodiscard]] double seed_spread(
       std::uint64_t fp, std::span<const graph::vertex_id> seeds) const;
 
   [[nodiscard]] stats_data stats() const;
@@ -113,16 +92,14 @@ class landmark_oracle {
   };
   using tables_ptr = std::shared_ptr<const tables>;
 
-  /// Snapshot usable for the given epoch and bound side, else nullptr.
-  [[nodiscard]] tables_ptr usable(std::uint64_t fp, bool need_upper,
-                                  bool need_lower) const;
+  /// Snapshot whose upper bounds hold for the given epoch, else nullptr.
+  [[nodiscard]] tables_ptr usable(std::uint64_t fp) const;
 
   config config_;
   mutable std::mutex mutex_;
   tables_ptr tables_;          ///< swapped whole on rebuild
   std::uint64_t current_fp_ = 0;
   bool upper_valid_ = false;   ///< vs current_fp_
-  bool lower_valid_ = false;
   std::uint64_t builds_ = 0;
 };
 

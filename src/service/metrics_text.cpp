@@ -174,9 +174,6 @@ std::string render_metrics_text(const service_snapshot& snap,
   w.counter("cluster_straggler_supersteps_total",
             "Attributed supersteps whose max/median compute skew reached 2x",
             s.cluster_straggler_supersteps);
-  w.counter("bound_sharpened_admissions_total",
-            "Admission cost estimates scaled by oracle seed spread",
-            s.bound_sharpened);
   priority_counter(w, "requests_admitted_total",
                    "Requests admitted, by priority class",
                    s.admitted_by_priority);

@@ -401,8 +401,8 @@ std::uint64_t steiner_service::advance_epoch(const graph::edge_delta& delta) {
   const std::uint64_t first_live = epochs_.first_live_epoch();
   (void)cache_.retire_epochs_before(first_live);
   (void)fragments_.retire_epochs_before(first_live);
-  // The oracle degrades instead of dying: the applied delta's direction
-  // decides which bound side (if any) the stale landmark tables keep.
+  // The oracle degrades instead of dying: stale landmark tables keep valid
+  // upper bounds unless the applied delta raised or disabled an edge.
   oracle_.advance_epoch(next->fingerprint(), next->delta_from_parent());
   {
     const std::lock_guard<std::mutex> lock(donors_mutex_);
@@ -467,9 +467,6 @@ obs::query_features steiner_service::build_query_features(
   // cost O(m) on the request path.
   obs::query_features f = core::extract_query_features(
       epoch.num_vertices(), epoch.num_arcs(), canonical.size(), solver_config);
-  if (config_.enable_oracle) {
-    f.x[qf::k_spread] = oracle_.seed_spread(epoch.fingerprint(), canonical);
-  }
   const std::uint64_t arcs = epoch.num_arcs();
   f.x[qf::k_overlay] =
       arcs == 0 ? 0.0
@@ -542,27 +539,7 @@ admission_estimates steiner_service::estimate_completion_seconds(
                         canonical.size() > 1 &&
                         find_donor(canonical, *epoch).has_value();
   const double warm_p50 = warm_solve_hist_.snapshot().quantile(0.5);
-  double cold_p50 = cold_solve_hist_.snapshot().quantile(0.5);
-  // Oracle sharpening: scale the global cold p50 by this request's seed
-  // spread relative to the spread of past cold solves — a tight cluster of
-  // seeds traverses far less graph than the median historical query, a
-  // scattered one far more. Clamped so a noisy bound can at most halve or
-  // double the estimate.
-  if (cold_p50 > 0.0 && config_.enable_oracle) {
-    const std::uint64_t samples =
-        spread_samples_.load(std::memory_order_acquire);
-    const double spread =
-        oracle_.seed_spread(epoch->fingerprint(), canonical);
-    if (samples > 0 && spread > 0.0) {
-      const double mean_spread =
-          spread_sum_.load(std::memory_order_acquire) /
-          static_cast<double>(samples);
-      if (mean_spread > 0.0) {
-        cold_p50 *= std::clamp(spread / mean_spread, 0.5, 2.0);
-        ++bound_sharpened_;
-      }
-    }
-  }
+  const double cold_p50 = cold_solve_hist_.snapshot().quantile(0.5);
   est.baseline = drain + (warmable && warm_p50 > 0.0 ? warm_p50 : cold_p50);
   est.used = est.baseline;
 
@@ -900,7 +877,7 @@ query_result steiner_service::execute(query q, double queue_wait,
           // artifacts; otherwise this is a cross-epoch repair over the
           // composed edge delta.
           out.result = core::solve_steiner_tree_edge_warm(
-              *csr, canonical, *match->artifacts, match->graph_fingerprint,
+              *csr, *match->artifacts, match->graph_fingerprint,
               match->edits, solver_config, artifacts.get(), &out.warm);
           out.kind = solve_kind::warm_start;
           ++warm_solves_;
@@ -961,36 +938,18 @@ query_result steiner_service::execute(query q, double queue_wait,
                              static_cast<double>(prune_bound.size()));
           }
         }
-        if (assists.empty()) {
-          out.result = artifacts != nullptr
-                           ? core::solve_steiner_tree_capture(
-                                 *csr, canonical, solver_config, *artifacts)
-                           : core::solve_steiner_tree(*csr, canonical,
-                                                      solver_config);
-        } else {
-          out.result = core::solve_steiner_tree_assisted(
-              *csr, canonical, assists, solver_config, artifacts.get(),
-              &out.assist);
-          if (out.assist.fragments_injected > 0) {
-            ++fragment_assisted_;
-            fragment_hits_ += out.assist.fragments_injected;
-            preseeded_vertices_ += out.assist.preseeded_vertices;
-          }
-          oracle_pruned_visitors_ += out.assist.pruned_visitors;
+        out.result = core::solve_steiner_tree_assisted(
+            *csr, canonical, assists, solver_config, artifacts.get(),
+            &out.assist);
+        if (out.assist.fragments_injected > 0) {
+          ++fragment_assisted_;
+          fragment_hits_ += out.assist.fragments_injected;
+          preseeded_vertices_ += out.assist.preseeded_vertices;
         }
+        oracle_pruned_visitors_ += out.assist.pruned_visitors;
       }
       out.kind = solve_kind::cold;
       ++cold_solves_;
-      // Feed the admission model's spread baseline (only meaningful when
-      // the oracle's lower side is usable; seed_spread returns 0 otherwise).
-      if (config_.enable_oracle) {
-        const double spread =
-            oracle_.seed_spread(epoch->fingerprint(), canonical);
-        if (spread > 0.0) {
-          spread_sum_.fetch_add(spread, std::memory_order_acq_rel);
-          spread_samples_.fetch_add(1, std::memory_order_acq_rel);
-        }
-      }
     }
     out.solve_seconds = solve_timer.seconds();
     (out.kind == solve_kind::warm_start ? warm_solve_hist_ : cold_solve_hist_)
@@ -1090,7 +1049,6 @@ service_stats steiner_service::stats() const {
   s.preseeded_vertices = preseeded_vertices_.load();
   s.oracle_pruned_visitors = oracle_pruned_visitors_.load();
   s.oracle_builds = oracle_.stats().builds;
-  s.bound_sharpened = bound_sharpened_.load();
   s.distributed_solves = distributed_solves_.load();
   s.net_bytes_sent = net_bytes_sent_.load();
   s.net_bytes_modelled = net_bytes_modelled_.load();

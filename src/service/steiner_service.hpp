@@ -111,9 +111,9 @@ struct service_config {
   /// false (the "reuse nothing" switch).
   bool enable_fragment_reuse = true;
   distshare::fragment_store_config fragment_store{};
-  /// Landmark oracle: upper bounds prune phase-1 admission, lower bounds
-  /// sharpen admission cost estimates. Costs K SSSP trees
-  /// per epoch (built lazily in the background on first demand; see
+  /// Landmark oracle: its upper bounds prune phase-1 admission of cold
+  /// solves (same tree, fewer relaxations). Costs K SSSP trees per epoch
+  /// (built lazily in the background on first demand; see
   /// warm_distance_oracle() for a blocking build) — opt-in because small or
   /// short-lived deployments never recoup the build.
   bool enable_oracle = false;
@@ -132,8 +132,8 @@ struct service_config {
   /// into the flight recorder even with enabled = false.
   obs::trace_config trace{};
   /// Learned admission cost model (obs/cost_model.hpp): an online RLS
-  /// regression from per-query features (|S|, graph scale, seed spread,
-  /// overlay fraction, warm/fragment state, engine grant) to solve seconds,
+  /// regression from per-query features (|S|, graph scale, overlay
+  /// fraction, warm/fragment state, engine grant) to solve seconds,
   /// trained from every completed solve. Admission switches from the global
   /// per-path p50 baseline to the model once it has cost_model.min_samples
   /// observations; both predictions are exported side by side either way.
@@ -201,7 +201,6 @@ struct service_stats {
   std::uint64_t preseeded_vertices = 0;  ///< labels adopted before relaxation
   std::uint64_t oracle_pruned_visitors = 0;  ///< admission drops by UB bound
   std::uint64_t oracle_builds = 0;           ///< landmark table (re)builds
-  std::uint64_t bound_sharpened = 0;  ///< admission estimates the oracle scaled
   /// Requests admitted/shed per priority class (shed = queue-full rejections,
   /// displacements, queued-deadline expiries and unmeetable rejections).
   std::array<std::uint64_t, k_priority_classes> admitted_by_priority{};
@@ -307,7 +306,7 @@ class steiner_service {
   /// lazy background build instead; this is for tests, benches and warm-up
   /// scripts that need deterministic oracle availability.
   void warm_distance_oracle();
-  /// Oracle state (validity per bound side, landmark count) — read-only.
+  /// Oracle state (bound validity, landmark count) — read-only.
   [[nodiscard]] distshare::landmark_oracle::stats_data oracle_stats() const {
     return oracle_.stats();
   }
@@ -463,11 +462,6 @@ class steiner_service {
   /// Epoch fingerprint a background oracle build was last kicked for —
   /// dedupes the lazy build trigger without blocking queries.
   std::atomic<std::uint64_t> oracle_kicked_fp_{0};
-  /// Rolling mean of the oracle's seed-spread feature over completed cold
-  /// solves — the denominator that turns a request's spread into a scale
-  /// factor on the cold-p50 estimate.
-  std::atomic<double> spread_sum_{0.0};
-  std::atomic<std::uint64_t> spread_samples_{0};
 
   /// Per-stage latency histograms behind snapshot().
   latency_histogram queue_wait_hist_;
@@ -575,7 +569,6 @@ class steiner_service {
   std::atomic<std::uint64_t> fragment_hits_{0};
   std::atomic<std::uint64_t> preseeded_vertices_{0};
   std::atomic<std::uint64_t> oracle_pruned_visitors_{0};
-  std::atomic<std::uint64_t> bound_sharpened_{0};
   std::atomic<std::uint64_t> distributed_solves_{0};
   std::atomic<std::uint64_t> net_bytes_sent_{0};
   std::atomic<std::uint64_t> net_bytes_modelled_{0};

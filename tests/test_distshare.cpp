@@ -202,7 +202,6 @@ TEST(LandmarkOracle, BoundsSandwichTrueDistances) {
     oracle.build(g, g.fingerprint());
     ASSERT_TRUE(oracle.stats().built);
     EXPECT_TRUE(oracle.stats().upper_valid);
-    EXPECT_TRUE(oracle.stats().lower_valid);
 
     const std::vector<vertex_id> sources = random_seeds(g, 4, gen);
     std::vector<vertex_id> canonical = sources;
@@ -217,13 +216,6 @@ TEST(LandmarkOracle, BoundsSandwichTrueDistances) {
       for (vertex_id v = 0; v < g.num_vertices(); ++v) {
         truth[v] = std::min(truth[v], d[v]);
       }
-      for (vertex_id v = 0; v < g.num_vertices(); ++v) {
-        // lower_bound(s, v) <= d(s, v) for every pair.
-        const weight_t lb = oracle.lower_bound(g.fingerprint(), s, v);
-        if (d[v] != graph::k_inf_distance) {
-          EXPECT_LE(lb, d[v]) << "lb violated for (" << s << "," << v << ")";
-        }
-      }
     }
     for (vertex_id v = 0; v < g.num_vertices(); ++v) {
       // ub[v] >= min_s d(s, v): pruning strictly above ub is safe.
@@ -237,31 +229,38 @@ TEST(LandmarkOracle, EdgeDeltaDegradesTheRightBoundSide) {
   landmark_oracle oracle({4, 2});
   oracle.advance_epoch(g.fingerprint(), {});
   oracle.build(g, g.fingerprint());
-  ASSERT_TRUE(oracle.stats().upper_valid && oracle.stats().lower_valid);
+  ASSERT_TRUE(oracle.stats().upper_valid);
+  EXPECT_FALSE(oracle.needs_build(g.fingerprint()));
 
-  // A raised edge grows distances: stale tables may understate, upper dies.
-  graph::applied_edge_edit raised;
-  raised.u = g.neighbors(0).empty() ? 1 : 0;
-  raised.v = g.neighbors(0).empty() ? 2 : g.neighbors(0).front();
-  raised.had_edge = raised.has_edge = true;
+  // A lowered edge shrinks distances: stale tables still overstate them, so
+  // the prune bounds hold on the new epoch and no rebuild is needed.
+  graph::applied_edge_edit lowered;
+  lowered.u = g.neighbors(0).empty() ? 1 : 0;
+  lowered.v = g.neighbors(0).empty() ? 2 : g.neighbors(0).front();
+  lowered.had_edge = lowered.has_edge = true;
+  lowered.old_weight = 5;
+  lowered.new_weight = 1;
+  oracle.advance_epoch(g.fingerprint() ^ 0xA, {&lowered, 1});
+  EXPECT_TRUE(oracle.stats().upper_valid);
+  EXPECT_FALSE(
+      oracle.prune_bounds(g.fingerprint() ^ 0xA, std::vector<vertex_id>{0})
+          .empty());
+  EXPECT_FALSE(oracle.needs_build(g.fingerprint() ^ 0xA));
+
+  // A raised edge grows distances: stale tables may understate, the bounds
+  // die until the next build.
+  graph::applied_edge_edit raised = lowered;
   raised.old_weight = 1;
   raised.new_weight = 5;
-  oracle.advance_epoch(g.fingerprint() ^ 0xA, {&raised, 1});
+  oracle.advance_epoch(g.fingerprint() ^ 0xB, {&raised, 1});
   EXPECT_FALSE(oracle.stats().upper_valid);
-  EXPECT_TRUE(oracle.stats().lower_valid);
-  EXPECT_TRUE(oracle.prune_bounds(g.fingerprint() ^ 0xA, {}).empty());
+  EXPECT_TRUE(
+      oracle.prune_bounds(g.fingerprint() ^ 0xB, std::vector<vertex_id>{0})
+          .empty());
+  EXPECT_TRUE(oracle.needs_build(g.fingerprint() ^ 0xB));
   // Bounds for the exact build fingerprint stay fully usable (pinned epoch).
   EXPECT_FALSE(
       oracle.prune_bounds(g.fingerprint(), std::vector<vertex_id>{0}).empty());
-
-  // A lowered edge shrinks distances: stale tables may overstate, lower dies.
-  graph::applied_edge_edit lowered = raised;
-  lowered.old_weight = 5;
-  lowered.new_weight = 1;
-  oracle.advance_epoch(g.fingerprint() ^ 0xB, {&lowered, 1});
-  EXPECT_FALSE(oracle.stats().lower_valid);
-  EXPECT_EQ(oracle.lower_bound(g.fingerprint() ^ 0xB, 0, 5), 0u);
-  EXPECT_TRUE(oracle.needs_build(g.fingerprint() ^ 0xB));
 }
 
 // ---- bit-identity of assisted solves ----------------------------------------
@@ -445,17 +444,15 @@ TEST(ServiceDistshare, EpochAdvanceRetiresFragmentsAndOracle) {
       {{graph::edge_edit::reweight(u, v, w + 10)}});
   EXPECT_EQ(svc.fragments().snapshot().fragments, 0u);
   EXPECT_FALSE(svc.oracle_stats().upper_valid);
-  EXPECT_TRUE(svc.oracle_stats().lower_valid);
 
   // Queries on the new epoch still solve correctly (no assists available).
   const auto after = svc.solve(service::request{q});
   EXPECT_EQ(after.kind, service::solve_kind::cold);
   EXPECT_EQ(after.assist.fragments_injected, 0u);
 
-  // A blocking re-warm restores both bound sides for the new epoch.
+  // A blocking re-warm restores the bounds for the new epoch.
   svc.warm_distance_oracle();
   EXPECT_TRUE(svc.oracle_stats().upper_valid);
-  EXPECT_TRUE(svc.oracle_stats().lower_valid);
 }
 
 TEST(ServiceDistshare, OracleAssistedServiceSolvesMatchPlain) {

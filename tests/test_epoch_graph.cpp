@@ -168,6 +168,32 @@ TEST(EpochGraph, RejectsInvalidEdits) {
                std::invalid_argument);  // already present
 }
 
+// Epoch edits act per undirected pair: a disable drops every parallel arc of
+// the pair, and a reweight sets every one of them.
+TEST(EpochGraph, EditsActOnEveryParallelArcOfAPair) {
+  graph::edge_list list(4);
+  list.add_undirected_edge(0, 1, 9);
+  list.add_undirected_edge(0, 1, 12);  // heavier parallel arc
+  list.add_undirected_edge(1, 2, 4);
+  list.add_undirected_edge(0, 3, 15);
+  list.add_undirected_edge(0, 3, 16);
+  const auto base = epoch_graph::make_base(graph::csr_graph(list));
+  ASSERT_EQ(base->edge_weight(0, 1), std::optional<weight_t>(9));
+
+  edge_delta delta;
+  delta.edits.push_back(edge_edit::disable(0, 3));
+  delta.edits.push_back(edge_edit::reweight(0, 1, 18));
+  const auto next = base->derive(delta);
+  EXPECT_FALSE(next->edge_weight(0, 3).has_value());
+  EXPECT_EQ(next->degree(3), 0u);
+  EXPECT_EQ(next->edge_weight(0, 1), std::optional<weight_t>(18));
+  EXPECT_EQ(next->edge_weight(1, 0), std::optional<weight_t>(18));
+  for (const weight_t w : next->weights(0)) EXPECT_EQ(w, 18u);
+  // The materialized CSR agrees with the overlay.
+  EXPECT_EQ(next->csr()->degree(3), 0u);
+  EXPECT_EQ(next->csr()->edge_weight(0, 1), std::optional<weight_t>(18));
+}
+
 TEST(EpochGraph, CompactionRebasesAndPreservesContent) {
   const auto base = epoch_graph::make_base(make_connected_graph(60, 10, 5));
   // Reweight every edge: the overlay touches every row, far past any
@@ -300,7 +326,7 @@ void check_edge_warm(const epoch_graph::ptr& epoch, const edge_delta& delta,
   const auto next = epoch->derive(delta);
   warm_start_stats stats;
   const auto warm = solve_steiner_tree_edge_warm(
-      *next->csr(), seeds, donor, epoch->csr()->fingerprint(),
+      *next->csr(), donor, epoch->csr()->fingerprint(),
       next->delta_from_parent(), config, nullptr, &stats);
   const auto cold = solve_steiner_tree(*next->csr(), seeds, config);
   expect_same_tree(warm, cold);
@@ -358,8 +384,8 @@ TEST(EdgeWarmStart, MismatchedDonorFingerprintThrows) {
   const auto next = base->derive(delta);
   EXPECT_THROW(
       (void)solve_steiner_tree_edge_warm(
-          *next->csr(), std::vector<vertex_id>{1, 40}, donor,
-          /*donor_graph_fingerprint=*/0xdead, next->delta_from_parent(), config),
+          *next->csr(), donor, /*donor_graph_fingerprint=*/0xdead,
+          next->delta_from_parent(), config),
       std::invalid_argument);
 }
 
@@ -412,7 +438,7 @@ void randomized_edge_chain(runtime::execution_mode mode, std::uint64_t rng_seed)
     ASSERT_TRUE(composed.has_value());
     solve_artifacts next_artifacts;
     const auto warm = solve_steiner_tree_edge_warm(
-        *next->csr(), seeds, artifacts, donor_fp, *composed, config,
+        *next->csr(), artifacts, donor_fp, *composed, config,
         &next_artifacts);
     const auto cold = solve_steiner_tree(*next->csr(), seeds, config);
     expect_same_tree(warm, cold);
@@ -456,7 +482,7 @@ TEST(EdgeWarmStart, MultiEpochComposedDeltaEqualsCold) {
   const auto composed = store.delta_between(0, target->epoch_id());
   ASSERT_TRUE(composed.has_value());
   const auto warm = solve_steiner_tree_edge_warm(
-      *target->csr(), seeds, donor, donor_fp, *composed, config);
+      *target->csr(), donor, donor_fp, *composed, config);
   const auto cold = solve_steiner_tree(*target->csr(), seeds, config);
   expect_same_tree(warm, cold);
 }

@@ -1,12 +1,10 @@
-// Tests for the extension modules: binary graph IO, dual-ascent lower bounds
-// and key-path improvement.
+// Tests for the extension modules: dual-ascent lower bounds and key-path
+// improvement.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <sstream>
-#include <string>
+#include <stdexcept>
 #include <tuple>
-#include <utility>
+#include <vector>
 
 #include "baselines/dual_ascent.hpp"
 #include "baselines/exact.hpp"
@@ -16,7 +14,6 @@
 #include "core/validation.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
-#include "graph/graph_io.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -39,128 +36,6 @@ std::vector<vertex_id> pick_seeds(const graph::csr_graph& g, std::size_t count,
   const auto picks =
       util::sample_without_replacement(g.num_vertices(), count, gen);
   return {picks.begin(), picks.end()};
-}
-
-// ---- Binary graph IO.
-
-TEST(GraphIo, RoundTripPreservesEverything) {
-  const auto g = make_connected_graph(120, 40, 7);
-  std::stringstream buffer;
-  graph::save_binary_graph(buffer, g);
-  const auto loaded = graph::load_binary_graph(buffer);
-  EXPECT_EQ(loaded.num_vertices(), g.num_vertices());
-  EXPECT_EQ(loaded.num_arcs(), g.num_arcs());
-  EXPECT_EQ(loaded.offsets(), g.offsets());
-  EXPECT_EQ(loaded.targets(), g.targets());
-  EXPECT_EQ(loaded.arc_weights(), g.arc_weights());
-}
-
-TEST(GraphIo, RejectsBadMagic) {
-  std::stringstream buffer("not a graph at all, definitely");
-  EXPECT_THROW((void)graph::load_binary_graph(buffer), std::runtime_error);
-}
-
-TEST(GraphIo, RejectsTruncation) {
-  const auto g = make_connected_graph(50, 10, 9);
-  std::stringstream buffer;
-  graph::save_binary_graph(buffer, g);
-  const std::string full = buffer.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW((void)graph::load_binary_graph(truncated), std::runtime_error);
-}
-
-TEST(GraphIo, FileRoundTrip) {
-  const auto g = make_connected_graph(30, 10, 11);
-  const std::string path = "/tmp/dsteiner_io_test.bin";
-  graph::save_binary_graph_file(path, g);
-  const auto loaded = graph::load_binary_graph_file(path);
-  EXPECT_EQ(loaded.targets(), g.targets());
-  EXPECT_THROW((void)graph::load_binary_graph_file("/nonexistent/x.bin"),
-               std::runtime_error);
-}
-
-/// A version-1 binary graph stream written straight from raw arrays.
-std::string raw_binary_graph(const std::vector<std::uint64_t>& offsets,
-                             const std::vector<vertex_id>& targets,
-                             const std::vector<weight_t>& weights) {
-  std::string out;
-  const auto put = [&out](std::uint64_t v) {
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put(graph::k_binary_graph_magic);
-  put(1);
-  for (const auto* array : {&offsets, &targets, &weights}) {
-    put(array->size());
-    for (const std::uint64_t v : *array) put(v);
-  }
-  return out;
-}
-
-TEST(GraphIo, RejectsArraysThatAreNotACsrGraph) {
-  const std::vector<weight_t> w5(5, 1);
-  for (const auto& [offsets, targets] :
-       std::vector<std::pair<std::vector<std::uint64_t>, std::vector<vertex_id>>>{
-           {{0, 100, 5}, {1, 0, 1, 0, 1}},  // decreasing: reads past targets
-           {{1, 3, 5}, {1, 0, 1, 0, 1}},    // first offset not 0
-           {{0, 3, 5}, {1, 0, 9, 0, 1}},    // target 9 >= n = 2
-       }) {
-    std::stringstream in(raw_binary_graph(offsets, targets, w5));
-    EXPECT_THROW((void)graph::load_binary_graph(in), std::runtime_error);
-  }
-  // An array count far beyond what the stream holds is a truncation, not an
-  // allocation of that size.
-  std::string huge = raw_binary_graph({0}, {}, {});
-  const std::uint64_t count = std::uint64_t{1} << 60;
-  huge.replace(16, sizeof(count), reinterpret_cast<const char*>(&count),
-               sizeof(count));
-  std::stringstream in(huge);
-  EXPECT_THROW((void)graph::load_binary_graph(in), std::runtime_error);
-}
-
-// Seeded mutation fuzz: truncated, extended and byte-flipped copies of a
-// valid file either load as a well-formed graph or raise
-// std::runtime_error — never another exception, never a broken graph.
-TEST(GraphIo, MutatedBinaryGraphsOnlyRaiseRuntimeError) {
-  const auto g = make_connected_graph(20, 9, 29);
-  std::stringstream buffer;
-  graph::save_binary_graph(buffer, g);
-  const std::string valid = buffer.str();
-
-  util::rng gen(0x10AD);
-  for (int i = 0; i < 600; ++i) {
-    std::string bytes = valid;
-    switch (gen.uniform(0, 2)) {
-      case 0:  // truncate
-        bytes.resize(gen.uniform(0, bytes.size() - 1));
-        break;
-      case 1:  // extend
-        for (std::uint64_t k = gen.uniform(1, 40); k > 0; --k) {
-          bytes.push_back(static_cast<char>(gen.uniform(0, 255)));
-        }
-        break;
-      default:  // flip 1-4 bytes
-        for (std::uint64_t k = gen.uniform(1, 4); k > 0; --k) {
-          bytes[gen.uniform(0, bytes.size() - 1)] ^=
-              static_cast<char>(gen.uniform(1, 255));
-        }
-    }
-    std::stringstream in(bytes);
-    try {
-      const graph::csr_graph loaded = graph::load_binary_graph(in);
-      const auto& offsets = loaded.offsets();
-      ASSERT_FALSE(offsets.empty()) << "mutation " << i;
-      EXPECT_EQ(offsets.front(), 0u) << "mutation " << i;
-      EXPECT_TRUE(std::is_sorted(offsets.begin(), offsets.end()))
-          << "mutation " << i;
-      EXPECT_EQ(offsets.back(), loaded.num_arcs()) << "mutation " << i;
-      for (const vertex_id t : loaded.targets()) {
-        ASSERT_LT(t, loaded.num_vertices()) << "mutation " << i;
-      }
-    } catch (const std::runtime_error&) {
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "mutation " << i << ": " << e.what();
-    }
-  }
 }
 
 // ---- Dual ascent lower bound.

@@ -365,8 +365,11 @@ service_snapshot golden_snapshot() {
        &s.net_ghost_labels, &s.cluster_telemetry_samples,
        &s.cluster_supersteps, &s.cluster_straggler_supersteps,
        &s.fragment_assisted, &s.fragment_hits, &s.preseeded_vertices,
-       &s.oracle_pruned_visitors, &s.oracle_builds, &s.bound_sharpened,
-       &s.cache.hits, &s.cache.misses, &s.cache.insertions,
+       &s.oracle_pruned_visitors, &s.oracle_builds});
+  // The retired bound-sharpening counter took the next value.
+  next += 7;
+  fill_counters(
+      {&s.cache.hits, &s.cache.misses, &s.cache.insertions,
        &s.cache.evictions, &s.cache.retired, &s.exec.submitted,
        &s.exec.rejected, &s.exec.executed, &s.exec.tasks_failed,
        &s.exec.expired, &s.exec.displaced, &s.exec.promoted,

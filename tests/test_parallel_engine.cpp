@@ -585,7 +585,7 @@ TEST(ParallelSolve, WarmStartRepairUnderThreadedEngineMatchesCold) {
   const auto next = base->derive(delta);
   const auto cold = core::solve_steiner_tree(*next->csr(), seeds, config);
   const auto warm = core::solve_steiner_tree_edge_warm(
-      *next->csr(), seeds, donor, base->csr()->fingerprint(),
+      *next->csr(), donor, base->csr()->fingerprint(),
       next->delta_from_parent(), config);
   expect_identical(warm, cold);
 }

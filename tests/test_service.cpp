@@ -708,6 +708,56 @@ TEST(ServiceEpochs, EdgeWarmStartNeedsTheDonorsSeedSet) {
   EXPECT_EQ(svc.stats().edge_warm_solves, 1u);
 }
 
+// The §I "removing classes of vertices" interaction is one edge-disable
+// delta: every pair incident to a removed vertex, one edit per pair.
+TEST(ServiceEpochs, VertexClassRemovalIsOneEdgeDisableEpoch) {
+  const auto g = make_connected_graph(200, 25, 44);
+  auto config = quiet_config(1);
+  config.solver.allow_disconnected_seeds = true;
+  steiner_service svc(graph::csr_graph(g), config);
+  query q;
+  q.seeds = {5, 60, 120};
+  const auto before = svc.solve(request{q});
+
+  const auto gone = [](vertex_id v) { return v >= 150 && v < 160; };
+  graph::edge_delta delta;
+  graph::edge_list survivors(g.num_vertices());
+  for (vertex_id u = 0; u < g.num_vertices(); ++u) {
+    const auto nbrs = g.neighbors(u);
+    const auto wts = g.weights(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const vertex_id t = nbrs[i];
+      if (u >= t) continue;
+      if (!gone(u) && !gone(t)) {
+        survivors.add_undirected_edge(u, t, wts[i]);
+      } else if (i == 0 || t != nbrs[i - 1]) {  // one edit per parallel group
+        delta.edits.push_back(graph::edge_edit::disable(u, t));
+      }
+    }
+  }
+  ASSERT_FALSE(delta.edits.empty());
+  EXPECT_EQ(svc.advance_epoch(delta), 1u);
+  for (vertex_id v = 150; v < 160; ++v) {
+    EXPECT_EQ(svc.graph().degree(v), 0u) << v;
+  }
+
+  // Bit-identical to a solve on the hand-filtered edge list.
+  const auto after = svc.solve(request{q});
+  EXPECT_EQ(after.epoch, 1u);
+  const auto reference = core::solve_steiner_tree(
+      graph::csr_graph(survivors), q.seeds, config.solver);
+  EXPECT_EQ(after.result.tree_edges, reference.tree_edges);
+  EXPECT_EQ(after.result.total_distance, reference.total_distance);
+
+  // A query pinned to the old epoch still gets the old tree.
+  query pinned = q;
+  pinned.epoch = 0;
+  const auto old = svc.solve(request{pinned});
+  EXPECT_EQ(old.epoch, 0u);
+  EXPECT_EQ(old.result.tree_edges, before.result.tree_edges);
+  EXPECT_EQ(old.result.total_distance, before.result.total_distance);
+}
+
 // The Prometheus text rendering agrees with the counters and emits valid
 // histogram series.
 TEST(ServiceEpochs, MetricsTextRendersSnapshot) {

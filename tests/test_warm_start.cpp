@@ -4,7 +4,6 @@
 // phase-1/phase-2 work.
 #include <gtest/gtest.h>
 
-#include <span>
 #include <vector>
 
 #include "core/steiner_solver.hpp"
@@ -51,11 +50,10 @@ epoch_graph::ptr reweight_first_edge(const epoch_graph::ptr& base, vertex_id u,
 /// Repairs `donor` (solved on `base`) over the edge delta to `next`.
 steiner_result edge_warm(const epoch_graph::ptr& base,
                          const epoch_graph::ptr& next,
-                         std::span<const vertex_id> seeds,
                          const solve_artifacts& donor,
                          const solver_config& config,
                          warm_start_stats* stats = nullptr) {
-  return solve_steiner_tree_edge_warm(*next->csr(), seeds, donor,
+  return solve_steiner_tree_edge_warm(*next->csr(), donor,
                                       base->csr()->fingerprint(),
                                       next->delta_from_parent(), config,
                                       nullptr, stats);
@@ -94,8 +92,7 @@ TEST(WarmStart, EmptyDeltaReproducesDonorTree) {
       g, std::vector<vertex_id>{7, 33, 71}, config, donor);
   warm_start_stats stats;
   const auto warm = solve_steiner_tree_edge_warm(
-      g, std::vector<vertex_id>{71, 7, 33}, donor, g.fingerprint(), {}, config,
-      nullptr, &stats);
+      g, donor, g.fingerprint(), {}, config, nullptr, &stats);
   expect_same_tree(warm, first);
   EXPECT_EQ(stats.changed_vertices, 0u);
   EXPECT_EQ(stats.rescanned_vertices, 0u);
@@ -119,7 +116,7 @@ TEST(WarmStart, DoesLessPhaseOneWorkThanCold) {
 
   const auto next = reweight_first_edge(base, 312, 500);
   warm_start_stats stats;
-  const auto warm = edge_warm(base, next, seeds, donor, config, &stats);
+  const auto warm = edge_warm(base, next, donor, config, &stats);
   const auto cold = solve_steiner_tree(*next->csr(), seeds, config);
   expect_same_tree(warm, cold);
 
@@ -158,7 +155,7 @@ TEST(WarmStart, DonorConfigDoesNotMatter) {
   solver_config query_config;  // defaults: 16 ranks, priority, async
   query_config.validate = true;
   const auto next = reweight_first_edge(base, 55, 400);
-  const auto warm = edge_warm(base, next, seeds, donor, query_config);
+  const auto warm = edge_warm(base, next, donor, query_config);
   const auto cold = solve_steiner_tree(*next->csr(), seeds, query_config);
   expect_same_tree(warm, cold);
 }
@@ -172,7 +169,7 @@ TEST(WarmStart, DenseReductionEqualsCold) {
   solve_artifacts donor;
   (void)solve_steiner_tree_capture(*base->csr(), seeds, config, donor);
   const auto next = reweight_first_edge(base, 70, 1);
-  const auto warm = edge_warm(base, next, seeds, donor, config);
+  const auto warm = edge_warm(base, next, donor, config);
   const auto cold = solve_steiner_tree(*next->csr(), seeds, config);
   expect_same_tree(warm, cold);
 }
@@ -185,21 +182,13 @@ TEST(WarmStart, MismatchedDonorThrows) {
   solve_artifacts donor;
   (void)solve_steiner_tree_capture(other, seeds, config, donor);
   // The fingerprint names the donor's own graph, but |V| differs.
-  EXPECT_THROW((void)solve_steiner_tree_edge_warm(g, seeds, donor,
+  EXPECT_THROW((void)solve_steiner_tree_edge_warm(g, donor,
                                                   other.fingerprint(), {},
                                                   config),
                std::invalid_argument);
 
-  // A repair never changes the seed set: a different one is rejected.
-  solve_artifacts own_donor;
-  (void)solve_steiner_tree_capture(g, seeds, config, own_donor);
-  EXPECT_THROW((void)solve_steiner_tree_edge_warm(
-                   g, std::vector<vertex_id>{1, 20, 50}, own_donor,
-                   g.fingerprint(), {}, config),
-               std::invalid_argument);
-
   const solve_artifacts empty_donor;
-  EXPECT_THROW((void)solve_steiner_tree_edge_warm(g, seeds, empty_donor,
+  EXPECT_THROW((void)solve_steiner_tree_edge_warm(g, empty_donor,
                                                   g.fingerprint(), {}, config),
                std::invalid_argument);
 }

@@ -5,9 +5,12 @@
 // The paper scales 32 -> 512 compute nodes (16 ranks each); here the rank
 // count of the simulated runtime scales 4 -> 32 and the reported time is the
 // cost model's critical-path simulated time (wall clock on one core cannot
-// scale). The expected shape: Voronoi-cell computation dominates, followed
-// by local min-distance edge; both shrink with rank count while the
-// collective phases stay flat; larger graphs scale better.
+// scale). The expected shape: Voronoi-cell computation and local
+// min-distance edge dominate; local min-distance edge shrinks with rank
+// count while the collective phases stay flat; larger graphs scale better.
+// Voronoi shrinks from 4 to 8 ranks and then levels off: its frontier
+// window costs one min-fold collective per round, alpha x log2(p), which
+// grows with the rank count while the per-rank work shrinks.
 #include <cstdio>
 
 #include "bench_common.hpp"

@@ -162,7 +162,8 @@ struct assist_stats {
 /// Cold solve pre-seeded from `assists` — bit-identical to
 /// solve_steiner_tree(graph, seeds, config); only the phase-1 work (and
 /// therefore the phase metrics) shrinks. `capture`, when non-null, receives
-/// warm-start artifacts exactly as solve_steiner_tree_capture would.
+/// the solve's warm-start artifacts (solve_artifacts); with empty assists
+/// this is a plain cold solve that also captures them.
 [[nodiscard]] steiner_result solve_steiner_tree_assisted(
     const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
     const solve_assists& assists, const solver_config& config = {},

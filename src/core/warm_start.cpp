@@ -12,12 +12,6 @@
 
 namespace dsteiner::core {
 
-steiner_result solve_steiner_tree_capture(
-    const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
-    const solver_config& config, solve_artifacts& capture) {
-  return detail::solve_cold(graph, seeds, config, &capture);
-}
-
 std::vector<graph::vertex_id> canonicalize_seeds(
     const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds) {
   return detail::dedup_seeds(graph, seeds);

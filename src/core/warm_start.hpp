@@ -59,12 +59,6 @@ struct solve_artifacts {
   }
 };
 
-/// Cold solve that additionally captures warm-start artifacts for `capture`.
-/// Identical output to solve_steiner_tree.
-[[nodiscard]] steiner_result solve_steiner_tree_capture(
-    const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
-    const solver_config& config, solve_artifacts& capture);
-
 /// Canonical form of a seed list: validated, deduplicated, sorted — the shape
 /// stored in solve_artifacts::seeds and used as a cache key. The
 /// vertex-count overload lets epoch-aware callers canonicalize (and key

@@ -1,18 +1,10 @@
 #include "runtime/comm.hpp"
 
-#include <bit>
-#include <cmath>
-
 namespace dsteiner::runtime {
 
 void communicator::charge_collective(std::uint64_t bytes,
                                      phase_metrics& metrics) const {
-  ++metrics.collective_calls;
-  metrics.collective_bytes += bytes;
-  const double log_ranks =
-      num_ranks_ > 1 ? std::log2(static_cast<double>(num_ranks_)) : 1.0;
-  metrics.sim_units += costs_.collective_alpha * log_ranks +
-                       costs_.collective_per_byte * static_cast<double>(bytes);
+  runtime::charge_collective(metrics, costs_, num_ranks_, bytes);
 }
 
 }  // namespace dsteiner::runtime

@@ -6,7 +6,9 @@
 // run_visitors() dispatches on execution_mode at the call site.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "runtime/mailbox.hpp"
@@ -63,6 +65,44 @@ struct engine_config {
   /// way. Must outlive the run. Same hash-exclusion rule as `budget`.
   obs::engine_probe* probe = nullptr;
 };
+
+/// A handler that bounds each rank's batch to a frontier window under
+/// queue_policy::priority, on both in-process engines. `frontier_window()`
+/// is Δ in priority units, read once when an engine is built.
+template <typename Handler>
+concept windowed_handler = requires(const Handler& h) {
+  { h.frontier_window() } -> std::convertible_to<std::uint64_t>;
+};
+
+/// Δ that bounds nothing: FIFO runs and handlers without the opt-in.
+inline constexpr std::uint64_t k_no_window = UINT64_MAX;
+
+/// Δ for `handler` under `config`: its frontier_window() for a windowed
+/// handler under the priority policy, else k_no_window.
+template <typename Handler>
+[[nodiscard]] std::uint64_t frontier_window_of(const Handler& handler,
+                                               const engine_config& config) {
+  if constexpr (windowed_handler<Handler>) {
+    if (config.policy == queue_policy::priority) {
+      return handler.frontier_window();
+    }
+  }
+  return k_no_window;
+}
+
+/// The batch bound m + Δ for least pending priority m, saturating at
+/// UINT64_MAX (which pops without a bound).
+[[nodiscard]] constexpr std::uint64_t frontier_bound(
+    std::uint64_t frontier, std::uint64_t window) noexcept {
+  return frontier > UINT64_MAX - window ? UINT64_MAX : frontier + window;
+}
+
+/// Simulated cost of the min-fold of m that opens a windowed round: one
+/// 8-byte allreduce over `ranks` ranks, charged like every other collective.
+inline void charge_frontier_fold(phase_metrics& metrics, const cost_model& costs,
+                                 int ranks) {
+  charge_collective(metrics, costs, ranks, sizeof(std::uint64_t));
+}
 
 /// The send interface every engine hands to Handler::visit: to_vertex
 /// routes a visitor to the owner of its target(), to_rank to an explicit

@@ -40,7 +40,9 @@
 // batch at the first top above m + Δ. m only bounds the true frontier from
 // below (phase A may reject the visitor that set it), so a superstep may pop
 // nothing; the one after it then starts from the exact minimum, which always
-// pops. FIFO runs and handlers without the opt-in have no window.
+// pops. FIFO runs and handlers without the opt-in have no window. The
+// simulated clock charges the fold of m as one 8-byte collective per
+// windowed superstep, as the cooperative engine does per round.
 //
 // Determinism: the (rank, superstep) schedule is independent of the worker
 // count — each rank always drains full channels in sender order and then
@@ -55,7 +57,6 @@
 #pragma once
 
 #include <algorithm>
-#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -74,14 +75,6 @@
 
 namespace dsteiner::runtime::parallel {
 
-/// A handler that bounds the threaded engine's supersteps to a frontier
-/// window under queue_policy::priority. `frontier_window()` is Δ in priority
-/// units, read once when the engine is built.
-template <typename Handler>
-concept windowed_handler = requires(const Handler& h) {
-  { h.frontier_window() } -> std::convertible_to<std::uint64_t>;
-};
-
 template <typename Visitor, typename Handler>
 class thread_engine {
  public:
@@ -96,11 +89,7 @@ class thread_engine {
       channels_.push_back(std::make_unique<spsc_channel<Visitor>>());
     }
     stats_ = std::vector<rank_stats>(p);
-    if constexpr (windowed_handler<Handler>) {
-      if (config_.policy == queue_policy::priority) {
-        window_ = handler.frontier_window();
-      }
-    }
+    window_ = frontier_window_of(handler, config_);
   }
 
   using emitter = engine_emitter<thread_engine, Visitor>;
@@ -222,9 +211,7 @@ class thread_engine {
 
       // Phase B: compute. Local emissions are consumable this superstep;
       // remote emissions wait in channels for the next phase A.
-      const std::uint64_t bound = frontier > UINT64_MAX - window_
-                                      ? UINT64_MAX
-                                      : frontier + window_;
+      const std::uint64_t bound = frontier_bound(frontier, window_);
       std::uint64_t outstanding = 0;
       std::uint64_t min_pending = UINT64_MAX;
       double work_max = 0.0;
@@ -301,6 +288,9 @@ class thread_engine {
       if (w == 0) {
         ++metrics_.rounds;
         metrics_.sim_units += agg.max_work;
+        if (window_ != k_no_window) {
+          charge_frontier_fold(metrics_, config_.costs, static_cast<int>(p));
+        }
         if (agg.outstanding > metrics_.queue_peak_items) {
           metrics_.queue_peak_items = agg.outstanding;
           metrics_.queue_peak_bytes = agg.outstanding * sizeof(Visitor);
@@ -374,7 +364,6 @@ class thread_engine {
   partitioner parts_;
   Handler* handler_;
   engine_config config_;
-  static constexpr std::uint64_t k_no_window = UINT64_MAX;
   std::uint64_t window_ = k_no_window;  ///< Δ; see windowed_handler
   std::uint64_t seed_frontier_ = UINT64_MAX;  ///< least seeded priority
   /// Shared by mailboxes_; a vertex's slot is written only by its owner's

@@ -1,6 +1,7 @@
 #include "runtime/perf_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace dsteiner::runtime {
 
@@ -17,6 +18,16 @@ void phase_metrics::merge(const phase_metrics& other) noexcept {
   collective_bytes += other.collective_bytes;
   queue_peak_items = std::max(queue_peak_items, other.queue_peak_items);
   queue_peak_bytes = std::max(queue_peak_bytes, other.queue_peak_bytes);
+}
+
+void charge_collective(phase_metrics& metrics, const cost_model& costs,
+                       int ranks, std::uint64_t bytes) noexcept {
+  ++metrics.collective_calls;
+  metrics.collective_bytes += bytes;
+  const double log_ranks =
+      ranks > 1 ? std::log2(static_cast<double>(ranks)) : 1.0;
+  metrics.sim_units += costs.collective_alpha * log_ranks +
+                       costs.collective_per_byte * static_cast<double>(bytes);
 }
 
 phase_metrics& phase_breakdown::phase(const std::string& name) {

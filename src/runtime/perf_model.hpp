@@ -6,7 +6,10 @@
 // rounds, each round every rank drains up to `batch` visitors, and the clock
 // advances by the maximum per-rank work in that round (critical path) plus a
 // latency charge for the round's remote messages. Collectives charge an
-// alpha-beta (latency + bandwidth) term. Strong-scaling shape — who is the
+// alpha-beta (latency + bandwidth) term. A round bounded by a frontier
+// window (see engine_config.hpp) also charges the min-fold of the global
+// frontier as one such collective of 8 bytes: alpha x log2(p) plus 8 x
+// per_byte, one collective_calls and 8 collective_bytes. Strong-scaling shape — who is the
 // bottleneck phase, how speedup degrades with rank count, load imbalance from
 // skewed degrees — is captured exactly; absolute seconds come from the
 // calibration constant `unit_seconds` and are simulated, not measured.
@@ -63,6 +66,12 @@ struct phase_metrics {
   /// Accumulates another phase into this one (for end-to-end totals).
   void merge(const phase_metrics& other) noexcept;
 };
+
+/// Charges one collective moving `bytes` per rank over `ranks` ranks to
+/// `metrics`: collective_alpha x log2(ranks) (x 1 on one rank) plus
+/// collective_per_byte x bytes, and one call.
+void charge_collective(phase_metrics& metrics, const cost_model& costs,
+                       int ranks, std::uint64_t bytes) noexcept;
 
 /// Ordered per-phase breakdown keyed by phase name; preserves the paper's
 /// phase order (Voronoi Cell, Local Min Dist. Edge, Global Min Dist. Edge,

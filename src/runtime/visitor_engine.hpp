@@ -38,11 +38,19 @@
 // A merge drops one visitor; every engine counts it as a pre_visit
 // rejection and charges reject_cost to the receiving rank.
 //
-// Optional on the handler, for the threaded engine under
-// queue_policy::priority (runtime::parallel::windowed_handler, see
-// parallel/thread_engine.hpp):
+// Optional on the handler, for both in-process engines under
+// queue_policy::priority (runtime::windowed_handler, see engine_config.hpp):
 //   std::uint64_t frontier_window() const;   // Δ: stop a rank's batch at
 //                                             // a top past min pending + Δ
+//
+// Frontier window: at the start of each round this engine takes m, the
+// least mailbox top over all ranks. It sees every box, so m is exact; in
+// BSP mode the staged deliveries were flushed at the end of the previous
+// round, so none is missed. Each rank's batch then stops at the first top
+// above m + Δ. Emissions only carry priorities at least their visitor's,
+// so m stays the round's minimum, and the rank holding it always pops. The
+// simulated clock charges the min-fold a distributed run would need as one
+// 8-byte collective per windowed round.
 #pragma once
 
 #include <algorithm>
@@ -70,6 +78,7 @@ class visitor_engine {
     mailboxes_.assign(static_cast<std::size_t>(parts.num_ranks()),
                       mailbox<Visitor>(config.policy, index_));
     round_work_.assign(static_cast<std::size_t>(parts.num_ranks()), 0.0);
+    window_ = frontier_window_of(handler, config_);
   }
   // mailboxes_ hold a view of index_.
   visitor_engine(const visitor_engine&) = delete;
@@ -102,10 +111,12 @@ class visitor_engine {
       const double round_wall0 = sampling ? wall.seconds() : 0.0;
       ++metrics_.rounds;
       std::fill(round_work_.begin(), round_work_.end(), 0.0);
+      const std::uint64_t bound = round_bound();
       for (int r = 0; r < p; ++r) {
         auto& box = mailboxes_[static_cast<std::size_t>(r)];
         for (std::size_t step = 0; step < config_.batch_size && !box.empty();
              ++step) {
+          if (bound != UINT64_MAX && box.top_priority() > bound) break;
           Visitor v = box.pop();
           --pending_;
           emitter out(*this, parts_, r);
@@ -168,6 +179,18 @@ class visitor_engine {
  private:
   friend emitter;
 
+  /// This round's batch bound m + Δ (UINT64_MAX without a window), charging
+  /// the min-fold of m to the simulated clock.
+  [[nodiscard]] std::uint64_t round_bound() {
+    if (window_ == k_no_window) return UINT64_MAX;
+    std::uint64_t frontier = UINT64_MAX;
+    for (const auto& box : mailboxes_) {
+      if (!box.empty()) frontier = std::min(frontier, box.top_priority());
+    }
+    charge_frontier_fold(metrics_, config_.costs, parts_.num_ranks());
+    return frontier_bound(frontier, window_);
+  }
+
   void send(Visitor v, int from_rank, int to_rank) {
     // Emission work (serialization, queue injection) belongs to the sender —
     // this is what makes a high-degree scatter expensive on its home rank
@@ -211,6 +234,7 @@ class visitor_engine {
   partitioner parts_;
   Handler* handler_;
   engine_config config_;
+  std::uint64_t window_ = k_no_window;  ///< Δ; see windowed_handler
   std::vector<std::uint32_t> index_;  ///< shared by mailboxes_; see mailbox
   std::vector<mailbox<Visitor>> mailboxes_;
   std::vector<std::pair<int, Visitor>> staged_;  // BSP-deferred deliveries

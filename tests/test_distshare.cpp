@@ -60,7 +60,7 @@ core::solve_artifacts capture_and_publish(const graph::csr_graph& g,
                                           double cost = 1.0) {
   std::sort(seeds.begin(), seeds.end());
   core::solve_artifacts artifacts;
-  (void)core::solve_steiner_tree_capture(g, seeds, {}, artifacts);
+  (void)core::solve_steiner_tree_assisted(g, seeds, {}, {}, &artifacts);
   (void)store.publish_from_state(g.fingerprint(), epoch_id, artifacts.state,
                                  seeds, cost);
   return artifacts;
@@ -159,8 +159,8 @@ TEST(FragmentStore, EpochRetirementPurges) {
   core::solve_artifacts old_epoch, new_epoch;
   const std::vector<vertex_id> old_seeds{2, 50};
   const std::vector<vertex_id> new_seeds{8, 77};
-  (void)core::solve_steiner_tree_capture(g, old_seeds, {}, old_epoch);
-  (void)core::solve_steiner_tree_capture(g, new_seeds, {}, new_epoch);
+  (void)core::solve_steiner_tree_assisted(g, old_seeds, {}, {}, &old_epoch);
+  (void)core::solve_steiner_tree_assisted(g, new_seeds, {}, {}, &new_epoch);
   // Distinct fingerprints stand in for two epochs' graph contents.
   const std::size_t p_old = store.publish_from_state(
       g.fingerprint(), /*epoch_id=*/3, old_epoch.state, old_seeds, 1.0);
@@ -339,7 +339,7 @@ TEST(FragmentStore, ConcurrentPublishBorrowStress) {
   sssp_fragment_store store;
   core::solve_artifacts artifacts;
   std::vector<vertex_id> seeds{5, 40, 80, 120, 150};
-  (void)core::solve_steiner_tree_capture(g, seeds, {}, artifacts);
+  (void)core::solve_steiner_tree_assisted(g, seeds, {}, {}, &artifacts);
 
   std::atomic<std::uint64_t> borrowed_total{0};
   std::vector<std::thread> threads;

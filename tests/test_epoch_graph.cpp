@@ -322,7 +322,7 @@ void check_edge_warm(const epoch_graph::ptr& epoch, const edge_delta& delta,
                      const std::vector<vertex_id>& seeds,
                      const solver_config& config) {
   solve_artifacts donor;
-  (void)solve_steiner_tree_capture(*epoch->csr(), seeds, config, donor);
+  (void)solve_steiner_tree_assisted(*epoch->csr(), seeds, {}, config, &donor);
   const auto next = epoch->derive(delta);
   warm_start_stats stats;
   const auto warm = solve_steiner_tree_edge_warm(
@@ -375,8 +375,8 @@ TEST(EdgeWarmStart, MismatchedDonorFingerprintThrows) {
   const auto base = epoch_graph::make_base(make_connected_graph(80, 10, 24));
   const solver_config config = quiet_solver();
   solve_artifacts donor;
-  (void)solve_steiner_tree_capture(*base->csr(), std::vector<vertex_id>{1, 40},
-                                   config, donor);
+  (void)solve_steiner_tree_assisted(
+      *base->csr(), std::vector<vertex_id>{1, 40}, {}, config, &donor);
   const auto nbrs = base->neighbors(1);
   ASSERT_FALSE(nbrs.empty());
   edge_delta delta;
@@ -402,8 +402,8 @@ void randomized_edge_chain(runtime::execution_mode mode, std::uint64_t rng_seed)
   const std::vector<vertex_id> seeds{11, 60, 140, 200};
 
   solve_artifacts artifacts;
-  (void)solve_steiner_tree_capture(*store.current()->csr(), seeds, config,
-                                   artifacts);
+  (void)solve_steiner_tree_assisted(
+      *store.current()->csr(), seeds, {}, config, &artifacts);
   std::uint64_t donor_epoch = store.current()->epoch_id();
   std::uint64_t donor_fp = store.current()->csr()->fingerprint();
 
@@ -464,8 +464,8 @@ TEST(EdgeWarmStart, MultiEpochComposedDeltaEqualsCold) {
   epoch_store store(make_connected_graph(180, 20, 26));
   const std::vector<vertex_id> seeds{7, 33, 71, 150};
   solve_artifacts donor;
-  (void)solve_steiner_tree_capture(*store.current()->csr(), seeds, config,
-                                   donor);
+  (void)solve_steiner_tree_assisted(
+      *store.current()->csr(), seeds, {}, config, &donor);
   const std::uint64_t donor_fp = store.current()->csr()->fingerprint();
 
   for (int hop = 0; hop < 3; ++hop) {

@@ -2,7 +2,9 @@
 // channel stress, superstep barrier aggregation, worker pool reuse, the
 // thread engine itself, and the headline guarantee — N-thread solves are
 // bit-identical to sequential-engine solves over random graphs and seed
-// sets, and thread-engine metrics are invariant in the worker count.
+// sets, and thread-engine metrics are invariant in the worker count. Also
+// the frontier window on both in-process engines: bounded re-settlement at
+// a large batch and the simulated charge for its per-round min-fold.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -563,6 +565,104 @@ TEST(ParallelSolve, FrontierWindowBoundsResettlement) {
       << "batch 4096: " << processed[1] << ", batch 16: " << processed[0];
 }
 
+TEST(CooperativeSolve, FrontierWindowBoundsResettlement) {
+  // The cooperative engine's twin of the test above: each of 16 ranks
+  // drains a whole heap at batch 4096 unless the window stops it.
+  const io::dataset ds = io::load_dataset("LVJ");
+  const auto seeds = seed::select_seeds(
+      ds.graph, 64, seed::seed_strategy::bfs_level, 0xbeef);
+  core::solver_config config;
+  config.num_ranks = 16;
+  config.policy = queue_policy::fifo;
+  const auto reference = core::solve_steiner_tree(ds.graph, seeds, config);
+
+  config.policy = queue_policy::priority;
+  for (const execution_mode mode : {execution_mode::async,
+                                    execution_mode::bsp}) {
+    config.mode = mode;
+    std::vector<std::uint64_t> processed;
+    for (const std::size_t batch : {16u, 4096u}) {
+      config.batch_size = batch;
+      const auto result = core::solve_steiner_tree(ds.graph, seeds, config);
+      expect_identical(result, reference);
+      const phase_metrics* voronoi = result.phases.find(phase_names::voronoi);
+      ASSERT_NE(voronoi, nullptr);
+      processed.push_back(voronoi->visitors_processed);
+    }
+    EXPECT_LE(2 * processed[1], 3 * processed[0])
+        << "mode " << static_cast<int>(mode) << ", batch 4096: "
+        << processed[1] << ", batch 16: " << processed[0];
+  }
+}
+
+/// label_handler with the frontier-window opt-in. Δ is wide enough that no
+/// batch is ever cut, so the schedule is label_handler's and only the
+/// fold's charge differs.
+class windowed_label_handler : public label_handler {
+ public:
+  using label_handler::label_handler;
+  [[nodiscard]] std::uint64_t frontier_window() const { return 1u << 20; }
+};
+
+TEST(FrontierWindow, FoldIsChargedOncePerRoundOnBothEngines) {
+  const graph::csr_graph g(graph::generate_grid(16, 16));
+  const partitioner parts(g.num_vertices(), 8, partition_scheme::hash);
+  const cost_model costs;
+  const double fold_units =
+      costs.collective_alpha * 3.0 + 8.0 * costs.collective_per_byte;
+  for (const execution_mode mode :
+       {execution_mode::async, execution_mode::bsp,
+        execution_mode::parallel_threads}) {
+    for (const queue_policy policy :
+         {queue_policy::priority, queue_policy::fifo}) {
+      const engine_config config{policy, mode, 16, costs, 2};
+      std::vector<std::uint64_t> labels(g.num_vertices(), ~std::uint64_t{0});
+      label_handler plain_handler(g, labels);
+      const phase_metrics plain = run_visitors<label_visitor>(
+          parts, plain_handler, {{0, 0}}, config);
+      labels.assign(g.num_vertices(), ~std::uint64_t{0});
+      windowed_label_handler windowed_handler(g, labels);
+      const phase_metrics windowed = run_visitors<label_visitor>(
+          parts, windowed_handler, {{0, 0}}, config);
+
+      const bool charged = policy == queue_policy::priority;
+      EXPECT_EQ(plain.collective_calls, 0u);
+      EXPECT_EQ(windowed.rounds, plain.rounds);
+      EXPECT_EQ(windowed.visitors_processed, plain.visitors_processed);
+      EXPECT_EQ(windowed.collective_calls, charged ? windowed.rounds : 0u);
+      EXPECT_EQ(windowed.collective_bytes, charged ? 8 * windowed.rounds : 0u);
+      EXPECT_NEAR(windowed.sim_units - plain.sim_units,
+                  charged ? fold_units * static_cast<double>(windowed.rounds)
+                          : 0.0,
+                  1e-6);
+    }
+  }
+}
+
+TEST(FrontierWindow, VoronoiCollectiveCallsMatchRounds) {
+  const graph::csr_graph g = random_connected_graph(300, 0x7a7a);
+  const auto seeds = random_seeds(g.num_vertices(), 10, 5);
+  for (const execution_mode mode :
+       {execution_mode::async, execution_mode::bsp,
+        execution_mode::parallel_threads}) {
+    for (const queue_policy policy :
+         {queue_policy::priority, queue_policy::fifo}) {
+      core::solver_config config;
+      config.num_ranks = 8;
+      config.mode = mode;
+      config.policy = policy;
+      config.num_threads = 2;
+      const auto result = core::solve_steiner_tree(g, seeds, config);
+      const phase_metrics* voronoi = result.phases.find(phase_names::voronoi);
+      ASSERT_NE(voronoi, nullptr);
+      EXPECT_GT(voronoi->rounds, 0u);
+      EXPECT_EQ(voronoi->collective_calls,
+                policy == queue_policy::priority ? voronoi->rounds : 0u)
+          << "mode " << static_cast<int>(mode);
+    }
+  }
+}
+
 TEST(ParallelSolve, WarmStartRepairUnderThreadedEngineMatchesCold) {
   const auto base =
       graph::epoch_graph::make_base(random_connected_graph(400, 0x5151));
@@ -575,7 +675,8 @@ TEST(ParallelSolve, WarmStartRepairUnderThreadedEngineMatchesCold) {
   config.allow_disconnected_seeds = true;
 
   core::solve_artifacts donor;
-  (void)core::solve_steiner_tree_capture(*base->csr(), seeds, config, donor);
+  (void)core::solve_steiner_tree_assisted(
+      *base->csr(), seeds, {}, config, &donor);
 
   const auto nbrs = base->neighbors(seeds.front());
   ASSERT_FALSE(nbrs.empty());

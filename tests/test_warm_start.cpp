@@ -74,7 +74,8 @@ TEST(WarmStart, CaptureMatchesPlainSolve) {
   solver_config config;
   config.validate = true;
   solve_artifacts artifacts;
-  const auto captured = solve_steiner_tree_capture(g, seeds, config, artifacts);
+  const auto captured = solve_steiner_tree_assisted(
+      g, seeds, {}, config, &artifacts);
   const auto plain = solve_steiner_tree(g, seeds, config);
   expect_same_tree(captured, plain);
   EXPECT_EQ(artifacts.seeds, seeds);  // already canonical
@@ -88,8 +89,8 @@ TEST(WarmStart, EmptyDeltaReproducesDonorTree) {
   const auto g = make_connected_graph(100, 15, 6);
   solver_config config;
   solve_artifacts donor;
-  const auto first = solve_steiner_tree_capture(
-      g, std::vector<vertex_id>{7, 33, 71}, config, donor);
+  const auto first = solve_steiner_tree_assisted(
+      g, std::vector<vertex_id>{7, 33, 71}, {}, config, &donor);
   warm_start_stats stats;
   const auto warm = solve_steiner_tree_edge_warm(
       g, donor, g.fingerprint(), {}, config, nullptr, &stats);
@@ -112,7 +113,7 @@ TEST(WarmStart, DoesLessPhaseOneWorkThanCold) {
   solve_artifacts donor;
   std::vector<vertex_id> seeds;
   for (vertex_id s = 12; s < 600; s += 30) seeds.push_back(s);  // 20 seeds
-  (void)solve_steiner_tree_capture(*base->csr(), seeds, config, donor);
+  (void)solve_steiner_tree_assisted(*base->csr(), seeds, {}, config, &donor);
 
   const auto next = reweight_first_edge(base, 312, 500);
   warm_start_stats stats;
@@ -150,7 +151,8 @@ TEST(WarmStart, DonorConfigDoesNotMatter) {
   donor_config.policy = runtime::queue_policy::fifo;
   donor_config.mode = runtime::execution_mode::bsp;
   solve_artifacts donor;
-  (void)solve_steiner_tree_capture(*base->csr(), seeds, donor_config, donor);
+  (void)solve_steiner_tree_assisted(
+      *base->csr(), seeds, {}, donor_config, &donor);
 
   solver_config query_config;  // defaults: 16 ranks, priority, async
   query_config.validate = true;
@@ -167,7 +169,7 @@ TEST(WarmStart, DenseReductionEqualsCold) {
   config.dense_distance_graph = true;
   config.allreduce_chunk_items = 3;
   solve_artifacts donor;
-  (void)solve_steiner_tree_capture(*base->csr(), seeds, config, donor);
+  (void)solve_steiner_tree_assisted(*base->csr(), seeds, {}, config, &donor);
   const auto next = reweight_first_edge(base, 70, 1);
   const auto warm = edge_warm(base, next, donor, config);
   const auto cold = solve_steiner_tree(*next->csr(), seeds, config);
@@ -180,7 +182,7 @@ TEST(WarmStart, MismatchedDonorThrows) {
   const std::vector<vertex_id> seeds{1, 50};
   solver_config config;
   solve_artifacts donor;
-  (void)solve_steiner_tree_capture(other, seeds, config, donor);
+  (void)solve_steiner_tree_assisted(other, seeds, {}, config, &donor);
   // The fingerprint names the donor's own graph, but |V| differs.
   EXPECT_THROW((void)solve_steiner_tree_edge_warm(g, donor,
                                                   other.fingerprint(), {},

@@ -97,13 +97,6 @@ template <typename Handler>
   return frontier > UINT64_MAX - window ? UINT64_MAX : frontier + window;
 }
 
-/// Simulated cost of the min-fold of m that opens a windowed round: one
-/// 8-byte allreduce over `ranks` ranks, charged like every other collective.
-inline void charge_frontier_fold(phase_metrics& metrics, const cost_model& costs,
-                                 int ranks) {
-  charge_collective(metrics, costs, ranks, sizeof(std::uint64_t));
-}
-
 /// The send interface every engine hands to Handler::visit: to_vertex
 /// routes a visitor to the owner of its target(), to_rank to an explicit
 /// rank (delegate relays). Delivery is the engine's

@@ -289,7 +289,9 @@ class thread_engine {
         ++metrics_.rounds;
         metrics_.sim_units += agg.max_work;
         if (window_ != k_no_window) {
-          charge_frontier_fold(metrics_, config_.costs, static_cast<int>(p));
+          // The barrier's min-fold of m, priced as an 8-byte collective.
+          charge_collective(metrics_, config_.costs, static_cast<int>(p),
+                            sizeof(frontier));
         }
         if (agg.outstanding > metrics_.queue_peak_items) {
           metrics_.queue_peak_items = agg.outstanding;

@@ -7,7 +7,7 @@
 // advances by the maximum per-rank work in that round (critical path) plus a
 // latency charge for the round's remote messages. Collectives charge an
 // alpha-beta (latency + bandwidth) term. A round bounded by a frontier
-// window (see engine_config.hpp) also charges the min-fold of the global
+// window (see visitor_engine.hpp) also charges the min-fold of the global
 // frontier as one such collective of 8 bytes: alpha x log2(p) plus 8 x
 // per_byte, one collective_calls and 8 collective_bytes. Strong-scaling shape — who is the
 // bottleneck phase, how speedup degrades with rank count, load imbalance from

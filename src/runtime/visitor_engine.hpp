@@ -180,14 +180,15 @@ class visitor_engine {
   friend emitter;
 
   /// This round's batch bound m + Δ (UINT64_MAX without a window), charging
-  /// the min-fold of m to the simulated clock.
+  /// the min-fold of m to the simulated clock as an 8-byte collective.
   [[nodiscard]] std::uint64_t round_bound() {
     if (window_ == k_no_window) return UINT64_MAX;
     std::uint64_t frontier = UINT64_MAX;
     for (const auto& box : mailboxes_) {
       if (!box.empty()) frontier = std::min(frontier, box.top_priority());
     }
-    charge_frontier_fold(metrics_, config_.costs, parts_.num_ranks());
+    charge_collective(metrics_, config_.costs, parts_.num_ranks(),
+                      sizeof(frontier));
     return frontier_bound(frontier, window_);
   }
 

@@ -9,10 +9,11 @@
 // alpha-beta (latency + bandwidth) term. A round bounded by a frontier
 // window (see visitor_engine.hpp) also charges the min-fold of the global
 // frontier as one such collective of 8 bytes: alpha x log2(p) plus 8 x
-// per_byte, one collective_calls and 8 collective_bytes. Strong-scaling shape — who is the
-// bottleneck phase, how speedup degrades with rank count, load imbalance from
-// skewed degrees — is captured exactly; absolute seconds come from the
-// calibration constant `unit_seconds` and are simulated, not measured.
+// per_byte, one collective_calls and 8 collective_bytes. Strong-scaling
+// shape — who is the bottleneck phase, how speedup degrades with rank
+// count, load imbalance from skewed degrees — is captured exactly; absolute
+// seconds come from the calibration constant `unit_seconds` and are
+// simulated, not measured.
 #pragma once
 
 #include <cstdint>

@@ -540,34 +540,10 @@ TEST(ThreadEngine, FrontierWindowFollowsWeightOverDegree) {
 
 TEST(ParallelSolve, FrontierWindowBoundsResettlement) {
   // 16 ranks share LVJ's vertices, so a batch of 4096 is each rank's whole
-  // heap: without the frontier window a superstep settles labels far past
-  // the global frontier and later ones overwrite them. With it, the large
-  // batch re-settles about as little as a small one.
-  const io::dataset ds = io::load_dataset("LVJ");
-  const auto seeds = seed::select_seeds(
-      ds.graph, 64, seed::seed_strategy::bfs_level, 0xbeef);
-  core::solver_config config;
-  config.num_ranks = 16;
-  const auto reference = core::solve_steiner_tree(ds.graph, seeds, config);
-
-  config.mode = execution_mode::parallel_threads;
-  config.num_threads = 2;
-  std::vector<std::uint64_t> processed;
-  for (const std::size_t batch : {16u, 4096u}) {
-    config.batch_size = batch;
-    const auto result = core::solve_steiner_tree(ds.graph, seeds, config);
-    expect_identical(result, reference);
-    const phase_metrics* voronoi = result.phases.find(phase_names::voronoi);
-    ASSERT_NE(voronoi, nullptr);
-    processed.push_back(voronoi->visitors_processed);
-  }
-  EXPECT_LE(2 * processed[1], 3 * processed[0])
-      << "batch 4096: " << processed[1] << ", batch 16: " << processed[0];
-}
-
-TEST(CooperativeSolve, FrontierWindowBoundsResettlement) {
-  // The cooperative engine's twin of the test above: each of 16 ranks
-  // drains a whole heap at batch 4096 unless the window stops it.
+  // heap: without the frontier window a round or superstep settles labels
+  // far past the global frontier and later ones overwrite them. With it,
+  // the large batch re-settles about as little as a small one, on the
+  // cooperative engine (async and BSP) and the threaded one alike.
   const io::dataset ds = io::load_dataset("LVJ");
   const auto seeds = seed::select_seeds(
       ds.graph, 64, seed::seed_strategy::bfs_level, 0xbeef);
@@ -577,8 +553,10 @@ TEST(CooperativeSolve, FrontierWindowBoundsResettlement) {
   const auto reference = core::solve_steiner_tree(ds.graph, seeds, config);
 
   config.policy = queue_policy::priority;
-  for (const execution_mode mode : {execution_mode::async,
-                                    execution_mode::bsp}) {
+  config.num_threads = 2;
+  for (const execution_mode mode :
+       {execution_mode::async, execution_mode::bsp,
+        execution_mode::parallel_threads}) {
     config.mode = mode;
     std::vector<std::uint64_t> processed;
     for (const std::size_t batch : {16u, 4096u}) {
@@ -608,7 +586,7 @@ TEST(FrontierWindow, FoldIsChargedOncePerRoundOnBothEngines) {
   const graph::csr_graph g(graph::generate_grid(16, 16));
   const partitioner parts(g.num_vertices(), 8, partition_scheme::hash);
   const cost_model costs;
-  const double fold_units =
+  const double fold_units =  // log2(8 ranks) = 3
       costs.collective_alpha * 3.0 + 8.0 * costs.collective_per_byte;
   for (const execution_mode mode :
        {execution_mode::async, execution_mode::bsp,

@@ -18,12 +18,13 @@
 // distance (see voronoi_handler::emit), so most dominated visitors never
 // become messages.
 //
-// Frontier window: on both in-process engines (cooperative and threaded) a
-// rank's round stops at the first mailbox top more than frontier_window()
-// past the global minimum pending distance (see runtime/visitor_engine.hpp
-// and runtime/parallel/thread_engine.hpp). The window only cuts a batch
-// short; it never reorders a mailbox, which is what the dominance filter's
-// argument rests on. The net engine runs without it.
+// Frontier window: on every engine (cooperative, threaded and net) a rank's
+// round or superstep stops at the first mailbox top more than
+// frontier_window() past the global minimum pending distance (see
+// runtime/visitor_engine.hpp, runtime/parallel/thread_engine.hpp and
+// runtime/net/superstep_engine.hpp). The window only cuts a batch short; it
+// never reorders a mailbox, which is what the dominance filter's argument
+// rests on.
 #pragma once
 
 #include <atomic>
@@ -108,7 +109,7 @@ class voronoi_handler {
            sizeof(graph::weight_t);
   }
 
-  /// Frontier-window width Δ for the in-process engines under the priority
+  /// Frontier-window width Δ for every engine under the priority
   /// policy (runtime::windowed_handler): the mean arc weight over
   /// the mean degree, floor(W·n/m²) for total arc weight W, n vertices and
   /// m arcs, at least 1. That is a fraction of one mean arc, so a rank's
@@ -189,9 +190,9 @@ class voronoi_handler {
   //     (cooperative, threaded, net), and a mailbox pops lower (priority,
   //     arrival) first. So the earlier visitor x, with x.r < y.r, is
   //     admitted or rejected before y, and if admitted it is visited
-  //     before y. The frontier window of the cooperative and threaded
-  //     engines keeps this: it only ends a batch early, at a top above its
-  //     bound, so a queued x with x.r < y.r still pops first;
+  //     before y. The frontier window keeps this on every engine: it only
+  //     ends a batch early, at a top above its bound, so a queued x with
+  //     x.r < y.r still pops first;
   //   - state only decreases, so once x is through, y's tuple is dominated:
   //     y could only ever be a pre_visit rejection, a mailbox merge or a
   //     skipped visit (a merge keeps a queued label at most x's);

@@ -67,8 +67,9 @@ struct engine_config {
 };
 
 /// A handler that bounds each rank's batch to a frontier window under
-/// queue_policy::priority, on both in-process engines. `frontier_window()`
-/// is Δ in priority units, read once when an engine is built.
+/// queue_policy::priority, on every engine (cooperative, threaded and
+/// net::superstep_engine). `frontier_window()` is Δ in priority units, read
+/// once when an engine is built.
 template <typename Handler>
 concept windowed_handler = requires(const Handler& h) {
   { h.frontier_window() } -> std::convertible_to<std::uint64_t>;

@@ -359,11 +359,12 @@ std::vector<graph::weighted_edge> decode_edge_batch(const frame& f) {
 }
 
 frame encode_vote(const superstep_vote& vote, bool confirm) {
-  wire_writer w(21);
+  wire_writer w(29);
   w.u64(vote.outstanding);
   w.u32(vote.superstep);
   w.u8(vote.cancel);
   w.u64(std::bit_cast<std::uint64_t>(vote.max_work));
+  w.u64(vote.min_priority);
   return frame{confirm ? frame_type::vote_confirm : frame_type::vote, w.take()};
 }
 
@@ -378,6 +379,7 @@ superstep_vote decode_vote(const frame& f) {
   v.superstep = r.u32();
   v.cancel = r.u8();
   v.max_work = std::bit_cast<double>(r.u64());
+  v.min_priority = r.u64();
   r.expect_done("vote");
   return v;
 }

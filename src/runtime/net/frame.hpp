@@ -101,13 +101,15 @@ struct ghost_label {
 
 /// One rank's contribution to a termination round — the same payload the
 /// threaded engine folds through parallel::superstep_barrier::aggregate:
-/// outstanding backlog (summed), cooperative-stop flag (OR-folded) and the
-/// superstep's simulated work (max-folded: the critical path).
+/// outstanding backlog (summed), cooperative-stop flag (OR-folded), the
+/// superstep's simulated work (max-folded: the critical path) and the least
+/// pending priority (min-folded: the frontier window's m).
 struct superstep_vote {
   std::uint64_t outstanding = 0;
   std::uint32_t superstep = 0;
   std::uint8_t cancel = 0;
   double max_work = 0.0;  ///< cost-model units; travels as its IEEE-754 bits
+  std::uint64_t min_priority = UINT64_MAX;  ///< UINT64_MAX: nothing pending
 
   friend bool operator==(const superstep_vote&,
                          const superstep_vote&) = default;

@@ -1,17 +1,27 @@
 // The superstep engine: core's Handler/Visitor contract (see
 // runtime/visitor_engine.hpp) run by one rank of a comm_backend mesh, the
 // third transport beside the cooperative and threaded engines. A superstep:
-//   1. drain the mailbox (engine_config::policy) to a local fixed point.
-//      Emissions to this rank pass pre_visit at once; emissions to other
-//      ranks are encoded straight into a per-owner frame, sent whenever it
-//      fills;
+//   1. drain the mailbox (engine_config::policy) while its top is within the
+//      frontier window, m + Δ (below). Emissions to this rank pass pre_visit
+//      at once; emissions to other ranks are encoded straight into a
+//      per-owner frame, sent whenever it fills;
 //   2. send the partial frames and a marker; every peer's visitors up to
 //      its marker pass pre_visit into the mailbox;
 //   3. rank_context::end_superstep: the termination vote (outstanding sum,
-//      cancel OR, max work), telemetry and traffic samples.
+//      cancel OR, max work, min of the mailbox tops), telemetry and traffic
+//      samples.
+// Frontier window: for a windowed handler under the priority policy
+// (runtime::windowed_handler), m is the least pending priority over all
+// ranks: the least seed priority before the first superstep, then the vote's
+// min-fold of every rank's mailbox top. The vote runs after every data frame
+// of the superstep has been admitted, so m is exact and the rank holding it
+// always pops. FIFO runs and phase 6 have no window and drain the mailbox to
+// a local fixed point.
 // Simulated work uses the threaded engine's charges, derived from the
 // counters once per superstep; the vote's max-fold adds the critical path to
-// sim_units. Every other phase_metrics counter is this rank's own.
+// sim_units, and a windowed superstep charges the fold of m as one 8-byte
+// collective, as the in-process engines do. Every other phase_metrics
+// counter is this rank's own.
 //
 // rank_context is the rank's side of the mesh that every net phase shares:
 // per-peer channels, the chunked exchange, the termination vote, and the
@@ -166,18 +176,20 @@ class rank_context {
   }
 
   /// Closes one superstep: runs the termination vote (folding `work`, this
-  /// rank's simulated work), emits the telemetry sample, and records a
+  /// rank's simulated work, and `min_priority`, its least pending priority),
+  /// emits the telemetry sample, and records a
   /// traffic sample — in that order, so the telemetry frame's own bytes land
   /// in the same traffic sample as the superstep it describes. Throws
   /// operation_cancelled when the folded vote carries a cancel bit, keeping
   /// all ranks' unwinding in lockstep.
   vote_decision end_superstep(telemetry_phase phase, std::uint32_t superstep,
                               std::uint64_t outstanding,
-                              std::uint64_t sent_before, double work) {
+                              std::uint64_t sent_before, double work,
+                              std::uint64_t min_priority) {
     const util::timer vote_timer;
     const vote_decision decision = vote_.round(
         outstanding, config.budget != nullptr && config.budget->stop_requested(),
-        superstep, work);
+        superstep, work, min_priority);
     const double vote_seconds = vote_timer.seconds();
     ++report.supersteps;
     emit_telemetry(phase, superstep, 0, vote_seconds, outstanding);
@@ -315,7 +327,8 @@ class superstep_engine {
         index_(mailbox<Visitor>::make_index(config.policy,
                                             parts.num_vertices())),
         box_(config.policy, index_),
-        outbox_(static_cast<std::size_t>(ctx.world()), frame{codec::type, {}}) {}
+        outbox_(static_cast<std::size_t>(ctx.world()), frame{codec::type, {}}),
+        window_(frontier_window_of(handler, config)) {}
   // box_ holds a view of index_.
   superstep_engine(const superstep_engine&) = delete;
   superstep_engine& operator=(const superstep_engine&) = delete;
@@ -323,8 +336,10 @@ class superstep_engine {
   using emitter = engine_emitter<superstep_engine, Visitor>;
 
   /// Injects an initial visitor. Every rank passes the same initial set;
-  /// each keeps the visitors whose target it owns.
+  /// each keeps the visitors whose target it owns, and all of them start
+  /// from the same m, the least priority of the whole set.
   void seed(const Visitor& v) {
+    frontier_ = std::min(frontier_, v.priority());
     if (parts_.owner(v.target()) != rank_) return;
     ++metrics_.messages_local;
     admit(v);
@@ -338,7 +353,9 @@ class superstep_engine {
       const std::uint64_t sent_before = ctx_.begin_window();
       const double work_before = work();
       const util::timer compute_timer;
+      const std::uint64_t bound = frontier_bound(frontier_, window_);
       while (!box_.empty()) {
+        if (bound != UINT64_MAX && box_.top_priority() > bound) break;
         const Visitor v = box_.pop();
         emitter out(*this, parts_, rank_);
         ++ctx_.scratch.visitors;
@@ -366,10 +383,16 @@ class superstep_engine {
           std::max<std::uint64_t>(metrics_.queue_peak_items, box_.size());
       ++metrics_.rounds;
 
-      const vote_decision decision =
-          ctx_.end_superstep(phase_, superstep, box_.size(), sent_before,
-                             work() - work_before);
+      const bool windowed = window_ != k_no_window;
+      const vote_decision decision = ctx_.end_superstep(
+          phase_, superstep, box_.size(), sent_before, work() - work_before,
+          windowed && !box_.empty() ? box_.top_priority() : UINT64_MAX);
       metrics_.sim_units += decision.max_work;
+      if (windowed) {
+        // The vote's min-fold of m, priced as an 8-byte collective.
+        frontier_ = decision.min_priority;
+        charge_collective(metrics_, costs_, ctx_.world(), sizeof(frontier_));
+      }
       if (decision.stop) break;
     }
     metrics_.queue_peak_bytes = metrics_.queue_peak_items * sizeof(Visitor);
@@ -432,6 +455,8 @@ class superstep_engine {
   /// during the drain, the rest at its end.
   std::vector<frame> outbox_;
   std::uint64_t received_ = 0;  ///< remote visitors delivered here
+  std::uint64_t window_;  ///< Δ; see windowed_handler
+  std::uint64_t frontier_ = UINT64_MAX;  ///< m: least pending priority
   phase_metrics metrics_;
 };
 

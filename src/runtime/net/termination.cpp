@@ -73,22 +73,26 @@ superstep_vote termination_vote::fold_once(const superstep_vote& mine,
     folded.outstanding += theirs.outstanding;
     folded.cancel = folded.cancel | theirs.cancel;
     folded.max_work = std::max(folded.max_work, theirs.max_work);
+    folded.min_priority = std::min(folded.min_priority, theirs.min_priority);
   }
   return folded;
 }
 
 vote_decision termination_vote::round(std::uint64_t outstanding, bool cancel,
-                                      std::uint32_t superstep, double work) {
+                                      std::uint32_t superstep, double work,
+                                      std::uint64_t min_priority) {
   superstep_vote mine;
   mine.outstanding = outstanding;
   mine.superstep = superstep;
   mine.cancel = cancel ? 1 : 0;
   mine.max_work = work;
+  mine.min_priority = min_priority;
 
   const superstep_vote proposed = fold_once(mine, /*confirm=*/false);
   vote_decision decision;
   decision.cancel = proposed.cancel != 0;
   decision.max_work = proposed.max_work;
+  decision.min_priority = proposed.min_priority;
   if (proposed.cancel != 0) {
     decision.stop = true;  // cancellation stops everyone immediately
     return decision;

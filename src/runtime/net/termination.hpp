@@ -11,12 +11,16 @@
 //
 // `termination_vote` folds the same aggregate the threaded engine's
 // superstep_barrier carries — outstanding work (sum), cooperative cancel
-// (OR), simulated work (max) — across ranks with an all-to-all exchange, then confirms an all-idle result with a
-// second round. The confirmation round is what makes termination sound: a
-// rank can vote idle and then receive late visitors sent before the vote, so
-// "everyone idle once" is only a hypothesis until everyone re-affirms it with
-// no traffic in between. Both rounds ride the same frame path as data, so
-// vote bytes show up in measured traffic like everything else.
+// (OR), simulated work (max), least pending priority (min) — across ranks
+// with an all-to-all exchange, then confirms an all-idle result with a
+// second round. The min-fold is the net engine's frontier-window m (see
+// superstep_engine.hpp); it rides the propose round, so the window adds no
+// frame and no round trip. The confirmation round is what makes termination
+// sound: a rank can vote idle and then receive late visitors sent before the
+// vote, so "everyone idle once" is only a hypothesis until everyone
+// re-affirms it with no traffic in between. Both rounds ride the same frame
+// path as data, so vote bytes show up in measured traffic like everything
+// else.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +72,8 @@ struct vote_decision {
   bool stop = false;            ///< all ranks idle, confirmed — leave the loop
   bool cancel = false;          ///< some rank requested cooperative cancel
   double max_work = 0.0;        ///< largest per-rank simulated work this step
+  /// Least pending priority over all ranks (UINT64_MAX: none pending).
+  std::uint64_t min_priority = UINT64_MAX;
 };
 
 /// Two-phase all-to-all termination vote (propose, then confirm if idle).
@@ -77,9 +83,11 @@ class termination_vote {
 
   /// Runs one vote at the end of superstep `superstep`. `outstanding` is this
   /// rank's pending-work count, `cancel` its cooperative-stop flag, `work`
-  /// its simulated work this superstep (cost-model units).
+  /// its simulated work this superstep (cost-model units), `min_priority`
+  /// its least pending priority.
   vote_decision round(std::uint64_t outstanding, bool cancel,
-                      std::uint32_t superstep, double work = 0.0);
+                      std::uint32_t superstep, double work = 0.0,
+                      std::uint64_t min_priority = UINT64_MAX);
 
   /// Total vote rounds executed (confirmation rounds included).
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }

@@ -38,7 +38,7 @@
 // A merge drops one visitor; every engine counts it as a pre_visit
 // rejection and charges reject_cost to the receiving rank.
 //
-// Optional on the handler, for both in-process engines under
+// Optional on the handler, for every engine under
 // queue_policy::priority (runtime::windowed_handler, see engine_config.hpp):
 //   std::uint64_t frontier_window() const;   // Δ: stop a rank's batch at
 //                                             // a top past min pending + Δ

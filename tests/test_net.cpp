@@ -7,8 +7,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -90,10 +92,20 @@ TEST(NetFrame, VoteRoundTrip) {
   vote.outstanding = 123;
   vote.superstep = 17;
   vote.cancel = 1;
-  EXPECT_EQ(decode_vote(encode_vote(vote, false)), vote);
+  vote.max_work = 2.5;
+  vote.min_priority = 0x0123456789abcdefull;
+  const frame propose = encode_vote(vote, false);
+  EXPECT_EQ(propose.payload.size(), 29u);
+  EXPECT_EQ(decode_vote(propose), vote);
   const frame confirm = encode_vote(vote, true);
   EXPECT_EQ(confirm.type, frame_type::vote_confirm);
   EXPECT_EQ(decode_vote(confirm), vote);
+
+  // A vote in the format before min_priority (21 bytes) is not a vote.
+  for (frame old : {propose, confirm}) {
+    old.payload.resize(21);
+    EXPECT_THROW((void)decode_vote(old), wire_error);
+  }
 }
 
 TEST(NetFrame, MarkerAndHelloRoundTrip) {
@@ -253,6 +265,7 @@ TEST(NetFrame, MutatedFramesOnlyRaiseWireError) {
   superstep_vote vote;
   vote.outstanding = 4;
   vote.max_work = 2.5;
+  vote.min_priority = 1206;
 
   struct codec {
     const char* name;
@@ -379,7 +392,7 @@ TEST(NetTermination, TwoPhaseVoteStopsOnlyWhenAllIdle) {
   std::thread peer([&] {
     peer_channels chans(mesh.endpoint(1));
     termination_vote vote(chans);
-    d1 = vote.round(5, false, 0);  // this rank still has work
+    d1 = vote.round(5, false, 0, 0.0, 40);  // this rank still has work
   });
   peer_channels chans(mesh.endpoint(0));
   termination_vote vote(chans);
@@ -387,6 +400,9 @@ TEST(NetTermination, TwoPhaseVoteStopsOnlyWhenAllIdle) {
   peer.join();
   EXPECT_FALSE(d0.stop);
   EXPECT_FALSE(d1.stop);
+  // Both ranks leave with the least pending priority of either.
+  EXPECT_EQ(d0.min_priority, 40u);
+  EXPECT_EQ(d1.min_priority, 40u);
 
   std::thread peer2([&] {
     peer_channels c(mesh.endpoint(1));
@@ -528,6 +544,75 @@ TEST(NetDistSolve, CancelledBudgetUnwindsAllRanks) {
   config.budget = &budget;
   EXPECT_THROW((void)solve_loopback(g, seeds, config, 3),
                util::operation_cancelled);
+}
+
+/// One rank's endpoint that dies at its `kill_at`-th send: that send closes
+/// the mesh and throws, as a rank process exiting mid-superstep would. It
+/// also notes whether the rank had reached phase 2 (a ghost_sync frame) and
+/// how many votes it had cast.
+class dying_backend final : public comm_backend {
+ public:
+  dying_backend(comm_backend& inner, std::uint64_t kill_at)
+      : inner_(inner), kill_at_(kill_at) {}
+
+  [[nodiscard]] int rank() const noexcept override { return inner_.rank(); }
+  [[nodiscard]] int world_size() const noexcept override {
+    return inner_.world_size();
+  }
+  void send(int to, const frame& f) override {
+    if (++sends_ == kill_at_) {
+      inner_.close();
+      throw wire_error("rank died");
+    }
+    if (f.type == frame_type::ghost_sync) left_voronoi_ = true;
+    if (f.type == frame_type::vote) ++votes_;
+    inner_.send(to, f);
+  }
+  bool recv(int& from, frame& out) override { return inner_.recv(from, out); }
+  [[nodiscard]] net_stats stats() const noexcept override {
+    return inner_.stats();
+  }
+  void close() override { inner_.close(); }
+
+  [[nodiscard]] bool died() const noexcept { return sends_ >= kill_at_; }
+  [[nodiscard]] bool left_voronoi() const noexcept { return left_voronoi_; }
+  [[nodiscard]] std::uint64_t votes() const noexcept { return votes_; }
+
+ private:
+  comm_backend& inner_;
+  std::uint64_t kill_at_;
+  std::uint64_t sends_ = 0;
+  std::uint64_t votes_ = 0;
+  bool left_voronoi_ = false;
+};
+
+TEST(NetDistSolve, DeadPeerInWindowedVoronoiUnwindsEveryRank) {
+  const graph::csr_graph g = make_connected_graph(400, 30, 77);
+  const auto seeds = pick_seeds(g, 8, 5);
+  constexpr int k_world = 3;
+  loopback_mesh mesh(k_world);
+  dying_backend dying(mesh.endpoint(1), 40);
+  std::vector<std::future<void>> ranks;
+  for (int r = 0; r < k_world; ++r) {
+    comm_backend& net = r == 1 ? dying : mesh.endpoint(r);
+    ranks.push_back(std::async(std::launch::async, [&g, &seeds, &net] {
+      (void)solve_rank(g, seeds, core::solver_config{}, net);
+    }));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int r = 0; r < k_world; ++r) {
+    auto& rank = ranks[static_cast<std::size_t>(r)];
+    if (rank.wait_until(deadline) != std::future_status::ready) {
+      ADD_FAILURE() << "rank " << r << " still running at the deadline";
+      mesh.close_all();
+    }
+    EXPECT_THROW(rank.get(), wire_error) << "rank " << r;
+  }
+  // The rank died inside phase 1, after several windowed supersteps.
+  EXPECT_TRUE(dying.died());
+  EXPECT_FALSE(dying.left_voronoi());
+  EXPECT_GE(dying.votes(), 4u * (k_world - 1));
 }
 
 TEST(NetDistSolve, ReportsModelledAndMeasuredTraffic) {

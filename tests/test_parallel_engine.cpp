@@ -20,6 +20,7 @@
 #include "graph/epoch_graph.hpp"
 #include "graph/generators.hpp"
 #include "io/dataset.hpp"
+#include "runtime/net/dist_solver.hpp"
 #include "runtime/parallel/spsc_channel.hpp"
 #include "runtime/parallel/superstep_barrier.hpp"
 #include "runtime/parallel/thread_engine.hpp"
@@ -573,6 +574,38 @@ TEST(ParallelSolve, FrontierWindowBoundsResettlement) {
   }
 }
 
+TEST(ParallelSolve, FrontierWindowBoundsResettlementOnNetTransport) {
+  // Four net ranks each drain their own heap every superstep: without the
+  // frontier window a rank settles labels far past the global frontier,
+  // which later supersteps overwrite. With it, the Voronoi visits summed
+  // over all ranks stay below LVJ's vertex count (about 12k against 16k;
+  // without the window, about 54k).
+  const io::dataset ds = io::load_dataset("LVJ");
+  const auto seeds = seed::select_seeds(
+      ds.graph, 64, seed::seed_strategy::bfs_level, 0xbeef);
+  core::solver_config config;
+  config.num_ranks = 16;
+  config.policy = queue_policy::fifo;
+  const auto reference = core::solve_steiner_tree(ds.graph, seeds, config);
+
+  config.policy = queue_policy::priority;
+  std::vector<runtime::net::net_solve_report> reports;
+  const auto result =
+      runtime::net::solve_loopback(ds.graph, seeds, config, 4, &reports);
+  expect_identical(result, reference);
+  std::uint64_t visits = 0;
+  for (const runtime::net::net_solve_report& report : reports) {
+    for (const runtime::net::rank_telemetry& t : report.telemetry) {
+      if (t.phase == static_cast<std::uint8_t>(
+                         runtime::net::telemetry_phase::voronoi)) {
+        visits += t.visitors;
+      }
+    }
+  }
+  EXPECT_LE(visits, std::uint64_t{ds.graph.num_vertices()})
+      << "Voronoi visits over 4 net ranks: " << visits;
+}
+
 /// label_handler with the frontier-window opt-in. Δ is wide enough that no
 /// batch is ever cut, so the schedule is label_handler's and only the
 /// fold's charge differs.
@@ -639,6 +672,28 @@ TEST(FrontierWindow, VoronoiCollectiveCallsMatchRounds) {
           << "mode " << static_cast<int>(mode);
     }
   }
+  // The net engine charges its vote's min-fold the same way, per windowed
+  // superstep; phase 6's walk-backs have no window and pay nothing.
+  std::uint64_t walk_calls[2] = {};
+  for (const queue_policy policy :
+       {queue_policy::priority, queue_policy::fifo}) {
+    core::solver_config config;
+    config.policy = policy;
+    const auto result = runtime::net::solve_loopback(g, seeds, config, 4);
+    const phase_metrics* voronoi = result.phases.find(phase_names::voronoi);
+    const phase_metrics* walks = result.phases.find(phase_names::tree_edge);
+    ASSERT_NE(voronoi, nullptr);
+    ASSERT_NE(walks, nullptr);
+    EXPECT_GT(voronoi->rounds, 0u);
+    EXPECT_EQ(voronoi->collective_calls,
+              policy == queue_policy::priority ? voronoi->rounds : 0u)
+        << "net";
+    EXPECT_EQ(voronoi->collective_bytes,
+              policy == queue_policy::priority ? 8 * voronoi->rounds : 0u)
+        << "net";
+    walk_calls[policy == queue_policy::fifo ? 1 : 0] = walks->collective_calls;
+  }
+  EXPECT_EQ(walk_calls[0], walk_calls[1]);
 }
 
 TEST(ParallelSolve, WarmStartRepairUnderThreadedEngineMatchesCold) {

@@ -177,9 +177,9 @@ class rank_context {
 
   /// Closes one superstep: runs the termination vote (folding `work`, this
   /// rank's simulated work, and `min_priority`, its least pending priority),
-  /// emits the telemetry sample, and records a
-  /// traffic sample — in that order, so the telemetry frame's own bytes land
-  /// in the same traffic sample as the superstep it describes. Throws
+  /// emits the telemetry sample, and records a traffic sample — in that
+  /// order, so the telemetry frame's own bytes land in the same traffic
+  /// sample as the superstep it describes. Throws
   /// operation_cancelled when the folded vote carries a cancel bit, keeping
   /// all ranks' unwinding in lockstep.
   vote_decision end_superstep(telemetry_phase phase, std::uint32_t superstep,

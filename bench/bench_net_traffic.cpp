@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
               world, queries, ds.spec.paper_name.c_str());
 
   util::table table({"query", "|S|", "modelled", "measured", "overhead",
-                     "supersteps", "votes", "wall"});
+                     "supersteps", "wall"});
   bool ok = true;
   double telemetry_on_wall = 0.0;
   std::uint64_t prev_modelled = 0;
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
                  : 100.0 * static_cast<double>(measured - modelled) /
                        static_cast<double>(modelled),
              1) + "%",
-         std::to_string(stats.net_supersteps), std::to_string(stats.net_vote_rounds),
+         std::to_string(stats.net_supersteps),
          util::format_duration(wall_seconds)});
   }
   std::printf("%s\n", table.render().c_str());
@@ -148,12 +148,10 @@ int main(int argc, char** argv) {
     ok = false;
   }
   std::printf(
-      "totals: modelled=%s measured=%s supersteps=%llu vote_rounds=%llu "
-      "ghost_labels=%llu\n",
+      "totals: modelled=%s measured=%s supersteps=%llu ghost_labels=%llu\n",
       util::format_bytes(snap.stats.net_bytes_modelled).c_str(),
       util::format_bytes(snap.stats.net_bytes_sent).c_str(),
       static_cast<unsigned long long>(snap.stats.net_supersteps),
-      static_cast<unsigned long long>(snap.stats.net_vote_rounds),
       static_cast<unsigned long long>(snap.stats.net_ghost_labels));
   std::printf("exposition: %zu series across %zu families, %s\n",
               report.series, report.families,

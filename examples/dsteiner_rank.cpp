@@ -210,8 +210,6 @@ int print_metrics(const runtime::net::net_solve_report& report) {
           report.stats.frames_received);
   counter("net_supersteps_total", "BSP supersteps this rank participated in.",
           report.supersteps);
-  counter("net_vote_rounds_total",
-          "Termination vote rounds (confirms included).", report.vote_rounds);
   counter("net_ghost_labels_sent_total",
           "Boundary labels pushed to neighbouring ranks.",
           report.ghost_labels_sent);

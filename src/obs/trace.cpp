@@ -228,7 +228,7 @@ std::string query_trace::to_chrome_json() const {
 
   // Cluster telemetry: one Perfetto track per rank of the distributed solve,
   // under a second synthetic process. Remote ranks' clocks cannot be aligned
-  // with the trace origin, so each rank's compute/send/recv/vote slices are
+  // with the trace origin, so each rank's compute/send/recv slices are
   // laid end to end from a per-rank cursor starting at 0 — honest about
   // relative durations and skew, silent about absolute offsets.
   if (!rank_slices_.empty()) {
@@ -260,8 +260,7 @@ std::string query_trace::to_chrome_json() const {
         const char* name;
         double dur;
       } comm[] = {{"send_flush", s.send_flush_seconds},
-                  {"recv_wait", s.recv_wait_seconds},
-                  {"vote", s.vote_seconds}};
+                  {"recv_wait", s.recv_wait_seconds}};
       for (const auto& c : comm) {
         if (c.dur <= 0.0) continue;
         append_complete(out, c.name, "rank_comm", at, c.dur, k_cluster_pid,

@@ -91,8 +91,7 @@ struct rank_slice {
   std::uint32_t superstep = 0;
   double compute_seconds = 0.0;
   double send_flush_seconds = 0.0;
-  double recv_wait_seconds = 0.0;
-  double vote_seconds = 0.0;
+  double recv_wait_seconds = 0.0;  ///< peers' data frames and votes
   std::uint64_t visitors = 0;
   std::uint64_t bytes_sent = 0;  ///< data-frame wire bytes to all peers
 };

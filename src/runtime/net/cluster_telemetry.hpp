@@ -45,7 +45,7 @@ struct straggler_row {
   double max_compute_seconds = 0.0;
   double median_compute_seconds = 0.0;
   double compute_skew = 1.0;  ///< max/median compute (1.0 when median is 0)
-  double comm_wait_fraction = 0.0;  ///< (send+recv+vote) share of group time
+  double comm_wait_fraction = 0.0;  ///< (send+recv) share of group time
 };
 
 /// Whole-solve headline numbers folded from the straggler rows.

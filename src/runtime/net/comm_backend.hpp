@@ -3,7 +3,7 @@
 // A `comm_backend` is one rank's endpoint into a fully-connected mesh of
 // `world_size()` ranks: point-to-point typed frames with per-peer FIFO
 // ordering, plus measured traffic counters. Everything above it — superstep
-// batching, markers, the two-phase termination vote, ghost sync, collectives
+// batching, the termination vote, markers, ghost sync, collectives
 // — is built from these two primitives (termination.hpp, superstep_engine.hpp,
 // dist_solver.cpp), so the algorithm code is identical over the in-process
 // loopback mesh (the default; see loopback_backend.hpp) and real TCP sockets
@@ -44,7 +44,9 @@ class comm_backend {
   virtual void send(int to, const frame& f) = 0;
 
   /// Blocks for the next frame from any peer (per-peer FIFO order). Returns
-  /// false when the mesh has been closed and no frames remain.
+  /// false when the mesh has been closed and no frames remain. A backend
+  /// whose peers can leave one at a time reports each departure as a
+  /// frame_type::shutdown frame from that peer.
   virtual bool recv(int& from, frame& out) = 0;
 
   [[nodiscard]] virtual net_stats stats() const noexcept = 0;

@@ -145,7 +145,8 @@ phase_metrics collect_tree_edges(rank_context& ctx,
       // This is the last exchange of the solve, so the sample must precede
       // the markers: per-peer FIFO then guarantees rank 0 absorbs it while
       // draining to our marker. The cost is that gather samples carry no
-      // recv_wait (the drain has not happened yet when they are emitted).
+      // recv_wait and no received tallies (the drain has not happened yet
+      // when they are emitted).
       [&] { ctx.emit_phase_telemetry(telemetry_phase::gather); });
   ctx.record_traffic(0, sent_before);
   metrics.wall_seconds += gather_timer.seconds();

@@ -47,7 +47,7 @@ struct net_solve_report {
   int rank = 0;
   int world = 1;
   std::uint64_t supersteps = 0;   ///< BSP steps across phases 1 and 6
-  std::uint64_t vote_rounds = 0;  ///< termination rounds (confirms included)
+  std::uint64_t vote_rounds = 0;  ///< termination rounds: one per superstep
   std::uint64_t ghost_labels_sent = 0;
   std::uint64_t ghost_labels_applied = 0;
   std::uint64_t bytes_modelled = 0;  ///< sum over samples

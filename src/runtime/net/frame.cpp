@@ -127,7 +127,6 @@ const char* to_string(frame_type type) noexcept {
     case frame_type::tree_edges: return "tree_edges";
     case frame_type::superstep_marker: return "superstep_marker";
     case frame_type::vote: return "vote";
-    case frame_type::vote_confirm: return "vote_confirm";
     case frame_type::shutdown: return "shutdown";
     case frame_type::telemetry: return "telemetry";
   }
@@ -161,7 +160,8 @@ frame_header decode_header(std::span<const std::uint8_t> header_bytes) {
   }
   const std::uint8_t raw_type = header_bytes[2];
   if (raw_type < static_cast<std::uint8_t>(frame_type::hello) ||
-      raw_type > static_cast<std::uint8_t>(frame_type::telemetry)) {
+      raw_type > static_cast<std::uint8_t>(frame_type::telemetry) ||
+      raw_type == 9) {  // the retired confirm vote
     throw wire_error("unknown frame type " + std::to_string(raw_type));
   }
   const std::uint32_t len = get_le<std::uint32_t>(header_bytes.data() + 4);
@@ -358,21 +358,18 @@ std::vector<graph::weighted_edge> decode_edge_batch(const frame& f) {
   return out;
 }
 
-frame encode_vote(const superstep_vote& vote, bool confirm) {
+frame encode_vote(const superstep_vote& vote) {
   wire_writer w(29);
   w.u64(vote.outstanding);
   w.u32(vote.superstep);
   w.u8(vote.cancel);
   w.u64(std::bit_cast<std::uint64_t>(vote.max_work));
   w.u64(vote.min_priority);
-  return frame{confirm ? frame_type::vote_confirm : frame_type::vote, w.take()};
+  return frame{frame_type::vote, w.take()};
 }
 
 superstep_vote decode_vote(const frame& f) {
-  if (f.type != frame_type::vote && f.type != frame_type::vote_confirm) {
-    throw wire_error(std::string("vote: unexpected frame type ") +
-                     to_string(f.type));
-  }
+  check_type(f, frame_type::vote, "vote");
   wire_reader r(f.payload);
   superstep_vote v;
   v.outstanding = r.u64();
@@ -399,7 +396,7 @@ std::uint32_t decode_marker(const frame& f) {
 }
 
 frame encode_telemetry(const rank_telemetry& sample) {
-  wire_writer w(61 + sample.peers.size() * 24);
+  wire_writer w(53 + sample.peers.size() * 24);
   w.u32(static_cast<std::uint32_t>(sample.rank));
   w.u8(sample.phase);
   w.u32(sample.superstep);
@@ -408,7 +405,6 @@ frame encode_telemetry(const rank_telemetry& sample) {
   w.u64(sample.compute_nanos);
   w.u64(sample.send_flush_nanos);
   w.u64(sample.recv_wait_nanos);
-  w.u64(sample.vote_nanos);
   w.u32(static_cast<std::uint32_t>(sample.peers.size()));
   for (const telemetry_peer_traffic& peer : sample.peers) {
     w.u32(peer.batches_sent);
@@ -431,7 +427,6 @@ rank_telemetry decode_telemetry(const frame& f) {
   sample.compute_nanos = r.u64();
   sample.send_flush_nanos = r.u64();
   sample.recv_wait_nanos = r.u64();
-  sample.vote_nanos = r.u64();
   if (sample.phase < static_cast<std::uint8_t>(telemetry_phase::voronoi) ||
       sample.phase > static_cast<std::uint8_t>(telemetry_phase::gather)) {
     throw wire_error("telemetry: unknown phase " +

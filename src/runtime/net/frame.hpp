@@ -15,8 +15,11 @@
 // exchange in-process: core's Voronoi visitors (Alg. 4 relaxations and
 // delegate relays crossing partitions), tree-edge walk batches
 // (Alg. 6), ghost boundary labels, cross-cell EN entries (Alg. 5), result
-// tree edges, and the two-phase termination votes folding the superstep
-// barrier's aggregate payload.
+// tree edges, and the termination vote folding the superstep barrier's
+// aggregate payload. A rank sends its vote after its last data frame of the
+// superstep, so the vote also closes that rank's data stream to each peer;
+// only the one-shot exchanges (ghost sync, EN reduce, gather) end with a
+// superstep_marker.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +46,10 @@ enum class frame_type : std::uint8_t {
   ghost_sync = 4,       ///< boundary labels {v, src, dist} pushed to neighbours
   en_entries = 5,       ///< cross-cell EN entries for the global reduction
   tree_edges = 6,       ///< per-rank result edges for the final allgather
-  superstep_marker = 7, ///< end-of-superstep: no more data frames this step
-  vote = 8,             ///< termination vote, phase A (propose)
-  vote_confirm = 9,     ///< termination vote, phase B (confirm)
-  shutdown = 10,        ///< orderly mesh teardown
+  superstep_marker = 7, ///< end of a one-shot exchange's data frames
+  vote = 8,             ///< termination vote; closes the superstep's data
+  // 9 is retired (the old confirm round's vote); decode_header rejects it.
+  shutdown = 10,        ///< end of a peer's stream (tcp_backend: its EOF)
   telemetry = 11,       ///< per-rank superstep sample, pushed to rank 0
 };
 
@@ -77,7 +80,7 @@ struct frame_header {
 /// Serialises the 8-byte header for `f` into `out`.
 void encode_header(const frame& f, std::uint8_t out[k_header_bytes]);
 
-/// Parses and validates an 8-byte header (magic, type range, length bound).
+/// Parses and validates an 8-byte header (magic, known type, length bound).
 [[nodiscard]] frame_header decode_header(
     std::span<const std::uint8_t> header_bytes);
 
@@ -101,9 +104,10 @@ struct ghost_label {
 
 /// One rank's contribution to a termination round — the same payload the
 /// threaded engine folds through parallel::superstep_barrier::aggregate:
-/// outstanding backlog (summed), cooperative-stop flag (OR-folded), the
-/// superstep's simulated work (max-folded: the critical path) and the least
-/// pending priority (min-folded: the frontier window's m).
+/// outstanding work (summed: mailbox backlog plus visitors sent remotely this
+/// superstep), cooperative-stop flag (OR-folded), simulated work since the
+/// previous vote (max-folded: the critical path) and a lower bound on the
+/// least pending priority (min-folded: the frontier window's m).
 struct superstep_vote {
   std::uint64_t outstanding = 0;
   std::uint32_t superstep = 0;
@@ -160,7 +164,7 @@ void append_walk(std::vector<std::uint8_t>& payload, graph::vertex_id v);
 [[nodiscard]] std::vector<graph::weighted_edge> decode_edge_batch(
     const frame& f);
 
-[[nodiscard]] frame encode_vote(const superstep_vote& vote, bool confirm);
+[[nodiscard]] frame encode_vote(const superstep_vote& vote);
 [[nodiscard]] superstep_vote decode_vote(const frame& f);
 
 [[nodiscard]] frame make_marker(std::uint32_t superstep);
@@ -209,15 +213,15 @@ struct rank_telemetry {
   /// during the drain.
   std::uint64_t compute_nanos = 0;
   std::uint64_t send_flush_nanos = 0;  ///< encoding + sending the rest
-  std::uint64_t recv_wait_nanos = 0;   ///< peer-drain loop (block + apply)
-  std::uint64_t vote_nanos = 0;        ///< two-phase termination vote
+  /// Waiting for and applying peers' frames up to their vote (or marker).
+  std::uint64_t recv_wait_nanos = 0;
   std::vector<telemetry_peer_traffic> peers;  ///< indexed by peer rank
 
   [[nodiscard]] std::uint64_t total_nanos() const noexcept {
-    return compute_nanos + send_flush_nanos + recv_wait_nanos + vote_nanos;
+    return compute_nanos + send_flush_nanos + recv_wait_nanos;
   }
   [[nodiscard]] std::uint64_t comm_nanos() const noexcept {
-    return send_flush_nanos + recv_wait_nanos + vote_nanos;
+    return send_flush_nanos + recv_wait_nanos;
   }
 
   friend bool operator==(const rank_telemetry&, const rank_telemetry&) = default;

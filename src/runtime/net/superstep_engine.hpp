@@ -5,30 +5,38 @@
 //      frontier window, m + Δ (below). Emissions to this rank pass pre_visit
 //      at once; emissions to other ranks are encoded straight into a
 //      per-owner frame, sent whenever it fills;
-//   2. send the partial frames and a marker; every peer's visitors up to
-//      its marker pass pre_visit into the mailbox;
-//   3. rank_context::end_superstep: the termination vote (outstanding sum,
-//      cancel OR, max work, min of the mailbox tops), telemetry and traffic
-//      samples.
+//   2. send the partial frames;
+//   3. rank_context::end_superstep: one vote to every peer (outstanding sum,
+//      cancel OR, max work, min priority), which also closes this rank's
+//      data stream for the superstep. While waiting, every peer's visitors
+//      up to its vote pass pre_visit into the mailbox; then the votes are
+//      folded, and the telemetry and traffic samples recorded. One
+//      all-to-all exchange per superstep.
+// A vote's outstanding count is the mailbox size after the drain plus the
+// visitors sent to other ranks this superstep, so a folded 0 means every
+// mailbox is empty and nothing is in flight: all ranks stop together.
 // Frontier window: for a windowed handler under the priority policy
-// (runtime::windowed_handler), m is the least pending priority over all
-// ranks: the least seed priority before the first superstep, then the vote's
-// min-fold of every rank's mailbox top. The vote runs after every data frame
-// of the superstep has been admitted, so m is exact and the rank holding it
-// always pops. FIFO runs and phase 6 have no window and drain the mailbox to
-// a local fixed point.
+// (runtime::windowed_handler), m is a lower bound on the least pending
+// priority over all ranks: the least seed priority before the first
+// superstep, then the vote's min-fold of each rank's mailbox top after the
+// drain and the least priority it sent to other ranks. A batch therefore
+// never pops past the exact bound; when the least visitor in flight is
+// rejected on arrival, m is low and one superstep may pop nothing. FIFO runs
+// and phase 6 have no window and drain the mailbox to a local fixed point.
 // Simulated work uses the threaded engine's charges, derived from the
-// counters once per superstep; the vote's max-fold adds the critical path to
-// sim_units, and a windowed superstep charges the fold of m as one 8-byte
-// collective, as the in-process engines do. Every other phase_metrics
-// counter is this rank's own.
+// counters: a vote folds the work since the previous vote, so the charge for
+// admitting superstep k's frames lands in superstep k+1. The vote's max-fold
+// adds the critical path to sim_units, and a windowed superstep charges the
+// fold of m as one 8-byte collective, as the in-process engines do. Every
+// other phase_metrics counter is this rank's own.
 //
 // rank_context is the rank's side of the mesh that every net phase shares:
 // per-peer channels, the chunked exchange, the termination vote, and the
 // observation around them (telemetry and traffic samples). A phase opens a
 // window with begin_window() and closes it with end_superstep() (the
 // engine's voting supersteps) or emit_phase_telemetry() + record_traffic()
-// (one-shot exchanges: ghost sync, EN reduce, gather).
+// (one-shot exchanges: ghost sync, EN reduce, gather, which end with a
+// marker to each peer).
 #pragma once
 
 #include <algorithm>
@@ -77,7 +85,6 @@ class rank_context {
       : config(cfg),
         net_(backend),
         chans_(backend),
-        vote_(chans_),
         telemetry_on_(cfg.net_telemetry) {
     report.rank = backend.rank();
     report.world = backend.world_size();
@@ -114,27 +121,6 @@ class rank_context {
     net_.send(peer, f);
   }
 
-  /// Ends this rank's side of an exchange: a marker tagged `superstep` to
-  /// every peer, then every peer's data frames up to its marker to
-  /// `on_frame`, in peer order (timed as the window's receive wait).
-  void finish_exchange(std::uint32_t superstep,
-                       const std::function<void(frame&)>& on_frame) {
-    for (int peer = 0; peer < world(); ++peer) {
-      if (peer != rank()) net_.send(peer, make_marker(superstep));
-    }
-    const util::timer recv_timer;
-    for (int peer = 0; peer < world(); ++peer) {
-      if (peer == rank()) continue;
-      telemetry_peer_traffic& t = scratch.peers[static_cast<std::size_t>(peer)];
-      chans_.until_marker(peer, frame_type::superstep_marker, [&](frame& f) {
-        ++t.batches_received;
-        t.bytes_received += wire_bytes(f);
-        on_frame(f);
-      });
-    }
-    scratch.recv_wait_seconds = recv_timer.seconds();
-  }
-
   /// A whole one-shot exchange: `records(peer)` (a span) goes to each peer
   /// in frames of at most k_batch_records records built by `encode`;
   /// `before_markers`, when set, runs next; then finish_exchange.
@@ -155,13 +141,13 @@ class rank_context {
     }
     scratch.send_flush_seconds = flush_timer.seconds();
     if (before_markers) before_markers();
-    finish_exchange(0, on_frame);
+    finish_exchange(on_frame);
   }
 
   /// Closes a one-shot exchange's telemetry window (no vote ran).
   void emit_phase_telemetry(telemetry_phase phase,
                             std::uint64_t ghost_labels = 0) {
-    emit_telemetry(phase, 0, ghost_labels, 0.0, 0);
+    emit_telemetry(phase, 0, ghost_labels, 0);
   }
 
   /// Records one (measured, modelled) traffic sample: wire bytes sent since
@@ -175,42 +161,53 @@ class rank_context {
     report.samples.push_back(sample);
   }
 
-  /// Closes one superstep: runs the termination vote (folding `work`, this
-  /// rank's simulated work, and `min_priority`, its least pending priority),
-  /// emits the telemetry sample, and records a traffic sample — in that
-  /// order, so the telemetry frame's own bytes land in the same traffic
-  /// sample as the superstep it describes. Throws
-  /// operation_cancelled when the folded vote carries a cancel bit, keeping
-  /// all ranks' unwinding in lockstep.
+  /// Closes one superstep: sends this rank's vote (`outstanding`, its
+  /// cancel flag, `work` and `min_priority`; see superstep_vote) to every
+  /// peer, hands each peer's data frames up to its vote to `on_frame` (timed
+  /// as the window's receive wait), folds the votes, emits the telemetry
+  /// sample and records a traffic sample — in that order, so the telemetry
+  /// frame's own bytes land in the same traffic sample as the superstep it
+  /// describes. Throws operation_cancelled when the folded vote carries a
+  /// cancel bit, keeping all ranks' unwinding in lockstep.
   vote_decision end_superstep(telemetry_phase phase, std::uint32_t superstep,
                               std::uint64_t outstanding,
                               std::uint64_t sent_before, double work,
-                              std::uint64_t min_priority) {
-    const util::timer vote_timer;
-    const vote_decision decision = vote_.round(
-        outstanding, config.budget != nullptr && config.budget->stop_requested(),
-        superstep, work, min_priority);
-    const double vote_seconds = vote_timer.seconds();
+                              std::uint64_t min_priority,
+                              const std::function<void(frame&)>& on_frame) {
+    superstep_vote mine;
+    mine.outstanding = outstanding;
+    mine.superstep = superstep;
+    mine.cancel =
+        config.budget != nullptr && config.budget->stop_requested() ? 1 : 0;
+    mine.max_work = work;
+    mine.min_priority = min_priority;
+    const util::timer recv_timer;
+    const vote_decision decision =
+        vote_round(chans_, mine, [&](int peer, frame& f) {
+          receive_data(peer, f, on_frame);
+        });
+    scratch.recv_wait_seconds = recv_timer.seconds();
     ++report.supersteps;
-    emit_telemetry(phase, superstep, 0, vote_seconds, outstanding);
+    emit_telemetry(phase, superstep, 0, outstanding);
     record_traffic(superstep, sent_before);
     if (decision.cancel) {
       // Our own budget's reason if it tripped; otherwise another rank
       // cancelled and "cancelled" is the only honest description.
       util::cancel_reason why = util::cancel_reason::cancelled;
       if (config.budget != nullptr) {
-        const util::cancel_reason mine = config.budget->stop_reason();
-        if (mine != util::cancel_reason::none) why = mine;
+        const util::cancel_reason mine_why = config.budget->stop_reason();
+        if (mine_why != util::cancel_reason::none) why = mine_why;
       }
       throw util::operation_cancelled(why);
     }
     return decision;
   }
 
-  /// Moves the finished report out: vote rounds, backend counters and, on
-  /// rank 0 with telemetry on, every rank's samples merged.
+  /// Moves the finished report out: vote rounds (one per superstep),
+  /// backend counters and, on rank 0 with telemetry on, every rank's samples
+  /// merged.
   [[nodiscard]] net_solve_report take_report() {
-    report.vote_rounds = vote_.rounds();
+    report.vote_rounds = report.supersteps;
     report.stats = net_.stats();
     if (telemetry_on_ && rank() == 0) {
       report.cluster = merge_cluster_samples(world(), std::move(cluster_rx_));
@@ -223,6 +220,32 @@ class rank_context {
   telemetry_scratch scratch;
 
  private:
+  /// Ends this rank's side of a one-shot exchange: a marker to every peer,
+  /// then every peer's data frames up to its marker to `on_frame`, in peer
+  /// order (timed as the window's receive wait).
+  void finish_exchange(const std::function<void(frame&)>& on_frame) {
+    for (int peer = 0; peer < world(); ++peer) {
+      if (peer != rank()) net_.send(peer, make_marker(0));
+    }
+    const util::timer recv_timer;
+    for (int peer = 0; peer < world(); ++peer) {
+      if (peer == rank()) continue;
+      chans_.until_marker(peer, frame_type::superstep_marker,
+                          [&](frame& f) { receive_data(peer, f, on_frame); });
+    }
+    scratch.recv_wait_seconds = recv_timer.seconds();
+  }
+
+  /// Tallies one data frame from `peer` to the window's traffic and passes
+  /// it on.
+  void receive_data(int peer, frame& f,
+                    const std::function<void(frame&)>& on_frame) {
+    telemetry_peer_traffic& t = scratch.peers[static_cast<std::size_t>(peer)];
+    ++t.batches_received;
+    t.bytes_received += wire_bytes(f);
+    on_frame(f);
+  }
+
   /// Builds this window's sample from the scratch and routes it: rank 0
   /// keeps it locally, other ranks push it to rank 0 as a telemetry frame
   /// (its payload charged to the perf model like any other payload, so the
@@ -230,8 +253,7 @@ class rank_context {
   /// mirrors an aggregate row into the rank-0 engine probe, which is what
   /// puts distributed solves into /tracez and the slow-query log.
   void emit_telemetry(telemetry_phase phase, std::uint32_t superstep,
-                      std::uint64_t ghost_labels, double vote_seconds,
-                      std::uint64_t backlog) {
+                      std::uint64_t ghost_labels, std::uint64_t backlog) {
     if (config.trace != nullptr) {
       obs::superstep_sample probe_sample;
       probe_sample.superstep = superstep;
@@ -241,7 +263,7 @@ class rank_context {
       probe_sample.backlog = static_cast<std::uint32_t>(backlog);
       probe_sample.compute_seconds = static_cast<float>(scratch.compute_seconds);
       probe_sample.barrier_wait_seconds =
-          static_cast<float>(scratch.recv_wait_seconds + vote_seconds);
+          static_cast<float>(scratch.recv_wait_seconds);
       config.trace->probe().record(0, probe_sample);
     }
     if (!telemetry_on_) return;
@@ -254,7 +276,6 @@ class rank_context {
     t.compute_nanos = to_nanos(scratch.compute_seconds);
     t.send_flush_nanos = to_nanos(scratch.send_flush_seconds);
     t.recv_wait_nanos = to_nanos(scratch.recv_wait_seconds);
-    t.vote_nanos = to_nanos(vote_seconds);
     t.peers = scratch.peers;
     if (rank() != 0) {
       const frame f = encode_telemetry(t);
@@ -272,7 +293,6 @@ class rank_context {
 
   comm_backend& net_;
   peer_channels chans_;
-  termination_vote vote_;
   const bool telemetry_on_;
   std::uint64_t modelled_epoch_ = 0;  ///< modelled bytes at the last sample
   std::vector<rank_telemetry> cluster_rx_;  ///< rank 0: all ranks' samples
@@ -349,9 +369,11 @@ class superstep_engine {
   /// the vote folds a cancel bit, and wire_error if the mesh dies.
   [[nodiscard]] phase_metrics run() {
     const util::timer wall;
+    const bool windowed = window_ != k_no_window;
+    double voted_work = work();  // seeding is not charged
     for (std::uint32_t superstep = 0;; ++superstep) {
       const std::uint64_t sent_before = ctx_.begin_window();
-      const double work_before = work();
+      sent_min_ = UINT64_MAX;
       const util::timer compute_timer;
       const std::uint64_t bound = frontier_bound(frontier_, window_);
       while (!box_.empty()) {
@@ -370,23 +392,27 @@ class superstep_engine {
       const util::timer flush_timer;
       for (int peer = 0; peer < ctx_.world(); ++peer) flush(peer);
       ctx_.scratch.send_flush_seconds = flush_timer.seconds();
-      ctx_.finish_exchange(superstep, [&](frame& f) {
-        for (const Visitor& v : codec::decode(f)) {
-          if (v.target() >= parts_.num_vertices()) {
-            throw wire_error("visitor for a vertex outside the graph");
-          }
-          ++received_;
-          admit(v);
-        }
-      });
+
+      // scratch.remote_msgs counts this superstep's visitors in flight.
+      const double work_now = work();
+      std::uint64_t least = sent_min_;
+      if (!box_.empty()) least = std::min(least, box_.top_priority());
+      const vote_decision decision = ctx_.end_superstep(
+          phase_, superstep, box_.size() + ctx_.scratch.remote_msgs,
+          sent_before, work_now - voted_work, windowed ? least : UINT64_MAX,
+          [&](frame& f) {
+            for (const Visitor& v : codec::decode(f)) {
+              if (v.target() >= parts_.num_vertices()) {
+                throw wire_error("visitor for a vertex outside the graph");
+              }
+              ++received_;
+              admit(v);
+            }
+          });
+      voted_work = work_now;
       metrics_.queue_peak_items =
           std::max<std::uint64_t>(metrics_.queue_peak_items, box_.size());
       ++metrics_.rounds;
-
-      const bool windowed = window_ != k_no_window;
-      const vote_decision decision = ctx_.end_superstep(
-          phase_, superstep, box_.size(), sent_before, work() - work_before,
-          windowed && !box_.empty() ? box_.top_priority() : UINT64_MAX);
       metrics_.sim_units += decision.max_work;
       if (windowed) {
         // The vote's min-fold of m, priced as an 8-byte collective.
@@ -410,6 +436,7 @@ class superstep_engine {
     } else {
       ++metrics_.messages_remote;
       ++ctx_.scratch.remote_msgs;
+      sent_min_ = std::min(sent_min_, v.priority());
       std::vector<std::uint8_t>& batch =
           outbox_[static_cast<std::size_t>(to)].payload;
       codec::append(batch, v);
@@ -456,7 +483,9 @@ class superstep_engine {
   std::vector<frame> outbox_;
   std::uint64_t received_ = 0;  ///< remote visitors delivered here
   std::uint64_t window_;  ///< Δ; see windowed_handler
-  std::uint64_t frontier_ = UINT64_MAX;  ///< m: least pending priority
+  /// m: a lower bound on the least pending priority over all ranks.
+  std::uint64_t frontier_ = UINT64_MAX;
+  std::uint64_t sent_min_ = UINT64_MAX;  ///< least priority sent remotely
   phase_metrics metrics_;
 };
 

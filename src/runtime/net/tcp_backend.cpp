@@ -36,14 +36,16 @@ void write_all(int fd, const std::uint8_t* data, std::size_t len) {
 }
 
 /// Reads exactly `len` bytes. Returns false on clean EOF at a frame boundary
-/// (len bytes pending = 0 read so far); mid-read EOF is a wire error.
+/// (len bytes pending = 0 read so far); mid-read EOF is a wire error. A
+/// connection reset counts as EOF: the peer has left either way.
 bool read_exact(int fd, std::uint8_t* data, std::size_t len) {
   std::size_t got = 0;
   while (got < len) {
-    const ssize_t n = ::recv(fd, data + got, len - got, MSG_WAITALL);
+    ssize_t n = ::recv(fd, data + got, len - got, MSG_WAITALL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw_errno("tcp recv");
+      if (errno != ECONNRESET) throw_errno("tcp recv");
+      n = 0;
     }
     if (n == 0) {
       if (got == 0) return false;
@@ -195,6 +197,10 @@ void tcp_backend::send(int to, const frame& f) {
   // once both kernel send buffers fill (neither reads until its write
   // completes). When our write would block we read whatever peers have
   // ready into rx_queue_, which frees their send buffers and ours.
+  const auto peer_left = [to] {
+    return wire_error("tcp send: rank " + std::to_string(to) +
+                      " left the mesh");
+  };
   const std::vector<std::uint8_t> bytes = encode_frame(f);
   std::size_t off = 0;
   while (off < bytes.size()) {
@@ -204,6 +210,7 @@ void tcp_backend::send(int to, const frame& f) {
       off += static_cast<std::size_t>(n);
       continue;
     }
+    if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) throw peer_left();
     if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
       throw_errno("tcp send");
     }
@@ -211,6 +218,7 @@ void tcp_backend::send(int to, const frame& f) {
     // link flush at each other, reading the peer's frames is the only thing
     // that empties its send buffer and lets it get back to reading ours.
     drain_ready_peers();
+    if (fd_of(to) < 0) throw peer_left();
     pollfd p{fd, POLLOUT, 0};
     if (::poll(&p, 1, 50) < 0 && errno != EINTR) throw_errno("tcp poll");
   }
@@ -239,11 +247,12 @@ void tcp_backend::drain_ready_peers() {
     if (read_frame(fds[i].fd, f)) {
       stats_.bytes_received += wire_bytes(f);
       ++stats_.frames_received;
-      rx_queue_.emplace_back(ranks[i], std::move(f));
-    } else {
+    } else {  // clean EOF: queued as a shutdown frame, as recv() reports it
       ::close(fds[i].fd);
       peer_fd_[static_cast<std::size_t>(ranks[i])] = -1;
+      f = frame{frame_type::shutdown, {}};
     }
+    rx_queue_.emplace_back(ranks[i], std::move(f));
   }
 }
 
@@ -277,18 +286,18 @@ bool tcp_backend::recv(int& from, frame& out) {
           (static_cast<std::size_t>(next_peer_) + step) % count;
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       next_peer_ = static_cast<int>((i + 1) % count);
+      from = ranks[i];
       if (read_frame(fds[i].fd, out)) {
-        from = ranks[i];
         stats_.bytes_received += wire_bytes(out);
         ++stats_.frames_received;
-        return true;
+      } else {
+        // Clean EOF: report it once as a shutdown frame, then stop polling
+        // this peer.
+        ::close(fds[i].fd);
+        peer_fd_[static_cast<std::size_t>(from)] = -1;
+        out = frame{frame_type::shutdown, {}};
       }
-      // Clean EOF from this peer: drop it and keep serving the rest.
-      ::close(fds[i].fd);
-      peer_fd_[static_cast<std::size_t>(ranks[i])] = -1;
-      fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(i));
-      ranks.erase(ranks.begin() + static_cast<std::ptrdiff_t>(i));
-      break;  // pollfd indices shifted; re-poll
+      return true;
     }
   }
   return false;  // every peer has disconnected

@@ -13,9 +13,13 @@
 // Frames are length-prefixed (frame.hpp) over TCP_NODELAY streams; sends are
 // full writes, receives read exactly one frame (header, then payload) from a
 // poll()-selected peer, with round-robin fairness across ready peers so one
-// chatty neighbour cannot starve the marker from another. Decoding enforces
+// chatty neighbour cannot starve the vote from another. Decoding enforces
 // the magic/size bounds, so a desynchronised or malicious stream fails the
-// solve instead of corrupting state.
+// solve instead of corrupting state. A peer whose connection ends (EOF or
+// reset) is reported once as a frame_type::shutdown frame from it, after its
+// last frame: a rank waiting on that peer fails with wire_error instead of
+// polling the survivors for ever, while a peer that finished and exited
+// first costs nothing.
 #pragma once
 
 #include <cstdint>

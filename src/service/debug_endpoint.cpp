@@ -76,11 +76,9 @@ std::string debug_endpoint::render_statusz() const {
        s.oracle_builds);
   line(out,
        "net: solves=%" PRIu64 " bytes_sent=%" PRIu64 " bytes_modelled=%" PRIu64
-       " frames=%" PRIu64 " supersteps=%" PRIu64 " votes=%" PRIu64
-       " ghost_labels=%" PRIu64,
+       " frames=%" PRIu64 " supersteps=%" PRIu64 " ghost_labels=%" PRIu64,
        s.distributed_solves, s.net_bytes_sent, s.net_bytes_modelled,
-       s.net_frames_sent, s.net_supersteps, s.net_vote_rounds,
-       s.net_ghost_labels);
+       s.net_frames_sent, s.net_supersteps, s.net_ghost_labels);
   line(out,
        "cluster: telemetry_samples=%" PRIu64 " supersteps=%" PRIu64
        " straggler_supersteps=%" PRIu64 " superstep_p50=%.6fs"

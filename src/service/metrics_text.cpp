@@ -159,9 +159,6 @@ std::string render_metrics_text(const service_snapshot& snap,
   w.counter("net_supersteps_total",
             "BSP supersteps executed by distributed solves (mesh-wide, not "
             "per-rank)", s.net_supersteps);
-  w.counter("net_vote_rounds_total",
-            "Two-phase termination vote rounds (confirm rounds included)",
-            s.net_vote_rounds);
   w.counter("net_ghost_labels_total",
             "Boundary vertex labels synchronized between ranks",
             s.net_ghost_labels);
@@ -275,10 +272,10 @@ std::string render_metrics_text(const service_snapshot& snap,
               snap.comm_bytes_measured, 1e6);
   w.histogram("cluster_superstep_seconds",
               "Wall seconds per rank per superstep (compute + send-flush + "
-              "recv-wait + vote)", snap.cluster_superstep_seconds);
+              "recv-wait)", snap.cluster_superstep_seconds);
   w.histogram("cluster_comm_wait_seconds",
               "Communication share of each rank-superstep sample (send-flush + "
-              "recv-wait + vote)", snap.cluster_comm_wait_seconds);
+              "recv-wait)", snap.cluster_comm_wait_seconds);
   return out;
 }
 

@@ -109,7 +109,6 @@ void steiner_service::record_net_reports(
   std::uint64_t frames_sent = 0;
   std::uint64_t ghost_labels = 0;
   std::uint64_t supersteps = 0;
-  std::uint64_t vote_rounds = 0;
   for (const runtime::net::net_solve_report& r : reports) {
     bytes_sent += r.stats.bytes_sent;
     bytes_modelled += r.bytes_modelled;
@@ -118,7 +117,6 @@ void steiner_service::record_net_reports(
     // Supersteps march in lockstep across ranks (the vote is a barrier), so
     // the mesh-wide count is the max, not the sum.
     supersteps = std::max(supersteps, r.supersteps);
-    vote_rounds += r.vote_rounds;
     for (const runtime::net::net_superstep_sample& s : r.samples) {
       comm_bytes_modelled_hist_.record(static_cast<double>(s.bytes_modelled) *
                                        1e-6);
@@ -131,13 +129,11 @@ void steiner_service::record_net_reports(
   net_frames_sent_ += frames_sent;
   net_ghost_labels_ += ghost_labels;
   net_supersteps_ += supersteps;
-  net_vote_rounds_ += vote_rounds;
   if (trace != nullptr) {
     trace->add_event("net_bytes_sent", static_cast<double>(bytes_sent));
     trace->add_event("net_bytes_modelled",
                      static_cast<double>(bytes_modelled));
     trace->add_event("net_supersteps", static_cast<double>(supersteps));
-    trace->add_event("net_vote_rounds", static_cast<double>(vote_rounds));
   }
 
   // Cluster telemetry plane: rank 0's report carries every rank's merged
@@ -174,7 +170,6 @@ void steiner_service::record_net_reports(
         slice.send_flush_seconds =
             static_cast<double>(t.send_flush_nanos) * 1e-9;
         slice.recv_wait_seconds = static_cast<double>(t.recv_wait_nanos) * 1e-9;
-        slice.vote_seconds = static_cast<double>(t.vote_nanos) * 1e-9;
         slice.visitors = t.visitors;
         for (const runtime::net::telemetry_peer_traffic& p : t.peers) {
           slice.bytes_sent += p.bytes_sent;
@@ -893,10 +888,11 @@ query_result steiner_service::execute(query q, double queue_wait,
       if (config_.distributed.world >= 2) {
         // Distributed cold path (runtime/net/): the solve runs as `world`
         // loopback comm_backend ranks exchanging the same typed frames the
-        // TCP mesh carries, with hash-partitioned vertex state and two-phase
-        // termination votes. The tree is bit-identical to the in-process
-        // solver. No warm capture or fragment assists here — per-rank state
-        // is sharded, so there is no whole-graph artifact to keep.
+        // TCP mesh carries, with hash-partitioned vertex state and one
+        // termination vote per superstep. The tree is bit-identical to the
+        // in-process solver. No warm capture or fragment assists here —
+        // per-rank state is sharded, so there is no whole-graph artifact to
+        // keep.
         artifacts.reset();
         std::vector<runtime::net::net_solve_report> reports;
         out.result = runtime::net::solve_loopback(*csr, canonical,
@@ -1054,7 +1050,6 @@ service_stats steiner_service::stats() const {
   s.net_bytes_modelled = net_bytes_modelled_.load();
   s.net_frames_sent = net_frames_sent_.load();
   s.net_supersteps = net_supersteps_.load();
-  s.net_vote_rounds = net_vote_rounds_.load();
   s.net_ghost_labels = net_ghost_labels_.load();
   s.cluster_telemetry_samples = cluster_telemetry_samples_.load();
   s.cluster_supersteps = cluster_supersteps_.load();

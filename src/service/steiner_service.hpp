@@ -188,7 +188,6 @@ struct service_stats {
   std::uint64_t net_bytes_modelled = 0;  ///< perf-model payload prediction
   std::uint64_t net_frames_sent = 0;     ///< frames put on the mesh
   std::uint64_t net_supersteps = 0;      ///< BSP supersteps across solves
-  std::uint64_t net_vote_rounds = 0;     ///< termination vote rounds
   std::uint64_t net_ghost_labels = 0;    ///< boundary labels synchronized
   // Cluster telemetry plane (per-rank superstep frames, merged on rank 0).
   std::uint64_t cluster_telemetry_samples = 0;  ///< rank×superstep samples
@@ -241,7 +240,7 @@ struct service_snapshot {
   latency_histogram::snapshot_data comm_bytes_modelled;
   latency_histogram::snapshot_data comm_bytes_measured;
   /// Cluster telemetry: per rank×superstep sample, wall seconds of the whole
-  /// sample (compute + send-flush + recv-wait + vote) and of its
+  /// sample (compute + send-flush + recv-wait) and of its
   /// communication share — the distribution /clusterz's straggler report
   /// summarizes per superstep.
   latency_histogram::snapshot_data cluster_superstep_seconds;
@@ -574,7 +573,6 @@ class steiner_service {
   std::atomic<std::uint64_t> net_bytes_modelled_{0};
   std::atomic<std::uint64_t> net_frames_sent_{0};
   std::atomic<std::uint64_t> net_supersteps_{0};
-  std::atomic<std::uint64_t> net_vote_rounds_{0};
   std::atomic<std::uint64_t> net_ghost_labels_{0};
   std::atomic<std::uint64_t> cluster_telemetry_samples_{0};
   std::atomic<std::uint64_t> cluster_supersteps_{0};

@@ -4,16 +4,21 @@
 // and either backend is bit-identical to the single-process solver.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/steiner_solver.hpp"
@@ -94,18 +99,15 @@ TEST(NetFrame, VoteRoundTrip) {
   vote.cancel = 1;
   vote.max_work = 2.5;
   vote.min_priority = 0x0123456789abcdefull;
-  const frame propose = encode_vote(vote, false);
-  EXPECT_EQ(propose.payload.size(), 29u);
-  EXPECT_EQ(decode_vote(propose), vote);
-  const frame confirm = encode_vote(vote, true);
-  EXPECT_EQ(confirm.type, frame_type::vote_confirm);
-  EXPECT_EQ(decode_vote(confirm), vote);
+  const frame f = encode_vote(vote);
+  EXPECT_EQ(f.type, frame_type::vote);
+  EXPECT_EQ(f.payload.size(), 29u);
+  EXPECT_EQ(decode_vote(f), vote);
 
   // A vote in the format before min_priority (21 bytes) is not a vote.
-  for (frame old : {propose, confirm}) {
-    old.payload.resize(21);
-    EXPECT_THROW((void)decode_vote(old), wire_error);
-  }
+  frame old = f;
+  old.payload.resize(21);
+  EXPECT_THROW((void)decode_vote(old), wire_error);
 }
 
 TEST(NetFrame, MarkerAndHelloRoundTrip) {
@@ -137,18 +139,17 @@ TEST(NetFrame, TelemetryRoundTrip) {
   in.compute_nanos = 1111;
   in.send_flush_nanos = 222;
   in.recv_wait_nanos = 3333;
-  in.vote_nanos = 44;
   in.peers = {{3, 480, 2, 320}, {0, 0, 0, 0}, {7, 9000, 1, 64}};
 
   const frame f = encode_telemetry(in);
   EXPECT_EQ(f.type, frame_type::telemetry);
-  EXPECT_EQ(f.payload.size(), 61u + in.peers.size() * 24);
+  EXPECT_EQ(f.payload.size(), 53u + in.peers.size() * 24);
   EXPECT_EQ(decode_telemetry(f), in);
   // Whole-frame trip (what actually crosses the wire to rank 0).
   EXPECT_EQ(decode_telemetry(decode_frame(encode_frame(f))), in);
 
-  EXPECT_EQ(in.total_nanos(), 1111u + 222u + 3333u + 44u);
-  EXPECT_EQ(in.comm_nanos(), 222u + 3333u + 44u);
+  EXPECT_EQ(in.total_nanos(), 1111u + 222u + 3333u);
+  EXPECT_EQ(in.comm_nanos(), 222u + 3333u);
 }
 
 TEST(NetFrame, TelemetryRejectsTruncationAndBadPhase) {
@@ -169,6 +170,14 @@ TEST(NetFrame, TelemetryRejectsTruncationAndBadPhase) {
   EXPECT_THROW((void)decode_telemetry(bad_phase), wire_error);
   bad_phase.payload[4] = 99;  // and above it
   EXPECT_THROW((void)decode_telemetry(bad_phase), wire_error);
+
+  // A sample in the format with vote_nanos carries 8 more bytes before the
+  // peer count; for any value of the field, the length check rejects it.
+  for (const std::uint8_t vote_byte : {0, 1, 255}) {
+    frame old = encode_telemetry(sample);
+    old.payload.insert(old.payload.begin() + 49, 8, vote_byte);
+    EXPECT_THROW((void)decode_telemetry(old), wire_error);
+  }
 
   EXPECT_THROW((void)decode_telemetry(make_marker(0)), wire_error);
 }
@@ -199,8 +208,11 @@ TEST(NetFrame, RejectsOversizedLength) {
 
 TEST(NetFrame, RejectsUnknownType) {
   std::vector<std::uint8_t> bytes = encode_frame(make_marker(0));
-  bytes[2] = 200;
-  EXPECT_THROW((void)decode_header(bytes), wire_error);
+  // Below the enum, the retired confirm vote, just past it, far past it.
+  for (const std::uint8_t type : {0, 9, 12, 200}) {
+    bytes[2] = type;
+    EXPECT_THROW((void)decode_header(bytes), wire_error) << int{type};
+  }
 }
 
 TEST(NetFrame, RejectsTruncatedAndTrailingPayload) {
@@ -294,7 +306,7 @@ TEST(NetFrame, MutatedFramesOnlyRaiseWireError) {
       {"edge",
        encode_edge_batch(std::vector<graph::weighted_edge>{{1, 2, 3}}),
        [](const frame& f) { (void)decode_edge_batch(f); }},
-      {"vote", encode_vote(vote, true),
+      {"vote", encode_vote(vote),
        [](const frame& f) { (void)decode_vote(f); }},
       {"marker", make_marker(7),
        [](const frame& f) { (void)decode_marker(f); }},
@@ -385,37 +397,57 @@ TEST(NetLoopback, DrainsPendingFramesAfterClose) {
   EXPECT_FALSE(mesh.endpoint(1).recv(from, f));
 }
 
-TEST(NetTermination, TwoPhaseVoteStopsOnlyWhenAllIdle) {
-  loopback_mesh mesh(2);
-  vote_decision d0;
-  vote_decision d1;
-  std::thread peer([&] {
-    peer_channels chans(mesh.endpoint(1));
-    termination_vote vote(chans);
-    d1 = vote.round(5, false, 0, 0.0, 40);  // this rank still has work
-  });
-  peer_channels chans(mesh.endpoint(0));
-  termination_vote vote(chans);
-  d0 = vote.round(0, false, 0);
-  peer.join();
-  EXPECT_FALSE(d0.stop);
-  EXPECT_FALSE(d1.stop);
-  // Both ranks leave with the least pending priority of either.
-  EXPECT_EQ(d0.min_priority, 40u);
-  EXPECT_EQ(d1.min_priority, 40u);
+TEST(NetTermination, OneRoundVoteClosesDataStreamsAndStopsWhenAllIdle) {
+  constexpr int k_world = 3;
+  loopback_mesh mesh(k_world);
+  std::vector<std::vector<vote_decision>> decisions(k_world);
+  std::vector<std::vector<int>> data_from(k_world);  // per rank: senders
+  const auto rank_main = [&](int rank) {
+    peer_channels chans(mesh.endpoint(rank));
+    const auto on_data = [&](int from, frame& f) {
+      EXPECT_EQ(decode_visitor_batch(f).size(), 1u);
+      data_from[static_cast<std::size_t>(rank)].push_back(from);
+    };
+    auto& mine = decisions[static_cast<std::size_t>(rank)];
+    // Superstep 0: rank 2 sends one visitor to rank 0 and votes it
+    // outstanding; every other rank is idle.
+    superstep_vote vote;
+    if (rank == 2) {
+      mesh.endpoint(2).send(0, encode_visitor_batch(
+                                   std::vector<core::voronoi_visitor>{
+                                       {1, 2, 3, 40}}));
+      vote.outstanding = 1;
+      vote.min_priority = 40;
+    }
+    mine.push_back(vote_round(chans, vote, on_data));
+    // Superstep 1: every rank idle.
+    vote = superstep_vote{};
+    vote.superstep = 1;
+    mine.push_back(vote_round(chans, vote, on_data));
+  };
+  std::vector<std::thread> peers;
+  for (int rank = 1; rank < k_world; ++rank) peers.emplace_back(rank_main, rank);
+  rank_main(0);
+  for (std::thread& t : peers) t.join();
 
-  std::thread peer2([&] {
-    peer_channels c(mesh.endpoint(1));
-    termination_vote v(c);
-    d1 = v.round(0, false, 1);
-  });
-  peer_channels c0(mesh.endpoint(0));
-  termination_vote v0(c0);
-  d0 = v0.round(0, false, 1);
-  peer2.join();
-  EXPECT_TRUE(d0.stop);   // proposed idle + confirmed idle
-  EXPECT_TRUE(d1.stop);
-  EXPECT_EQ(v0.rounds(), 2u);  // propose + confirm
+  for (int rank = 0; rank < k_world; ++rank) {
+    const auto& mine = decisions[static_cast<std::size_t>(rank)];
+    ASSERT_EQ(mine.size(), 2u);
+    // One rank's send in flight keeps every rank going, and every rank
+    // leaves with its priority.
+    EXPECT_FALSE(mine[0].stop) << rank;
+    EXPECT_EQ(mine[0].min_priority, 40u) << rank;
+    // All idle: every rank stops after one round.
+    EXPECT_TRUE(mine[1].stop) << rank;
+    // One vote per peer per round, and rank 2's data frame: no other round.
+    EXPECT_EQ(mesh.endpoint(rank).stats().frames_sent,
+              2u * (k_world - 1) + (rank == 2 ? 1 : 0))
+        << rank;
+  }
+  // The data frame sent before rank 2's vote reached rank 0's on_data.
+  EXPECT_EQ(data_from[0], std::vector<int>{2});
+  EXPECT_TRUE(data_from[1].empty());
+  EXPECT_TRUE(data_from[2].empty());
 }
 
 // ---- distributed bit-identity ----------------------------------------------
@@ -547,9 +579,10 @@ TEST(NetDistSolve, CancelledBudgetUnwindsAllRanks) {
 }
 
 /// One rank's endpoint that dies at its `kill_at`-th send: that send closes
-/// the mesh and throws, as a rank process exiting mid-superstep would. It
-/// also notes whether the rank had reached phase 2 (a ghost_sync frame) and
-/// how many votes it had cast.
+/// the mesh and throws, as a rank process exiting mid-superstep would.
+/// It also counts the frames it sent by type, which tells whether the rank
+/// had reached phase 2 (a ghost_sync frame) and how many votes it had cast.
+/// With kill_at = UINT64_MAX it only counts.
 class dying_backend final : public comm_backend {
  public:
   dying_backend(comm_backend& inner, std::uint64_t kill_at)
@@ -564,8 +597,7 @@ class dying_backend final : public comm_backend {
       inner_.close();
       throw wire_error("rank died");
     }
-    if (f.type == frame_type::ghost_sync) left_voronoi_ = true;
-    if (f.type == frame_type::vote) ++votes_;
+    ++sent_[static_cast<std::size_t>(f.type)];
     inner_.send(to, f);
   }
   bool recv(int& from, frame& out) override { return inner_.recv(from, out); }
@@ -575,16 +607,59 @@ class dying_backend final : public comm_backend {
   void close() override { inner_.close(); }
 
   [[nodiscard]] bool died() const noexcept { return sends_ >= kill_at_; }
-  [[nodiscard]] bool left_voronoi() const noexcept { return left_voronoi_; }
-  [[nodiscard]] std::uint64_t votes() const noexcept { return votes_; }
+  [[nodiscard]] std::uint64_t sent(frame_type type) const noexcept {
+    return sent_[static_cast<std::size_t>(type)];
+  }
+  [[nodiscard]] bool left_voronoi() const noexcept {
+    return sent(frame_type::ghost_sync) > 0;
+  }
+  [[nodiscard]] std::uint64_t votes() const noexcept {
+    return sent(frame_type::vote);
+  }
 
  private:
   comm_backend& inner_;
   std::uint64_t kill_at_;
   std::uint64_t sends_ = 0;
-  std::uint64_t votes_ = 0;
-  bool left_voronoi_ = false;
+  std::array<std::uint64_t, 256> sent_{};  ///< indexed by frame_type
 };
+
+TEST(NetDistSolve, OneVotePerSuperstepAndMarkersOnlyInOneShotExchanges) {
+  const graph::csr_graph g = make_connected_graph(300, 25, 15);
+  const auto seeds = pick_seeds(g, 6, 2);
+  constexpr int k_world = 3;
+  loopback_mesh mesh(k_world);
+  std::vector<std::unique_ptr<dying_backend>> counted;
+  std::vector<net_solve_report> reports(k_world);
+  std::vector<std::future<void>> ranks;
+  for (int r = 0; r < k_world; ++r) {
+    counted.push_back(
+        std::make_unique<dying_backend>(mesh.endpoint(r), UINT64_MAX));
+    ranks.push_back(std::async(std::launch::async, [&, r] {
+      try {
+        (void)solve_rank(g, seeds, core::solver_config{},
+                         *counted[static_cast<std::size_t>(r)],
+                         &reports[static_cast<std::size_t>(r)]);
+      } catch (...) {
+        mesh.close_all();
+        throw;
+      }
+    }));
+  }
+  for (auto& rank : ranks) rank.get();
+
+  for (int r = 0; r < k_world; ++r) {
+    const dying_backend& net = *counted[static_cast<std::size_t>(r)];
+    const net_solve_report& report = reports[static_cast<std::size_t>(r)];
+    // Phases 1 and 6 vote at least once each.
+    EXPECT_GE(report.supersteps, 2u);
+    EXPECT_EQ(report.vote_rounds, report.supersteps);
+    EXPECT_EQ(net.votes(), report.supersteps * (k_world - 1)) << r;
+    // Ghost sync, EN reduce and gather: one marker to each peer apiece.
+    EXPECT_EQ(net.sent(frame_type::superstep_marker), 3u * (k_world - 1))
+        << r;
+  }
+}
 
 TEST(NetDistSolve, DeadPeerInWindowedVoronoiUnwindsEveryRank) {
   const graph::csr_graph g = make_connected_graph(400, 30, 77);
@@ -737,6 +812,58 @@ TEST(NetClusterTelemetry, StragglerReportAttributesEverySuperstepGroup) {
   EXPECT_EQ(json.back(), '}');
 }
 
+TEST(NetClusterTelemetry, EveryWindowConservesDataTraffic) {
+  const graph::csr_graph g = make_connected_graph(300, 35, 19);
+  const auto seeds = pick_seeds(g, 6, 0xBEEF);
+  constexpr int k_world = 3;
+  std::vector<net_solve_report> reports;
+  (void)solve_loopback(g, seeds, core::solver_config{}, k_world, &reports);
+
+  // Each window, (phase, superstep), holds one sample per rank.
+  std::map<std::pair<std::uint8_t, std::uint32_t>,
+           std::array<const rank_telemetry*, k_world>>
+      windows;
+  for (const rank_telemetry& s : reports[0].cluster.samples) {
+    ASSERT_GE(s.rank, 0);
+    ASSERT_LT(s.rank, k_world);
+    windows[{s.phase, s.superstep}][static_cast<std::size_t>(s.rank)] = &s;
+  }
+  constexpr auto gather = static_cast<std::uint8_t>(telemetry_phase::gather);
+  std::uint64_t voting_batches = 0;
+  for (const auto& [window, samples] : windows) {
+    const auto [phase, superstep] = window;
+    for (std::size_t p = 0; p < k_world; ++p) {
+      ASSERT_NE(samples[p], nullptr) << "phase " << int{phase} << " superstep "
+                                     << superstep << " rank " << p;
+    }
+    for (std::size_t p = 0; p < k_world; ++p) {
+      for (std::size_t r = 0; r < k_world; ++r) {
+        if (p == r) continue;
+        const telemetry_peer_traffic& out = samples[p]->peers[r];
+        const telemetry_peer_traffic& in = samples[r]->peers[p];
+        const std::string where = "phase " + std::to_string(phase) +
+                                  " superstep " + std::to_string(superstep) +
+                                  " " + std::to_string(p) + " -> " +
+                                  std::to_string(r);
+        if (phase == gather) {
+          // The solve's last exchange emits its samples before the drain
+          // (see collect_tree_edges), so they tally nothing received.
+          EXPECT_EQ(in.batches_received, 0u) << where;
+          continue;
+        }
+        EXPECT_EQ(out.batches_sent, in.batches_received) << where;
+        EXPECT_EQ(out.bytes_sent, in.bytes_received) << where;
+        if (phase == static_cast<std::uint8_t>(telemetry_phase::voronoi) ||
+            phase == static_cast<std::uint8_t>(telemetry_phase::tree_walk)) {
+          voting_batches += out.batches_sent;
+        }
+      }
+    }
+  }
+  // The voting supersteps carried data, so their tallies were checked.
+  EXPECT_GT(voting_batches, 0u);
+}
+
 TEST(NetClusterTelemetry, TracedAndUntracedSolvesBitIdentical) {
   const graph::csr_graph g = make_connected_graph(300, 25, 47);
   const auto seeds = pick_seeds(g, 6, 0x7777);
@@ -800,6 +927,139 @@ TEST(NetTcp, MeshExchangesFramesBothWays) {
   int wstatus = -1;
   ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
   EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+}
+
+/// waitpid() that gives up at `deadline`: the child is then killed and the
+/// test fails. Returns the wait status.
+int wait_or_kill(pid_t child, std::chrono::steady_clock::time_point deadline) {
+  int wstatus = -1;
+  while (::waitpid(child, &wstatus, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ADD_FAILURE() << "child " << child << " still running at the deadline";
+      ::kill(child, SIGKILL);
+      ::waitpid(child, &wstatus, 0);
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return wstatus;
+}
+
+TEST(NetTcp, WaitingOnAPeerThatLeftRaisesWireError) {
+  // Rank 1 leaves right after the mesh is up; rank 2 stays and sends
+  // nothing. Rank 0 waiting on rank 1 must fail, not poll rank 2 for ever.
+  const std::uint16_t port =
+      static_cast<std::uint16_t>(test_base_port() + 300);
+  constexpr int k_world = 3;
+  std::vector<pid_t> children;
+  for (int rank = 1; rank < k_world; ++rank) {
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      int status = 1;
+      try {
+        tcp_backend net({rank, k_world, port, 15000});
+        int from = -1;
+        frame f;
+        if (rank == 2) {
+          while (net.recv(from, f)) {
+          }
+        }
+        status = 0;
+      } catch (...) {
+      }
+      ::_exit(status);
+    }
+    children.push_back(child);
+  }
+
+  {
+    tcp_backend net({0, k_world, port, 15000});
+    peer_channels chans(net);
+    auto wait = std::async(std::launch::async, [&] { (void)chans.next(1); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    if (wait.wait_until(deadline) != std::future_status::ready) {
+      ADD_FAILURE() << "rank 0 still waiting on rank 1 at the deadline";
+      ::kill(children[1], SIGKILL);  // rank 2's closed sockets unblock it
+    }
+    EXPECT_THROW(wait.get(), wire_error);
+  }  // rank 0's sockets close here, which ends rank 2's loop
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (const pid_t child : children) {
+    const int wstatus = wait_or_kill(child, deadline);
+    EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+  }
+}
+
+TEST(NetTcp, DeadChildRankFailsTheSolveOnEveryRank) {
+  const std::uint16_t port =
+      static_cast<std::uint16_t>(test_base_port() + 200);
+  const graph::csr_graph g = make_connected_graph(400, 30, 77);
+  const auto seeds = pick_seeds(g, 8, 5);
+  constexpr int k_world = 3;
+  constexpr int k_dying = 1;
+  constexpr int k_died_in_phase_1 = 3;  // the dying rank's exit status
+
+  std::vector<pid_t> children;
+  for (int rank = 1; rank < k_world; ++rank) {
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      // Rank 1 dies at its 40th send, inside phase 1, and exits at once.
+      // Rank 2 exits 0 only if its solve returns.
+      int status = 1;
+      try {
+        tcp_backend net({rank, k_world, port, 15000});
+        if (rank == k_dying) {
+          dying_backend dying(net, 40);
+          try {
+            (void)solve_rank(g, seeds, core::solver_config{}, dying);
+          } catch (const wire_error&) {
+          }
+          if (dying.died() && !dying.left_voronoi()) {
+            status = k_died_in_phase_1;
+          }
+        } else {
+          (void)solve_rank(g, seeds, core::solver_config{}, net);
+          status = 0;
+        }
+      } catch (...) {
+      }
+      ::_exit(status);
+    }
+    children.push_back(child);
+  }
+
+  {
+    tcp_backend net({0, k_world, port, 15000});
+    auto solve = std::async(std::launch::async, [&] {
+      (void)solve_rank(g, seeds, core::solver_config{}, net);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    if (solve.wait_until(deadline) != std::future_status::ready) {
+      ADD_FAILURE() << "rank 0 still running at the deadline";
+      // Their closed sockets unblock rank 0.
+      for (const pid_t child : children) ::kill(child, SIGKILL);
+    }
+    EXPECT_THROW(solve.get(), wire_error);
+  }  // rank 0's sockets close here
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int rank = 1; rank < k_world; ++rank) {
+    const int wstatus =
+        wait_or_kill(children[static_cast<std::size_t>(rank - 1)], deadline);
+    const int exit_status = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+    if (rank == k_dying) {
+      EXPECT_EQ(exit_status, k_died_in_phase_1);
+    } else {
+      EXPECT_NE(exit_status, 0) << "the surviving rank reported success";
+    }
+  }
 }
 
 TEST(NetTcp, DistributedSolveBitIdenticalToSingleProcess) {

@@ -361,8 +361,11 @@ service_snapshot golden_snapshot() {
   next += 6 * 7;
   fill_counters(
       {&s.distributed_solves, &s.net_bytes_sent, &s.net_bytes_modelled,
-       &s.net_frames_sent, &s.net_supersteps, &s.net_vote_rounds,
-       &s.net_ghost_labels, &s.cluster_telemetry_samples,
+       &s.net_frames_sent, &s.net_supersteps});
+  // The retired vote-round counter took the next value.
+  next += 7;
+  fill_counters(
+      {&s.net_ghost_labels, &s.cluster_telemetry_samples,
        &s.cluster_supersteps, &s.cluster_straggler_supersteps,
        &s.fragment_assisted, &s.fragment_hits, &s.preseeded_vertices,
        &s.oracle_pruned_visitors, &s.oracle_builds});

@@ -353,7 +353,6 @@ TEST(Service, DistributedColdSolveBitIdenticalToInProcess) {
   EXPECT_GE(stats.net_bytes_sent, stats.net_bytes_modelled);
   EXPECT_GT(stats.net_frames_sent, 0u);
   EXPECT_GT(stats.net_supersteps, 0u);
-  EXPECT_GT(stats.net_vote_rounds, 0u);
 
   // The paired modelled/measured histograms carry one sample per superstep
   // and surface in /metrics next to the latency families.

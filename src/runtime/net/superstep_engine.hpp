@@ -174,16 +174,16 @@ class rank_context {
                               std::uint64_t sent_before, double work,
                               std::uint64_t min_priority,
                               const std::function<void(frame&)>& on_frame) {
-    superstep_vote mine;
-    mine.outstanding = outstanding;
-    mine.superstep = superstep;
-    mine.cancel =
+    superstep_vote vote;
+    vote.outstanding = outstanding;
+    vote.superstep = superstep;
+    vote.cancel =
         config.budget != nullptr && config.budget->stop_requested() ? 1 : 0;
-    mine.max_work = work;
-    mine.min_priority = min_priority;
+    vote.max_work = work;
+    vote.min_priority = min_priority;
     const util::timer recv_timer;
     const vote_decision decision =
-        vote_round(chans_, mine, [&](int peer, frame& f) {
+        vote_round(chans_, vote, [&](int peer, frame& f) {
           receive_data(peer, f, on_frame);
         });
     scratch.recv_wait_seconds = recv_timer.seconds();
@@ -195,8 +195,8 @@ class rank_context {
       // cancelled and "cancelled" is the only honest description.
       util::cancel_reason why = util::cancel_reason::cancelled;
       if (config.budget != nullptr) {
-        const util::cancel_reason mine_why = config.budget->stop_reason();
-        if (mine_why != util::cancel_reason::none) why = mine_why;
+        const util::cancel_reason mine = config.budget->stop_reason();
+        if (mine != util::cancel_reason::none) why = mine;
       }
       throw util::operation_cancelled(why);
     }

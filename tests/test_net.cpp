@@ -171,8 +171,9 @@ TEST(NetFrame, TelemetryRejectsTruncationAndBadPhase) {
   bad_phase.payload[4] = 99;  // and above it
   EXPECT_THROW((void)decode_telemetry(bad_phase), wire_error);
 
-  // A sample in the format with vote_nanos carries 8 more bytes before the
-  // peer count; for any value of the field, the length check rejects it.
+  // A sample in the old format, with a vote timer, carries 8 more bytes
+  // before the peer count; for any value of the timer, the length check
+  // rejects it.
   for (const std::uint8_t vote_byte : {0, 1, 255}) {
     frame old = encode_telemetry(sample);
     old.payload.insert(old.payload.begin() + 49, 8, vote_byte);
@@ -635,6 +636,8 @@ TEST(NetDistSolve, OneVotePerSuperstepAndMarkersOnlyInOneShotExchanges) {
   for (int r = 0; r < k_world; ++r) {
     counted.push_back(
         std::make_unique<dying_backend>(mesh.endpoint(r), UINT64_MAX));
+  }
+  for (int r = 0; r < k_world; ++r) {
     ranks.push_back(std::async(std::launch::async, [&, r] {
       try {
         (void)solve_rank(g, seeds, core::solver_config{},
